@@ -173,9 +173,8 @@ def fed_train_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     dataset = _read_dataset(args.infile, args.interval, args.delta_max)
-    shards: list[list] = [[] for _ in range(args.clients)]
-    for i, s in enumerate(dataset.series):
-        shards[i % args.clients].append(s)
+    series = dataset.series
+    shards = [series[i::args.clients] for i in range(args.clients)]
     cfg = fedlearn.RoundConfig(
         rounds=args.rounds,
         local_steps=args.local_steps,
@@ -387,7 +386,7 @@ def _summarize_result(result: object) -> object:
         result[1], synthetic.PrivacyCheckReport
     ):
         synth_ds, report = result
-        return {"n_households": len(synth_ds.series),
+        return {"n_households": len(synth_ds.meter_ids),
                 "min_nn_distance": report.min_nn_distance,
                 "distinguisher_auc": report.distinguisher_auc}
     if isinstance(result, dict):

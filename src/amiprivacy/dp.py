@@ -36,7 +36,9 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .meterdata import FeederDataset, interval_totals
+import numpy as np
+
+from .meterdata import MILLI_PER_KWH, FeederDataset
 
 
 class DpError(Exception):
@@ -138,6 +140,9 @@ class BudgetLedger:
             raise ValueError("epsilon_cap must be positive")
         self.epsilon_cap = epsilon_cap
         self._entries: list[LedgerEntry] = list(entries)
+        self._spent = 0.0  # running left-to-right total: a charge is O(1), not O(#entries)
+        for e in self._entries:
+            self._spent += e.epsilon
         self._lock = threading.Lock()
 
     @property
@@ -145,17 +150,18 @@ class BudgetLedger:
         return tuple(self._entries)
 
     def epsilon_spent(self) -> float:
-        return sum(e.epsilon for e in self._entries)
+        return self._spent
 
     def charge(self, query_id: str, epsilon: float, delta: float) -> LedgerEntry:
         """Atomically append a charge, or raise BudgetExhausted untouched."""
         with self._lock:
-            if self.epsilon_spent() + epsilon > self.epsilon_cap + 1e-12:
+            if self._spent + epsilon > self.epsilon_cap + 1e-12:
                 raise BudgetExhausted(
                     f"charge of {epsilon} would exceed cap {self.epsilon_cap}"
                 )
             entry = LedgerEntry(query_id, epsilon, delta, time.time())
             self._entries.append(entry)
+            self._spent += epsilon
             return entry
 
     def to_lines(self) -> str:
@@ -270,8 +276,7 @@ def dp_sum(
     """
     query_id = _new_query_id()
     ledger.charge(query_id, p.epsilon, 0.0)
-    totals = interval_totals(d)
-    true_kwh = totals[timestamp].kwh if timestamp in totals else 0.0
+    true_kwh = d.interval_milli.get(timestamp, 0) / MILLI_PER_KWH
     return laplace_mechanism(
         true_kwh, Sensitivity(d.delta_max.kwh), p, rng, query_id=query_id
     )
@@ -299,7 +304,7 @@ def dp_mean(
         raise EmptyDataset("cannot take the mean of an empty dataset")
     query_id = _new_query_id()
     ledger.charge(query_id, p.epsilon, 0.0)
-    true_sum = sum(r.energy.kwh for r in d.all_readings())
+    true_sum = d.total_milli / MILLI_PER_KWH
     noisy_sum = laplace_mechanism(
         true_sum, Sensitivity(d.delta_max.kwh), p, rng, query_id=query_id
     )
@@ -323,20 +328,35 @@ def dp_histogram(
 
     Bins are [edges[i], edges[i+1]) over kWh values: disjoint and covering
     the declared range by construction, so parallel composition applies
-    and the whole histogram costs a single epsilon.
+    and the whole histogram costs a single epsilon. A reading counts in
+    bin i iff edges[i] <= milli_kwh / 1000 < edges[i+1]; each edge becomes
+    the first milli-kWh value at or above it, so binning is integer-exact.
     """
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
     query_id = _new_query_id()
     ledger.charge(query_id, p.epsilon, 0.0)
-    counts = [0] * (len(edges) - 1)
-    for r in d.all_readings():
-        v = r.energy.kwh
-        for i in range(len(counts)):
-            if edges[i] <= v < edges[i + 1]:
-                counts[i] += 1
-                break
+    cap = d.delta_max.milli_kwh
+    firsts = np.array([_first_milli_at_or_above(e, cap) for e in edges], dtype=np.int64)
+    bins = np.searchsorted(firsts, d.milli_kwh, side="right") - 1
+    counts = np.bincount(bins[(bins >= 0) & (bins < len(edges) - 1)], minlength=len(edges) - 1)
     return [
         laplace_mechanism(float(c), Sensitivity(1.0), p, rng, query_id=query_id)
-        for c in counts
+        for c in counts.tolist()
     ]
+
+
+def _first_milli_at_or_above(edge: float, cap: int) -> int:
+    """Least m in [0, cap] with m / 1000 >= edge, or cap + 1 if there is none.
+
+    m / 1000 rounds monotonically, so the readings at or above the edge in
+    kWh are exactly those with milli_kwh >= this value.
+    """
+    lo, hi = 0, cap + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / MILLI_PER_KWH >= edge:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .meterdata import ReadingSeries
+from .meterdata import MILLI_PER_KWH, ReadingSeries
 
 FX_SCALE = 10**6  # real <-> fixed-point quantization step of 1e-6
 MASK_MODULUS = 2**64
@@ -125,17 +125,29 @@ class FederationResult:
 
 def extract_examples(series_set: Iterable[ReadingSeries]) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and targets for the lag-1/lag-96/hour/bias model."""
-    feats: list[list[float]] = []
-    targets: list[float] = []
+    feats: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
     for s in series_set:
-        kwh = [r.energy.kwh for r in s.readings]
-        for t in range(LAG_LONG, len(kwh)):
-            hour = (s.readings[t].timestamp // 3600) % 24
-            feats.append([kwh[t - 1], kwh[t - LAG_LONG], hour / 23.0, 1.0])
-            targets.append(kwh[t])
+        if len(s) <= LAG_LONG:
+            continue
+        kwh = s.milli_kwh / MILLI_PER_KWH
+        hour = s.timestamp[LAG_LONG:] // 3600 % 24
+        feats.append(np.column_stack(
+            [kwh[LAG_LONG - 1:-1], kwh[:-LAG_LONG], hour / 23.0, np.ones(len(hour))]
+        ))
+        targets.append(kwh[LAG_LONG:])
     if not feats:
         return np.empty((0, N_FEATURES)), np.empty((0,))
-    return np.array(feats), np.array(targets)
+    return np.concatenate(feats), np.concatenate(targets)
+
+
+class _Shard(tuple):
+    """A client's series with their training examples, extracted once per federation."""
+
+    def __new__(cls, series: Iterable[ReadingSeries]):
+        shard = super().__new__(cls, series)
+        shard.examples = extract_examples(shard)
+        return shard
 
 
 def _gradient_step(X: np.ndarray, y: np.ndarray, w: np.ndarray, lr: float) -> np.ndarray:
@@ -151,7 +163,7 @@ def local_train(
     client_id: str = "",
 ) -> ClientUpdate:
     """Run cfg.local_steps full-batch MSE gradient steps on the client's data."""
-    X, y = extract_examples(data)
+    X, y = data.examples if isinstance(data, _Shard) else extract_examples(data)
     if len(y) == 0:
         raise NoTrainingData(f"client {client_id!r} has no training examples")
     w = np.array(global_params.weights, dtype=float)
@@ -295,15 +307,16 @@ def run_federation(
     splits = [_split_shard(shard) for shard in clients]
     holdout_series = [s for _, held in splits for s in held]
     X_hold, y_hold = extract_examples(holdout_series)
+    shards = [_Shard(train_series) for train_series, _ in splits]
 
     global_w = np.zeros(N_FEATURES)
     history: list[RoundMetrics] = []
     for rnd in range(cfg.rounds):
         updates: list[ClientUpdate] = []
-        for i, (train_series, _) in enumerate(splits):
+        for i, shard in enumerate(shards):
             client_id = f"client-{i:03d}"
             try:
-                update = local_train(train_series, ModelParams(global_w), cfg, client_id)
+                update = local_train(shard, ModelParams(global_w), cfg, client_id)
             except NoTrainingData:
                 continue
             if cfg.dp_sigma > 0:

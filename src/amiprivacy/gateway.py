@@ -231,7 +231,7 @@ class AuditLog:
 @dataclass(frozen=True)
 class ChainReport:
     valid: bool
-    first_bad_seq: int | None = None
+    first_bad_seq: int | None = None  # list index of the first bad record
 
 
 def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
@@ -247,7 +247,7 @@ def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
             or rec.prev_hash != prev_hash
             or rec.hash != _record_hash(prev_hash, payload)
         ):
-            return ChainReport(valid=False, first_bad_seq=rec.seq)
+            return ChainReport(valid=False, first_bad_seq=i)
         prev_hash = rec.hash
     return ChainReport(valid=True)
 
@@ -335,9 +335,8 @@ class Gateway:
             return Decision(allowed=True, result=(synth, report)), 0.0
 
         if isinstance(op, FedTrain):
-            shards: list[list] = [[] for _ in range(op.n_clients)]
-            for i, s in enumerate(self.dataset.series):
-                shards[i % op.n_clients].append(s)
+            series = self.dataset.series
+            shards = [series[i::op.n_clients] for i in range(op.n_clients)]
             cfg = fedlearn.RoundConfig(
                 rounds=op.rounds,
                 local_steps=op.local_steps,
@@ -362,12 +361,9 @@ class Gateway:
             return Decision(allowed=True, result=he.decrypt(keypair, bill_ct)), 0.0
 
         if isinstance(op, AggregateReport):
-            totals = {
-                s.meter_id: EnergyQuantity(sum(r.energy.milli_kwh for r in s.readings))
-                for s in self.dataset.series
-            }
+            totals = self.dataset.meter_milli
             groups = {
-                key: [totals[m] for m in meters if m in totals]
+                key: [EnergyQuantity(totals[m]) for m in meters if m in totals]
                 for key, meters in op.groups
             }
             policy = anonymize.AggregationPolicy(min_count=self.policy.min_aggregation_count)

@@ -4,15 +4,21 @@ Energy is held as fixed-point milli-kWh integers so that sums, secret
 shares, and homomorphic plaintexts are exact. Timestamps are normalized
 to UTC epoch seconds at parse time; ISO-8601 (with mandatory ``Z``) is
 accepted on input only.
+
+A `FeederDataset` keeps its readings as read-only int64 columns (meter
+index, timestamp, milli-kWh) and caches its exact totals, so queries are
+numpy passes over arrays; `MeterReading` objects exist only on request.
 """
 
 from __future__ import annotations
 
-import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Sequence
+
+import numpy as np
 
 MILLI_PER_KWH = 1000
 
@@ -89,12 +95,6 @@ class EnergyQuantity:
     def __add__(self, other: "EnergyQuantity") -> "EnergyQuantity":
         return EnergyQuantity(self.milli_kwh + other.milli_kwh)
 
-    def __neg__(self) -> "EnergyQuantity":
-        return EnergyQuantity(-self.milli_kwh)
-
-
-ZERO_ENERGY = EnergyQuantity(0)
-
 
 @dataclass(frozen=True)
 class MeterReading:
@@ -114,59 +114,154 @@ class MeterReading:
             raise ValueError("timestamp must be a multiple of interval_s")
 
 
-@dataclass(frozen=True)
+def _column(values) -> np.ndarray:
+    """A read-only int64 copy of `values`."""
+    col = np.array(values, dtype=np.int64)
+    col.setflags(write=False)
+    return col
+
+
 class ReadingSeries:
-    """Ordered readings for one meter; strictly increasing, uniform interval."""
+    """One meter's readings as read-only int64 `timestamp` and `milli_kwh` columns.
 
-    meter_id: str
-    readings: tuple[MeterReading, ...]
+    Built from MeterReading objects (one meter, strictly increasing
+    timestamps, one interval), or without copying as a view of a dataset's
+    rows; `readings` builds the objects on request.
+    """
 
-    def __post_init__(self):
-        prev = None
-        for r in self.readings:
-            if r.meter_id != self.meter_id:
-                raise ValueError("reading meter_id does not match series")
-            if prev is not None:
-                if r.timestamp <= prev.timestamp:
-                    raise ValueError("timestamps must be strictly increasing")
-                if r.interval_s != prev.interval_s:
-                    raise ValueError("interval_s must be uniform within a series")
-            prev = r
+    __slots__ = ("meter_id", "interval_s", "timestamp", "milli_kwh")
+
+    def __init__(self, meter_id: str, readings: Sequence[MeterReading]):
+        if any(r.meter_id != meter_id for r in readings):
+            raise ValueError("reading meter_id does not match series")
+        if len({r.interval_s for r in readings}) > 1:
+            raise ValueError("interval_s must be uniform within a series")
+        self.meter_id = meter_id
+        self.interval_s = readings[0].interval_s if readings else 0
+        self.timestamp = _column([r.timestamp for r in readings])
+        self.milli_kwh = _column([r.energy.milli_kwh for r in readings])
+        if (np.diff(self.timestamp) <= 0).any():
+            raise ValueError("timestamps must be strictly increasing")
+
+    @classmethod
+    def _view(cls, meter_id: str, interval_s: int, timestamp, milli_kwh) -> "ReadingSeries":
+        series = cls.__new__(cls)
+        series.meter_id, series.interval_s = meter_id, interval_s
+        series.timestamp, series.milli_kwh = timestamp, milli_kwh
+        return series
 
     @property
-    def interval_s(self) -> int:
-        return self.readings[0].interval_s if self.readings else 0
+    def readings(self) -> tuple[MeterReading, ...]:
+        return tuple(
+            MeterReading(self.meter_id, t, self.interval_s, EnergyQuantity(m))
+            for t, m in zip(self.timestamp.tolist(), self.milli_kwh.tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self.readings)
+        return len(self.timestamp)
 
 
-@dataclass(frozen=True)
 class FeederDataset:
-    """A collection of series sharing one interval and a per-reading cap.
+    """Readings of many meters sharing one interval and a per-reading cap.
+
+    Columns: `meter_ids` names each meter; `meter_idx`, `timestamp` (UTC
+    epoch seconds) and `milli_kwh` are read-only int64 arrays with one entry
+    per reading, grouped by meter in `meter_ids` order and strictly
+    increasing in time within a meter. Exact int64 totals are computed once:
+    `interval_milli` (timestamp -> total, ascending), `meter_milli`
+    (meter id -> total) and `total_milli`.
 
     The cap ``delta_max`` is the sensitivity bound the DP mechanisms rely
     on; ingestion rejects readings above it rather than clipping.
     """
 
-    series: tuple[ReadingSeries, ...]
-    interval_s: int
-    delta_max: EnergyQuantity
+    __slots__ = ("meter_ids", "meter_idx", "timestamp", "milli_kwh", "interval_s",
+                 "delta_max", "interval_milli", "meter_milli", "total_milli")
 
-    def __post_init__(self):
-        if self.interval_s <= 0:
+    def __init__(self, series: Iterable[ReadingSeries], interval_s: int,
+                 delta_max: EnergyQuantity):
+        series = tuple(series)
+        if any(len(s) and s.interval_s != interval_s for s in series):
+            raise ValueError("all series must share the dataset interval_s")
+        lengths = [len(s) for s in series]
+        self._init(
+            tuple(s.meter_id for s in series),
+            np.repeat(np.arange(len(series)), lengths),
+            np.concatenate([s.timestamp for s in series]) if series else (),
+            np.concatenate([s.milli_kwh for s in series]) if series else (),
+            interval_s,
+            delta_max,
+        )
+
+    @classmethod
+    def from_columns(cls, meter_ids: Sequence[str], meter_idx, timestamp, milli_kwh,
+                     interval_s: int, delta_max: EnergyQuantity) -> "FeederDataset":
+        """Validate and adopt columns laid out as the class docstring states."""
+        dataset = cls.__new__(cls)
+        dataset._init(tuple(meter_ids), meter_idx, timestamp, milli_kwh, interval_s, delta_max)
+        return dataset
+
+    def _init(self, meter_ids, meter_idx, timestamp, milli_kwh, interval_s, delta_max):
+        if interval_s <= 0:
             raise ValueError("interval_s must be positive")
-        if self.delta_max.milli_kwh <= 0:
-            raise ValueError("delta_max must be positive")
-        for s in self.series:
-            for r in s.readings:
-                if r.interval_s != self.interval_s:
-                    raise ValueError("all series must share the dataset interval_s")
-                if r.energy.milli_kwh > self.delta_max.milli_kwh:
-                    raise ValueError("reading exceeds delta_max")
+        if not 0 < delta_max.milli_kwh < 2**63:
+            raise ValueError("delta_max must be positive and below 2**63 milli-kWh")
+        meter_idx, timestamp, milli = _column(meter_idx), _column(timestamp), _column(milli_kwh)
+        if not len(meter_idx) == len(timestamp) == len(milli):
+            raise ValueError("columns must have one entry per reading")
+        if len(milli):
+            step = np.diff(meter_idx)
+            if meter_idx[0] < 0 or meter_idx[-1] >= len(meter_ids) or (step < 0).any():
+                raise ValueError("rows must be grouped by meter in meter_ids order")
+            if (np.diff(timestamp)[step == 0] <= 0).any():
+                raise ValueError("timestamps must be strictly increasing within a meter")
+            if (timestamp % interval_s).any():
+                raise ValueError("timestamp must be a multiple of interval_s")
+            if milli.min() < 0:
+                raise ValueError("reading energy must be non-negative")
+            if milli.max() > delta_max.milli_kwh:
+                raise ValueError("reading exceeds delta_max")
+            if int(milli.max()) * len(milli) >= 2**63:
+                raise ValueError("totals could overflow int64")
+        stamps, at_stamp = np.unique(timestamp, return_inverse=True)
+        per_stamp = np.zeros(len(stamps), dtype=np.int64)
+        np.add.at(per_stamp, at_stamp, milli)
+        per_meter = np.zeros(len(meter_ids), dtype=np.int64)
+        np.add.at(per_meter, meter_idx, milli)
+        for name, value in (
+            ("meter_ids", meter_ids), ("meter_idx", meter_idx), ("timestamp", timestamp),
+            ("milli_kwh", milli), ("interval_s", interval_s), ("delta_max", delta_max),
+            ("interval_milli", MappingProxyType(dict(zip(stamps.tolist(), per_stamp.tolist())))),
+            ("meter_milli", MappingProxyType(dict(zip(meter_ids, per_meter.tolist())))),
+            ("total_milli", int(milli.sum())),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FeederDataset is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FeederDataset) and self._key() == other._key()
+
+    def _key(self) -> tuple:
+        return (self.meter_ids, self.interval_s, self.delta_max, self.meter_idx.tobytes(),
+                self.timestamp.tobytes(), self.milli_kwh.tobytes())
 
     def n_readings(self) -> int:
-        return sum(len(s) for s in self.series)
+        return len(self.milli_kwh)
+
+    def meter_bounds(self) -> np.ndarray:
+        """Row offsets: meter i owns rows meter_bounds()[i]:meter_bounds()[i + 1]."""
+        return np.searchsorted(self.meter_idx, np.arange(len(self.meter_ids) + 1))
+
+    @property
+    def series(self) -> tuple[ReadingSeries, ...]:
+        """One column view per meter, in `meter_ids` order."""
+        bounds = self.meter_bounds().tolist()
+        return tuple(
+            ReadingSeries._view(m, self.interval_s, self.timestamp[a:b], self.milli_kwh[a:b])
+            for m, a, b in zip(self.meter_ids, bounds, bounds[1:])
+        )
 
     def all_readings(self) -> Iterable[MeterReading]:
         for s in self.series:
@@ -182,80 +277,94 @@ def iso_to_epoch(text: str) -> int:
     return int(dt.astimezone(timezone.utc).timestamp())
 
 
-def _parse_timestamp(text: str, line: int) -> int:
+def _check_row(parts: list[str], line: int, interval_s: int, cap: int) -> tuple[str, int, int]:
+    """Validate one row's three fields in order; return (meter_id, timestamp, milli_kwh)."""
+    meter_id, ts_text, kwh_text = (p.strip() for p in parts)
+    if not meter_id:
+        raise MalformedRow(line, "empty meter_id")
     try:
-        return iso_to_epoch(text)
+        ts = iso_to_epoch(ts_text)
+        milli = EnergyQuantity.from_kwh_text(kwh_text).milli_kwh
     except ValueError as exc:
         raise MalformedRow(line, str(exc)) from None
+    if milli < 0:
+        raise NegativeEnergy(line)
+    if ts % interval_s != 0:
+        raise MisalignedTimestamp(line)
+    if milli > cap:
+        raise EnergyAboveCap(line)
+    return meter_id, ts, milli
 
 
 def parse_csv(text: str | bytes, interval_s: int, delta_max: EnergyQuantity) -> FeederDataset:
     """Parse `meter_id,timestamp,kwh` CSV into a validated dataset.
 
-    One series per distinct meter_id, rows sorted per meter. Interval
-    length and the cap come from configuration, never from the data.
+    One meter per distinct meter_id, sorted by id, rows sorted by time.
+    Interval length and the cap come from configuration, never from the
+    data. A row is checked in full only when one of its field texts has
+    not been seen in a valid row before, so each distinct timestamp and
+    kWh text is parsed once and the first bad row in the file is reported.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    empty = FeederDataset(series=(), interval_s=interval_s, delta_max=delta_max)
     lines = text.splitlines()
     if not lines:
-        return FeederDataset(series=(), interval_s=interval_s, delta_max=delta_max)
+        return empty
     if lines[0].strip() != "meter_id,timestamp,kwh":
         raise MalformedRow(1, "missing or wrong header")
 
-    rows: dict[str, list[tuple[int, EnergyQuantity]]] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+    cap = delta_max.milli_kwh
+    meters: dict[str, str] = {}  # field text -> parsed value, for texts of valid rows
+    stamps: dict[str, int] = {}
+    energies: dict[str, int] = {}
+    id_col, ts_col, milli_col = [], [], []
+    for line, raw in enumerate(lines[1:], start=2):
         parts = raw.split(",")
         if len(parts) != 3:
-            raise MalformedRow(lineno, "expected 3 fields")
-        meter_id, ts_text, kwh_text = (p.strip() for p in parts)
-        if not meter_id:
-            raise MalformedRow(lineno, "empty meter_id")
-        ts = _parse_timestamp(ts_text, lineno)
-        try:
-            energy = EnergyQuantity.from_kwh_text(kwh_text)
-        except ValueError as exc:
-            raise MalformedRow(lineno, str(exc)) from None
-        if energy.milli_kwh < 0:
-            raise NegativeEnergy(lineno)
-        if ts % interval_s != 0:
-            raise MisalignedTimestamp(lineno)
-        if energy.milli_kwh > delta_max.milli_kwh:
-            raise EnergyAboveCap(lineno)
-        rows.setdefault(meter_id, []).append((ts, energy))
+            if not raw.strip():
+                continue
+            raise MalformedRow(line, "expected 3 fields")
+        id_text, ts_text, kwh_text = parts
+        meter_id, ts, milli = meters.get(id_text), stamps.get(ts_text), energies.get(kwh_text)
+        if meter_id is None or ts is None or milli is None:
+            meter_id, ts, milli = _check_row(parts, line, interval_s, cap)
+            meters[id_text], stamps[ts_text], energies[kwh_text] = meter_id, ts, milli
+        id_col.append(meter_id)
+        ts_col.append(ts)
+        milli_col.append(milli)
+    if not id_col:
+        return empty
 
-    series = []
-    for meter_id in sorted(rows):
-        entries = sorted(rows[meter_id])
-        for (t0, _), (t1, _) in zip(entries, entries[1:]):
-            if t1 - t0 != interval_s:
-                raise MixedInterval(meter_id)
-        readings = tuple(
-            MeterReading(meter_id=meter_id, timestamp=t, interval_s=interval_s, energy=e)
-            for t, e in entries
-        )
-        series.append(ReadingSeries(meter_id=meter_id, readings=readings))
-    return FeederDataset(series=tuple(series), interval_s=interval_s, delta_max=delta_max)
+    meter_ids = sorted(set(meters.values()))
+    rank = {m: i for i, m in enumerate(meter_ids)}
+    meter = np.fromiter(map(rank.__getitem__, id_col), np.int64, len(id_col))
+    ts, milli = np.array(ts_col, dtype=np.int64), np.array(milli_col, dtype=np.int64)
+    order = np.lexsort((ts, meter))
+    meter, ts, milli = meter[order], ts[order], milli[order]
+    gaps = (np.diff(meter) == 0) & (np.diff(ts) != interval_s)
+    if gaps.any():
+        raise MixedInterval(meter_ids[meter[np.argmax(gaps)]])
+    return FeederDataset.from_columns(meter_ids, meter, ts, milli, interval_s, delta_max)
 
 
 def serialize_csv(dataset: FeederDataset) -> str:
     """Inverse of parse_csv for valid datasets (round-trip identity)."""
-    out = io.StringIO()
-    out.write("meter_id,timestamp,kwh\n")
-    for s in dataset.series:
-        for r in s.readings:
-            iso = datetime.fromtimestamp(r.timestamp, tz=timezone.utc).strftime(
-                "%Y-%m-%dT%H:%M:%SZ"
-            )
-            out.write(f"{r.meter_id},{iso},{r.energy.to_kwh_text()}\n")
-    return out.getvalue()
+    stamps = np.fromiter(dataset.interval_milli, np.int64, len(dataset.interval_milli))
+    iso = np.array([
+        datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        for t in stamps.tolist()
+    ], dtype=object)
+    values, value_idx = np.unique(dataset.milli_kwh, return_inverse=True)
+    kwh = np.array([EnergyQuantity(v).to_kwh_text() for v in values.tolist()], dtype=object)
+    rows = zip(
+        np.array(dataset.meter_ids, dtype=object)[dataset.meter_idx].tolist(),
+        iso[np.searchsorted(stamps, dataset.timestamp)].tolist(),
+        kwh[value_idx].tolist(),
+    )
+    return "meter_id,timestamp,kwh\n" + "".join([f"{m},{t},{k}\n" for m, t, k in rows])
 
 
 def interval_totals(dataset: FeederDataset) -> dict[int, EnergyQuantity]:
-    """Exact per-timestamp totals over all series (the pre-noise ground truth)."""
-    totals: dict[int, int] = {}
-    for r in dataset.all_readings():
-        totals[r.timestamp] = totals.get(r.timestamp, 0) + r.energy.milli_kwh
-    return {t: EnergyQuantity(v) for t, v in sorted(totals.items())}
+    """Exact per-timestamp totals over all meters (the pre-noise ground truth)."""
+    return {t: EnergyQuantity(v) for t, v in dataset.interval_milli.items()}

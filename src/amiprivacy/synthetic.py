@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meterdata import (
-    EnergyQuantity,
-    FeederDataset,
-    MeterReading,
-    ReadingSeries,
-)
+from .meterdata import MILLI_PER_KWH, EnergyQuantity, FeederDataset
 
 HOURS_PER_DAY = 24
 SECONDS_PER_DAY = 86400
@@ -100,27 +95,32 @@ class PrivacyCheckReport:
     distinguisher_auc: float
 
 
+def _meter_days(dataset: FeederDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (meter, day) group number, and the first row of each group.
+
+    Rows are grouped by meter and sorted by time, so groups are contiguous.
+    """
+    day = dataset.timestamp // SECONDS_PER_DAY
+    first = np.ones(len(day), dtype=bool)
+    first[1:] = (np.diff(dataset.meter_idx) != 0) | (np.diff(day) != 0)
+    return np.cumsum(first) - 1, np.flatnonzero(first)
+
+
 def _hourly_day_rows(dataset: FeederDataset) -> list[np.ndarray]:
     """Per-meter matrices of complete-day hourly kWh, one row per day."""
     per_day_expected = SECONDS_PER_DAY // dataset.interval_s
     if per_day_expected * dataset.interval_s != SECONDS_PER_DAY or dataset.interval_s > 3600:
         raise SyntheticError("interval must divide one hour for hourly profiling")
-    rows = []
-    for s in dataset.series:
-        days: dict[int, np.ndarray] = {}
-        counts: dict[int, int] = {}
-        for r in s.readings:
-            day = r.timestamp // SECONDS_PER_DAY
-            hour = (r.timestamp % SECONDS_PER_DAY) // 3600
-            if day not in days:
-                days[day] = np.zeros(HOURS_PER_DAY)
-                counts[day] = 0
-            days[day][hour] += r.energy.kwh
-            counts[day] += 1
-        complete = [days[d] for d in sorted(days) if counts[d] == per_day_expected]
-        if not complete:
-            raise EmptySeries(f"series {s.meter_id!r} has no complete day")
-        rows.append(np.stack(complete))
+    group, starts = _meter_days(dataset)
+    hourly = np.zeros((len(starts), HOURS_PER_DAY), dtype=np.int64)
+    np.add.at(hourly, (group, dataset.timestamp % SECONDS_PER_DAY // 3600), dataset.milli_kwh)
+    complete = np.diff(np.append(starts, len(group))) == per_day_expected
+    meters = dataset.meter_idx[starts[complete]]
+    rows = np.split(hourly[complete] / MILLI_PER_KWH,
+                    np.searchsorted(meters, np.arange(1, len(dataset.meter_ids))))
+    for meter_id, days in zip(dataset.meter_ids, rows):
+        if not len(days):
+            raise EmptySeries(f"series {meter_id!r} has no complete day")
     return rows
 
 
@@ -133,8 +133,8 @@ def fit(real: FeederDataset, n_clusters: int, seed: int) -> GeneratorModel:
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
-    if len(real.series) < n_clusters:
-        raise TooFewSeries(f"{len(real.series)} series < {n_clusters} clusters")
+    if len(real.meter_ids) < n_clusters:
+        raise TooFewSeries(f"{len(real.meter_ids)} series < {n_clusters} clusters")
     day_rows = _hourly_day_rows(real)
     profiles = np.stack([rows.mean(axis=0) for rows in day_rows])
 
@@ -187,8 +187,7 @@ def generate(
     weights = np.array([c.weight for c in model.clusters])
     events = model.appliance_events
 
-    series = []
-    max_milli = 1
+    households = []
     for h in range(n_households):
         rng = np.random.default_rng([seed, h])
         cluster = model.clusters[rng.choice(len(weights), p=weights)]
@@ -204,46 +203,32 @@ def generate(
         milli = np.rint(values * 1000).astype(np.int64)
         if jitter_milli > 0:
             milli = milli + rng.integers(-jitter_milli, jitter_milli + 1, size=horizon)
-        milli = np.maximum(milli, 0)
-        max_milli = max(max_milli, int(milli.max()))
-        meter_id = f"synth-{h:05d}"
-        readings = tuple(
-            MeterReading(
-                meter_id=meter_id,
-                timestamp=t * interval_s,
-                interval_s=interval_s,
-                energy=EnergyQuantity(int(milli[t])),
-            )
-            for t in range(horizon)
-        )
-        series.append(ReadingSeries(meter_id=meter_id, readings=readings))
-    return FeederDataset(
-        series=tuple(series), interval_s=interval_s, delta_max=EnergyQuantity(max_milli)
+        households.append(np.maximum(milli, 0))
+    milli = np.concatenate(households)
+    return FeederDataset.from_columns(
+        meter_ids=[f"synth-{h:05d}" for h in range(n_households)],
+        meter_idx=np.repeat(np.arange(n_households), horizon),
+        timestamp=np.tile(np.arange(horizon) * interval_s, n_households),
+        milli_kwh=milli,
+        interval_s=interval_s,
+        delta_max=EnergyQuantity(max(1, int(milli.max()))),
     )
 
 
 def _hourly_means(dataset: FeederDataset) -> np.ndarray:
-    sums = np.zeros(HOURS_PER_DAY)
-    counts = np.zeros(HOURS_PER_DAY)
-    for r in dataset.all_readings():
-        hour = (r.timestamp % SECONDS_PER_DAY) // 3600
-        sums[hour] += r.energy.kwh
-        counts[hour] += 1
+    hour = dataset.timestamp % SECONDS_PER_DAY // 3600
+    sums = np.zeros(HOURS_PER_DAY, dtype=np.int64)
+    np.add.at(sums, hour, dataset.milli_kwh)
+    counts = np.bincount(hour, minlength=HOURS_PER_DAY)
     means = np.zeros(HOURS_PER_DAY)
     nonzero = counts > 0
-    means[nonzero] = sums[nonzero] / counts[nonzero]
+    means[nonzero] = sums[nonzero] / MILLI_PER_KWH / counts[nonzero]
     return means
 
 
 def _daily_peak_mean(dataset: FeederDataset) -> float:
-    peaks = []
-    for s in dataset.series:
-        by_day: dict[int, float] = {}
-        for r in s.readings:
-            day = r.timestamp // SECONDS_PER_DAY
-            by_day[day] = max(by_day.get(day, 0.0), r.energy.kwh)
-        peaks.extend(by_day.values())
-    return float(np.mean(peaks))
+    _, starts = _meter_days(dataset)
+    return float(np.mean(np.maximum.reduceat(dataset.milli_kwh, starts) / MILLI_PER_KWH))
 
 
 def fidelity_report(real: FeederDataset, synth: FeederDataset) -> FidelityReport:
@@ -258,8 +243,8 @@ def fidelity_report(real: FeederDataset, synth: FeederDataset) -> FidelityReport
     rel_err = np.abs(mu_synth - mu_real) / np.maximum(mu_real, _REL_ERR_FLOOR)
 
     dmax = real.delta_max.kwh
-    real_vals = np.clip([r.energy.kwh for r in real.all_readings()], 0, dmax)
-    synth_vals = np.clip([r.energy.kwh for r in synth.all_readings()], 0, dmax)
+    real_vals = np.clip(real.milli_kwh / MILLI_PER_KWH, 0, dmax)
+    synth_vals = np.clip(synth.milli_kwh / MILLI_PER_KWH, 0, dmax)
     h_real, _ = np.histogram(real_vals, bins=_HIST_BINS, range=(0, dmax))
     h_synth, _ = np.histogram(synth_vals, bins=_HIST_BINS, range=(0, dmax))
     hist_l1 = float(np.abs(h_real / len(real_vals) - h_synth / len(synth_vals)).sum())
@@ -276,9 +261,9 @@ def fidelity_report(real: FeederDataset, synth: FeederDataset) -> FidelityReport
 
 
 def _series_matrix(dataset: FeederDataset, length: int) -> np.ndarray:
-    return np.stack(
-        [[r.energy.kwh for r in s.readings[:length]] for s in dataset.series]
-    )
+    """kWh of each meter's first `length` readings, one row per meter."""
+    starts = dataset.meter_bounds()[:-1]
+    return dataset.milli_kwh[starts[:, None] + np.arange(length)] / MILLI_PER_KWH
 
 
 def _pairwise_rms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,12 +312,12 @@ def privacy_check(
     reports the AUC of telling the halves apart: near 0.5 means the
     synthetic set does not single out training records.
     """
-    if not real.series or not synth.series:
+    if not real.meter_ids or not synth.meter_ids:
         raise EmptyDataset("privacy_check needs non-empty datasets")
     if real.interval_s != synth.interval_s:
         raise ValueError("datasets must share interval_s")
     length = min(
-        min(len(s) for s in real.series), min(len(s) for s in synth.series)
+        np.diff(real.meter_bounds()).min(), np.diff(synth.meter_bounds()).min()
     )
     if length == 0:
         raise EmptyDataset("series must be non-empty")

@@ -2,6 +2,7 @@ import math
 import threading
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from amiprivacy.dp import (
     BudgetExhausted,
@@ -11,6 +12,7 @@ from amiprivacy.dp import (
     EmptyDataset,
     EpsilonOutOfRange,
     InvalidUniform,
+    LedgerEntry,
     PrivacyParams,
     Sensitivity,
     compose,
@@ -260,3 +262,74 @@ class TestLedger:
         ledger.charge("q2", 0.5, 0.0)
         restored = BudgetLedger.from_lines(ledger.to_lines(), epsilon_cap=7.0)
         assert restored.entries == ledger.entries
+
+
+_AWKWARD_EDGES = [0.1, 0.2, 0.3, 0.1 + 0.2, 0.7, 1.0005, 1.2345, 2.0004999, 0.0009999999999999998,
+                  0.001, 4.999999999999999, 5.0, 5.0001, 7.5, -0.0, -1.0, 1e300, math.inf,
+                  -math.inf]
+_EDGE = st.one_of(st.sampled_from(_AWKWARD_EDGES),
+                  st.floats(min_value=-1.0, max_value=6.0, allow_nan=False))
+
+
+@given(
+    st.lists(st.one_of(st.integers(0, 5000), st.sampled_from([0, 1, 100, 300, 1000, 5000])),
+             max_size=40),
+    st.lists(_EDGE, min_size=2, max_size=8),
+)
+def test_histogram_integer_edges_match_float_rule(milli, edges):
+    edges = sorted(set(edges))
+    assume(len(edges) >= 2)
+    expected = [0] * (len(edges) - 1)
+    for m in milli:
+        for i in range(len(expected)):
+            if edges[i] <= m / 1000 < edges[i + 1]:
+                expected[i] += 1
+                break
+    d = FeederDataset(
+        series=tuple(build_series(f"m{i}", [m]) for i, m in enumerate(milli)),
+        interval_s=3600,
+        delta_max=EnergyQuantity(5000),
+    )
+    rng = StubRng(uniforms=[0.5] * len(expected))
+    answers = dp_histogram(d, edges, EPS1, _ledger(), rng)
+    assert [a.value for a in answers] == [float(c) for c in expected]
+
+
+def test_histogram_rejects_nan_edge():
+    d = make_uniform_dataset(1, 1000, 1)
+    with pytest.raises(ValueError):
+        dp_histogram(d, [0.0, math.nan, 2.0], EPS1, _ledger(), StubRng())
+
+
+def test_mean_takes_exact_integer_sum():
+    # Ten float 0.1s add up to 0.9999999999999999; the milli-kWh sum is exact.
+    d = make_uniform_dataset(10, 100, 1)
+    answer = dp_mean(d, EPS1, _ledger(), StubRng(uniforms=[0.5]))
+    assert answer.value == 0.1
+
+
+def _left_fold(entries):
+    total = 0.0
+    for e in entries:
+        total += e.epsilon
+    return total
+
+
+@given(
+    st.lists(st.floats(min_value=1e-6, max_value=0.5), max_size=4),
+    st.lists(st.floats(min_value=1e-6, max_value=0.7), max_size=40),
+)
+def test_ledger_running_total_equals_entry_sum(seeded, charges):
+    # The running total adds left to right. Python 3.12+ sum() of floats is
+    # compensated, so the reference is the plain left fold.
+    entries = [LedgerEntry(f"s{i}", eps, 0.0, 0.0) for i, eps in enumerate(seeded)]
+    ledger = BudgetLedger(epsilon_cap=3.0, entries=entries)
+    assert ledger.epsilon_spent() == _left_fold(ledger.entries)
+    for i, eps in enumerate(charges):
+        before = ledger.entries
+        try:
+            ledger.charge(f"q{i}", eps, 0.0)
+        except BudgetExhausted:
+            assert ledger.entries == before
+        assert ledger.epsilon_spent() == _left_fold(ledger.entries)
+        assert ledger.epsilon_spent() <= 3.0 + 1e-12

@@ -300,3 +300,26 @@ class TestRunFederation:
         for client_id, seen in calls:
             idx = int(client_id.split("-")[1])
             assert seen <= shard_meters[idx]
+
+
+def test_examples_extracted_once_per_client_and_weights_unchanged(monkeypatch):
+    shards = _shards(4, 3, seed=12)
+    cfg = RoundConfig(rounds=5, local_steps=2, learning_rate=0.01)
+    # Reference: every round re-extracts each client's examples.
+    w = np.zeros(4)
+    for _ in range(cfg.rounds):
+        updates = [local_train(list(shard[:-1]), ModelParams(w), cfg, f"client-{i:03d}")
+                   for i, shard in enumerate(shards)]
+        w = np.array(fed_avg(updates).weights)
+
+    calls = []
+    real = fedlearn.extract_examples
+
+    def counting(series_set):
+        calls.append(1)
+        return real(series_set)
+
+    monkeypatch.setattr(fedlearn, "extract_examples", counting)
+    result = run_federation(shards, cfg, seed=0)
+    assert len(calls) == len(shards) + 1  # each client once, plus the hold-out set
+    np.testing.assert_array_equal(result.final.weights, w)

@@ -276,3 +276,36 @@ class TestSpendReport:
         g.route(_req("r2", RawExport(), Purpose.SECONDARY, consent=False))
         report = spend_report(g.ledger, g.audit_log)
         assert report.denied_counts == {"ConsentRequired": 2}
+
+
+def _log(prefix, n):
+    log = AuditLog()
+    for i in range(n):
+        log.append_audit(f"{prefix}{i}", "alice", "allowed", "laplace", 0.1)
+    return log
+
+
+def test_verify_chain_reports_index_where_second_chain_starts():
+    # Two runs appending to one file each start a chain at seq 0.
+    report = verify_chain(_log("a", 5).records + _log("b", 3).records)
+    assert not report.valid
+    assert report.first_bad_seq == 5
+
+
+def test_verify_chain_reports_index_of_dropped_record():
+    records = list(_log("r", 10).records)
+    del records[6]
+    report = verify_chain(records)
+    assert not report.valid
+    assert report.first_bad_seq == 6
+
+
+def test_aggregate_report_uses_cached_meter_totals():
+    d = make_two_cluster_dataset(n_meters=6, n_days=1, seed=3)
+    g = _gateway(dataset=d)
+    meters = tuple(s.meter_id for s in d.series)
+    decision = g.route(_req("r1", AggregateReport(groups=(("all", meters + ("nobody",)),))))
+    assert decision.allowed
+    total = sum(r.energy.milli_kwh for r in d.all_readings())
+    assert decision.result["all"].count == 6
+    assert decision.result["all"].total.milli_kwh == total

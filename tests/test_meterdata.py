@@ -1,3 +1,5 @@
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from amiprivacy.meterdata import (
     EnergyQuantity,
     FeederDataset,
     MalformedRow,
+    MeterDataError,
     MeterReading,
     MisalignedTimestamp,
     MixedInterval,
@@ -199,3 +202,146 @@ class TestTypeInvariants:
             FeederDataset(
                 series=(build_series("a", [6000]),), interval_s=3600, delta_max=CAP
             )
+
+
+def _iso(ts):
+    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+_PER_METER = st.dictionaries(
+    st.text(alphabet="ab01", min_size=1, max_size=3),
+    st.tuples(
+        st.integers(min_value=0, max_value=30),  # first interval
+        st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=8),
+    ),
+    max_size=6,
+)
+
+
+@given(_PER_METER, st.randoms(use_true_random=False))
+def test_parse_equals_built_dataset(per_meter, rnd):
+    rows = []
+    for meter_id, (start, values) in per_meter.items():
+        for i, milli in enumerate(values):
+            kwh = EnergyQuantity(milli).to_kwh_text()
+            if rnd.random() < 0.5:
+                kwh = kwh.rstrip("0").rstrip(".")  # "1.500" -> "1.5", "2.000" -> "2"
+            pad = " " if rnd.random() < 0.3 else ""
+            rows.append(f"{pad}{meter_id},{_iso(900 * (start + i))}{pad},{kwh}\n")
+    rnd.shuffle(rows)
+    built = FeederDataset(
+        series=tuple(
+            build_series(m, values, interval_s=900, start=900 * start)
+            for m, (start, values) in sorted(per_meter.items())
+        ),
+        interval_s=900,
+        delta_max=CAP,
+    )
+    assert parse_csv(HEADER + "".join(rows), 900, CAP) == built
+
+
+@given(_PER_METER)
+def test_cached_totals_equal_python_sums(per_meter):
+    d = FeederDataset(
+        series=tuple(
+            build_series(m, values, start=3600 * start)
+            for m, (start, values) in per_meter.items()
+        ),
+        interval_s=3600,
+        delta_max=CAP,
+    )
+    by_ts: dict[int, int] = {}
+    by_meter: dict[str, int] = {}
+    for s in d.series:
+        for r in s.readings:
+            by_ts[r.timestamp] = by_ts.get(r.timestamp, 0) + r.energy.milli_kwh
+            by_meter[s.meter_id] = by_meter.get(s.meter_id, 0) + r.energy.milli_kwh
+    assert list(d.interval_milli.items()) == sorted(by_ts.items())
+    assert dict(d.meter_milli) == by_meter
+    assert d.total_milli == sum(by_ts.values())
+    assert interval_totals(d) == {t: EnergyQuantity(v) for t, v in sorted(by_ts.items())}
+
+
+def test_totals_exact_beyond_float_precision():
+    cap = EnergyQuantity(2**61)
+    values = [2**61, 2**61 - 1, 3]  # the total is not representable in float64
+    d = FeederDataset(
+        series=tuple(build_series(f"m{i}", [v]) for i, v in enumerate(values)),
+        interval_s=3600,
+        delta_max=cap,
+    )
+    assert d.interval_milli[0] == d.total_milli == sum(values)
+    assert float(sum(values)) != sum(values)
+
+
+def test_totals_that_could_overflow_int64_rejected():
+    cap = EnergyQuantity(2**62)
+    with pytest.raises(ValueError):
+        FeederDataset(
+            series=(build_series("a", [2**62]), build_series("b", [2**62])),
+            interval_s=3600,
+            delta_max=cap,
+        )
+
+
+class TestLateBadRow:
+    """A bad row deep in a large file is reported like the row-by-row reader did."""
+
+    N_METERS, N_HOURS = 1000, 120  # 120,000 data rows
+    BAD_LINE = 100_001
+    TS = "2024-01-01T00:00:00Z"
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        out = ["meter_id,timestamp,kwh"]
+        for m in range(self.N_METERS):
+            for h in range(self.N_HOURS):
+                out.append(f"m{m:04d},{_iso(1_704_067_200 + 3600 * h)},{(m + h) % 5000 / 1000:.3f}")
+        return out
+
+    def _parse(self, lines, bad):
+        lines = list(lines)
+        for line, text in bad.items():
+            lines[line - 1] = text
+        return parse_csv("\n".join(lines), 3600, CAP)
+
+    @pytest.mark.parametrize("text, error", [
+        (f"m0833,{TS}", MalformedRow),
+        (f"m0833,{TS},1.0,7", MalformedRow),
+        (f" ,{TS},1.000", MalformedRow),
+        ("m0833,2024-13-01T00:00:00Z,1.000", MalformedRow),
+        ("m0833,2024-01-01T00:00:00,1.000", MalformedRow),
+        (f"m0833,{TS},1.0001", MalformedRow),
+        (f"m0833,{TS},-0.001", NegativeEnergy),
+        ("m0833,2024-01-01T00:30:00Z,1.000", MisalignedTimestamp),
+        (f"m0833,{TS},5.001", EnergyAboveCap),
+        ("m0833,2024-01-01T00:30:00Z,-1.000", NegativeEnergy),  # sign before alignment
+        ("m0833,2024-01-01T00:30:00Z,9.000", MisalignedTimestamp),  # alignment before cap
+    ])
+    def test_reported_at_its_line(self, lines, text, error):
+        with pytest.raises(error) as err:
+            self._parse(lines, {self.BAD_LINE: text})
+        assert type(err.value) is error
+        assert err.value.line == self.BAD_LINE
+
+    @pytest.mark.parametrize("first, second, error", [
+        (f"m0833,{TS},5.001", "m0900,not-a-time,1.000", EnergyAboveCap),
+        ("m0833,not-a-time,1.000", f"m0900,{TS},-1.000", MalformedRow),
+        ("m0833,2024-01-01T00:30:00Z,1.000", f"m0900,{TS}", MisalignedTimestamp),
+        (f"m0833,{TS},1.000,", "m0900,2024-01-01T00:30:00Z,1.000", MalformedRow),
+    ])
+    def test_earlier_of_two_bad_rows_wins(self, lines, first, second, error):
+        with pytest.raises(error) as err:
+            self._parse(lines, {self.BAD_LINE: first, self.BAD_LINE + 10_000: second})
+        assert err.value.line == self.BAD_LINE
+        with pytest.raises(MeterDataError) as err:
+            self._parse(lines, {self.BAD_LINE - 10_000: second, self.BAD_LINE: first})
+        assert err.value.line == self.BAD_LINE - 10_000
+
+    def test_gap_reported_after_every_row_is_valid(self, lines):
+        # Dropping a row leaves m0833 with a gap; a later bad row still wins.
+        with pytest.raises(MalformedRow):
+            self._parse(lines, {self.BAD_LINE: "", self.BAD_LINE + 5: "m0833,x,1.0"})
+        with pytest.raises(MixedInterval) as err:
+            self._parse(lines, {self.BAD_LINE: ""})
+        assert err.value.meter_id == "m0833"
