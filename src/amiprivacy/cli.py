@@ -66,7 +66,7 @@ def dp_query_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dp-query", description="Answer one query under differential privacy."
     )
-    parser.add_argument("--op", required=True, choices=["sum", "count", "mean", "histogram"])
+    parser.add_argument("--op", required=True, choices=list(gw.DP_OPS))
     parser.add_argument("--epsilon", type=float, required=True)
     parser.add_argument("--delta", type=float, default=0.0)
     parser.add_argument("--ledger", required=True, help="append-only budget ledger file")
@@ -84,30 +84,21 @@ def dp_query_main(argv=None) -> int:
         ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
     )
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
-    params = dp.PrivacyParams(epsilon=args.epsilon, delta=args.delta)
-
+    dp_op = gw.DP_OPS[args.op]
     try:
-        if args.op == "sum":
-            if args.timestamp is None:
-                parser.error("--timestamp is required for sum")
-            answer = dp.dp_sum(dataset, iso_to_epoch(args.timestamp), params, ledger, rng)
-            print(f"value={answer.value!r}")
-        elif args.op == "count":
-            answer = dp.dp_count(dataset, params, ledger, rng)
-            print(f"value={answer.value!r}")
-        elif args.op == "mean":
-            answer = dp.dp_mean(dataset, params, ledger, rng)
-            print(f"value={answer.value!r}")
-        else:
-            if args.edges is None:
-                parser.error("--edges is required for histogram")
-            edges = [float(e) for e in args.edges.split(",")]
-            answers = dp.dp_histogram(dataset, edges, params, ledger, rng)
-            for i, a in enumerate(answers):
-                print(f"bin{i}={a.value!r}")
-    except dp.BudgetExhausted as exc:
-        print(f"error=BudgetExhausted detail={exc}", file=sys.stderr)
+        params = dp.PrivacyParams(epsilon=args.epsilon, delta=args.delta)
+        query = gw.DpQuery(
+            op=args.op, epsilon=args.epsilon, delta=args.delta,
+            timestamp=None if args.timestamp is None else iso_to_epoch(args.timestamp),
+            edges=None if args.edges is None else tuple(float(e) for e in args.edges.split(",")),
+        )
+        summary = dp_op.summarize(dp_op.release(dataset, query, params, ledger, rng))
+    except (dp.DpError, ValueError) as exc:
+        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 1
+    lines = ([f"bin{i}={v!r}" for i, v in enumerate(summary)] if isinstance(summary, list)
+             else [f"value={summary['value']!r}"])
+    print("\n".join(lines))
     ledger_path.write_text(ledger.to_lines())
     return 0
 
@@ -173,8 +164,7 @@ def fed_train_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     dataset = _read_dataset(args.infile, args.interval, args.delta_max)
-    series = dataset.series
-    shards = [series[i::args.clients] for i in range(args.clients)]
+    shards = fedlearn.round_robin_shards(dataset, args.clients)
     cfg = fedlearn.RoundConfig(
         rounds=args.rounds,
         local_steps=args.local_steps,
@@ -314,97 +304,41 @@ def _parse_policy_file(path: str) -> dict:
     return values
 
 
-def _operation_from_dict(data: dict) -> gw.Operation:
-    kind = data["kind"]
-    if kind == "raw_export":
-        return gw.RawExport()
-    if kind == "dp_query":
-        return gw.DpQuery(
-            op=data["op"],
-            epsilon=float(data["epsilon"]),
-            delta=float(data.get("delta", 0.0)),
-            timestamp=data.get("timestamp"),
-            edges=tuple(data["edges"]) if data.get("edges") else None,
-        )
-    if kind == "synth_generate":
-        return gw.SynthGenerate(
-            n_clusters=data["n_clusters"], n_households=data["n_households"],
-            n_days=data["n_days"], seed=data.get("seed", 0),
-        )
-    if kind == "fed_train":
-        return gw.FedTrain(
-            n_clients=data["n_clients"], rounds=data["rounds"],
-            local_steps=data["local_steps"], learning_rate=float(data["learning_rate"]),
-            seed=data.get("seed", 0),
-        )
-    if kind == "smpc_sum":
-        return gw.SmpcSum(
-            values=tuple((p, int(v)) for p, v in data["values"]),
-            min_participants=data["min_participants"],
-        )
-    if kind == "he_bill":
-        return gw.HeBill(
-            usage_milli=tuple(data["usage_milli"]), rates=tuple(data["rates"])
-        )
-    if kind == "aggregate_report":
-        return gw.AggregateReport(
-            groups=tuple((k, tuple(v)) for k, v in data["groups"].items())
-        )
-    raise ValueError(f"unknown operation kind {kind!r}")
-
-
 def envelope_from_json(line: str) -> gw.RequestEnvelope:
     data = json.loads(line)
+    if not all(isinstance(data[key], str) for key in ("request_id", "requester")):
+        raise TypeError("request_id and requester must be strings")
+    op = data["operation"]
+    kind = gw.KINDS.get(op["kind"])
+    if kind is None:
+        raise ValueError(f"unknown operation kind {op['kind']!r}")
     return gw.RequestEnvelope(
         request_id=data["request_id"],
         requester=data["requester"],
         purpose=gw.Purpose(data["purpose"]),
         consent=bool(data["consent"]),
-        operation=_operation_from_dict(data["operation"]),
+        operation=kind.parse(op),
     )
 
 
-def _summarize_result(result: object) -> object:
-    if result is None:
-        return None
-    if isinstance(result, str):
-        return result
-    if isinstance(result, dp.DpAnswer):
-        return {"value": result.value, "mechanism": result.mechanism,
-                "epsilon": result.params.epsilon, "query_id": result.query_id}
-    if isinstance(result, list) and result and isinstance(result[0], dp.DpAnswer):
-        return [a.value for a in result]
-    if isinstance(result, int):
-        return result
-    if isinstance(result, smpc.SecureSumResult):
-        return {"total_milli": result.total, "aborted": result.aborted,
-                "messages": len(result.transcript.messages)}
-    if isinstance(result, fedlearn.FederationResult):
-        return {"final_weights": [float(w) for w in result.final.weights],
-                "rounds": len(result.history)}
-    if isinstance(result, tuple) and len(result) == 2 and isinstance(
-        result[1], synthetic.PrivacyCheckReport
-    ):
-        synth_ds, report = result
-        return {"n_households": len(synth_ds.meter_ids),
-                "min_nn_distance": report.min_nn_distance,
-                "distinguisher_auc": report.distinguisher_auc}
-    if isinstance(result, dict):
-        out = {}
-        for key, v in result.items():
-            out[str(key)] = {"count": v.count, "sum_kwh": v.total.kwh,
-                             "mean_kwh": v.mean_kwh}
-        return out
-    return repr(result)
-
-
-def decision_to_json(request_id: str, decision: gw.Decision) -> str:
+def decision_to_json(req: gw.RequestEnvelope, decision: gw.Decision) -> str:
+    result = decision.result
+    if result is not None:
+        result = gw.OPERATIONS[type(req.operation)].summarize(req.operation, result)
     return json.dumps({
-        "request_id": request_id,
+        "request_id": req.request_id,
         "allowed": decision.allowed,
         "reason": decision.reason.value if decision.reason else None,
-        "result": _summarize_result(decision.result),
+        "result": result,
     })
+
+
+def _request_id(line: str) -> object:
+    """The request_id of a line that failed, or None if it has none."""
+    try:
+        return json.loads(line).get("request_id")
+    except (ValueError, AttributeError):
+        return None
 
 
 def audit_record_to_dict(rec: gw.AuditRecord) -> dict:
@@ -450,29 +384,34 @@ def gateway_main(argv=None) -> int:
     )
     ledger = dp.BudgetLedger(epsilon_cap=policy.epsilon_cap)
 
+    # One line-buffered handle per session: each record reaches the file
+    # before its reply is printed.
+    log_file = open(args.audit_log, "a", buffering=1) if args.audit_log else None
     writer = None
-    if args.audit_log:
-        log_path = Path(args.audit_log)
-
+    if log_file is not None:
         def writer(rec: gw.AuditRecord) -> None:
-            with log_path.open("a") as fh:
-                fh.write(json.dumps(audit_record_to_dict(rec)) + "\n")
+            log_file.write(json.dumps(audit_record_to_dict(rec)) + "\n")
 
     audit_log = gw.AuditLog(writer=writer)
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
     engine = gw.Gateway(dataset, policy, ledger, audit_log, rng=rng)
 
-    for line in sys.stdin:
-        if not line.strip():
-            continue
-        req = envelope_from_json(line)
-        try:
-            decision = engine.route(req)
-        except gw.AuditWriteFailure as exc:
-            print(json.dumps({"request_id": req.request_id, "error": str(exc)}))
-            continue
-        print(decision_to_json(req.request_id, decision))
-        sys.stdout.flush()
+    try:
+        for line in sys.stdin:
+            if not line.strip():
+                continue
+            try:
+                req = envelope_from_json(line)
+                reply = decision_to_json(req, engine.route(req))
+            except Exception as exc:  # a bad line gets an error reply, not a dead server
+                import traceback  # imported here: at the top it adds ~7 ms to every start
+                traceback.print_exc()
+                reply = json.dumps({"request_id": _request_id(line),
+                                    "error": f"{type(exc).__name__}: {exc}"})
+            print(reply, flush=True)
+    finally:
+        if log_file is not None:
+            log_file.close()
     return 0
 
 

@@ -213,6 +213,15 @@ def _new_query_id() -> str:
     return secrets.token_hex(8)
 
 
+def _charge(ledger: BudgetLedger, p: PrivacyParams) -> str:
+    """Charge a Laplace release to the ledger; a nonzero delta is refused first."""
+    if p.delta != 0.0:
+        raise DeltaNotZero("the Laplace mechanism requires delta = 0")
+    query_id = _new_query_id()
+    ledger.charge(query_id, p.epsilon, 0.0)
+    return query_id
+
+
 def laplace_mechanism(
     true_value: float,
     sens: Sensitivity,
@@ -274,8 +283,7 @@ def dp_sum(
     The budget is charged before any noise is drawn; on BudgetExhausted
     nothing is computed and nothing is released.
     """
-    query_id = _new_query_id()
-    ledger.charge(query_id, p.epsilon, 0.0)
+    query_id = _charge(ledger, p)
     true_kwh = d.interval_milli.get(timestamp, 0) / MILLI_PER_KWH
     return laplace_mechanism(
         true_kwh, Sensitivity(d.delta_max.kwh), p, rng, query_id=query_id
@@ -286,8 +294,7 @@ def dp_count(
     d: FeederDataset, p: PrivacyParams, ledger: BudgetLedger, rng: random.Random
 ) -> DpAnswer:
     """Laplace-noised count of readings; one record moves the count by 1."""
-    query_id = _new_query_id()
-    ledger.charge(query_id, p.epsilon, 0.0)
+    query_id = _charge(ledger, p)
     return laplace_mechanism(float(d.n_readings()), Sensitivity(1.0), p, rng, query_id=query_id)
 
 
@@ -302,8 +309,7 @@ def dp_mean(
     count = d.n_readings()
     if count == 0:
         raise EmptyDataset("cannot take the mean of an empty dataset")
-    query_id = _new_query_id()
-    ledger.charge(query_id, p.epsilon, 0.0)
+    query_id = _charge(ledger, p)
     true_sum = d.total_milli / MILLI_PER_KWH
     noisy_sum = laplace_mechanism(
         true_sum, Sensitivity(d.delta_max.kwh), p, rng, query_id=query_id
@@ -334,8 +340,7 @@ def dp_histogram(
     """
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
-    query_id = _new_query_id()
-    ledger.charge(query_id, p.epsilon, 0.0)
+    query_id = _charge(ledger, p)
     cap = d.delta_max.milli_kwh
     firsts = np.array([_first_milli_at_or_above(e, cap) for e in edges], dtype=np.int64)
     bins = np.searchsorted(firsts, d.milli_kwh, side="right") - 1

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .meterdata import MILLI_PER_KWH, ReadingSeries
+from .meterdata import MILLI_PER_KWH, FeederDataset, ReadingSeries
 
 FX_SCALE = 10**6  # real <-> fixed-point quantization step of 1e-6
 MASK_MODULUS = 2**64
@@ -284,6 +284,14 @@ def _split_shard(
     if len(shard) > 1:
         return list(shard[:-1]), [shard[-1]]
     return list(shard), []
+
+
+def round_robin_shards(
+    dataset: FeederDataset, n_clients: int
+) -> list[tuple[ReadingSeries, ...]]:
+    """Deal the meters to clients in turn: client i holds meters i, i + n, i + 2n, ..."""
+    series = dataset.series
+    return [series[i::n_clients] for i in range(n_clients)]
 
 
 def run_federation(

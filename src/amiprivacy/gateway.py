@@ -12,10 +12,13 @@ Decision matrix
                      allowed for both purposes: only protected outputs
                      (model parameters, protocol sums, a total bill) leave.
 
-Every route call appends exactly one audit record before returning, and
-the gateway fails closed: if the audit append cannot be persisted, the
-request raises and no result is released (for DP queries the budget
-charge may already have landed, which errs on the safe side).
+Each operation class has one OPERATIONS entry: wire name, audit mechanism,
+parse, run and summarize. Every route call appends exactly one audit
+record, "allowed", "denied:<Reason>" or, when the run raised,
+"error:<ExceptionType>" (route then raises RequestFailed), carrying the
+epsilon the ledger was charged meanwhile. The gateway fails closed: if
+the record cannot be persisted, route raises AuditWriteFailure and
+releases nothing (a DP charge may already have landed, erring safe).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -41,12 +44,12 @@ class DuplicateRequest(GatewayError):
     pass
 
 
-class StorageFailure(GatewayError):
-    pass
-
-
 class AuditWriteFailure(GatewayError):
     """The audit record could not be persisted; the request was dropped."""
+
+
+class RequestFailed(GatewayError):
+    """The operation raised; the request was audited as error:<ExceptionType>."""
 
 
 class Purpose(Enum):
@@ -181,7 +184,7 @@ class AuditLog:
     """Append-only, hash-chained decision log.
 
     An optional writer callback persists each record before it is
-    committed in memory; a writer exception surfaces as StorageFailure
+    committed in memory; a writer exception surfaces as AuditWriteFailure
     and leaves the log unchanged (the fault-injection point for the
     fail-closed tests).
     """
@@ -223,7 +226,7 @@ class AuditLog:
             try:
                 self._writer(record)
             except Exception as exc:
-                raise StorageFailure(f"audit storage failed: {exc}") from exc
+                raise AuditWriteFailure(f"audit storage failed: {exc}") from exc
         self._records.append(record)
         return record
 
@@ -252,17 +255,6 @@ def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
     return ChainReport(valid=True)
 
 
-_MECHANISM = {
-    RawExport: "raw",
-    DpQuery: "laplace",
-    SynthGenerate: "synthetic",
-    FedTrain: "fedavg",
-    SmpcSum: "smpc-sum",
-    HeBill: "paillier",
-    AggregateReport: "aggregate-threshold",
-}
-
-
 class Gateway:
     """Single chokepoint through which every data request must pass."""
 
@@ -286,117 +278,172 @@ class Gateway:
         self._lock = threading.Lock()
 
     def route(self, req: RequestEnvelope) -> Decision:
-        """Decide, dispatch, audit — in one serialized critical section."""
+        """Run and audit one request, in one serialized critical section."""
+        entry = OPERATIONS[type(req.operation)]
         with self._lock:
             if req.request_id in self._seen_ids:
                 raise DuplicateRequest(f"request_id {req.request_id!r} already routed")
-            decision, epsilon_spent = self._decide(req)
+            spent_before = self.ledger.epsilon_spent()
+            failure = None
             try:
-                self.audit_log.append_audit(
-                    request_id=req.request_id,
-                    requester=req.requester,
-                    decision=(
-                        "allowed" if decision.allowed else f"denied:{decision.reason.value}"
-                    ),
-                    mechanism=_MECHANISM[type(req.operation)],
-                    epsilon_spent=epsilon_spent,
-                )
-            except StorageFailure as exc:
-                raise AuditWriteFailure(str(exc)) from exc
+                decision = entry.run(self, req)
+                outcome = "allowed" if decision.allowed else f"denied:{decision.reason.value}"
+            except Exception as exc:
+                failure, outcome = exc, f"error:{type(exc).__name__}"
+            self.audit_log.append_audit(
+                req.request_id, req.requester, outcome, entry.mechanism,
+                self.ledger.epsilon_spent() - spent_before,
+            )
             self._seen_ids.add(req.request_id)
+            if failure is not None:
+                raise RequestFailed(f"{type(failure).__name__}: {failure}") from failure
             return decision
 
-    def _decide(self, req: RequestEnvelope) -> tuple[Decision, float]:
+    def _raw_export(self, req: RequestEnvelope) -> Decision:
+        if req.purpose is Purpose.PRIMARY and not self.policy.allow_raw_primary:
+            return Decision(allowed=False, reason=DenialReason.POLICY_VIOLATION)
+        if req.purpose is Purpose.SECONDARY and not req.consent:
+            return Decision(allowed=False, reason=DenialReason.CONSENT_REQUIRED)
+        return Decision(allowed=True, result=serialize_csv(self.dataset))
+
+    def _dp_query(self, req: RequestEnvelope) -> Decision:
+        q = req.operation
+        if q.op not in DP_OPS:
+            raise ValueError(f"unknown dp op {q.op!r}")
+        params = dp.PrivacyParams(epsilon=q.epsilon, delta=q.delta)
+        try:
+            result = DP_OPS[q.op].release(self.dataset, q, params, self.ledger, self.rng)
+        except dp.BudgetExhausted:
+            return Decision(allowed=False, reason=DenialReason.BUDGET_EXHAUSTED)
+        return Decision(allowed=True, result=result)
+
+    def _synth_generate(self, req: RequestEnvelope) -> Decision:
         op = req.operation
-        if isinstance(op, RawExport):
-            if req.purpose is Purpose.PRIMARY:
-                if self.policy.allow_raw_primary:
-                    return Decision(allowed=True, result=serialize_csv(self.dataset)), 0.0
-                return Decision(allowed=False, reason=DenialReason.POLICY_VIOLATION), 0.0
-            if not req.consent:
-                return Decision(allowed=False, reason=DenialReason.CONSENT_REQUIRED), 0.0
-            return Decision(allowed=True, result=serialize_csv(self.dataset)), 0.0
+        model = synthetic.fit(self.dataset, op.n_clusters, op.seed)
+        synth = synthetic.generate(model, op.n_households, op.n_days, op.seed)
+        report = synthetic.privacy_check(self.dataset, synth, self.policy.memorization_threshold)
+        if report.memorization_flag:
+            return Decision(allowed=False, reason=DenialReason.MEMORIZATION_DETECTED)
+        return Decision(allowed=True, result=(synth, report))
 
-        if isinstance(op, DpQuery):
-            try:
-                result = self._run_dp_query(op)
-            except dp.BudgetExhausted:
-                return Decision(allowed=False, reason=DenialReason.BUDGET_EXHAUSTED), 0.0
-            return Decision(allowed=True, result=result), op.epsilon
+    def _fed_train(self, req: RequestEnvelope) -> Decision:
+        op = req.operation
+        shards = fedlearn.round_robin_shards(self.dataset, op.n_clients)
+        cfg = fedlearn.RoundConfig(
+            rounds=op.rounds, local_steps=op.local_steps, learning_rate=op.learning_rate
+        )
+        return Decision(allowed=True, result=fedlearn.run_federation(shards, cfg, seed=op.seed))
 
-        if isinstance(op, SynthGenerate):
-            model = synthetic.fit(self.dataset, op.n_clusters, op.seed)
-            synth = synthetic.generate(model, op.n_households, op.n_days, op.seed)
-            report = synthetic.privacy_check(
-                self.dataset, synth, self.policy.memorization_threshold
-            )
-            if report.memorization_flag:
-                return Decision(allowed=False, reason=DenialReason.MEMORIZATION_DETECTED), 0.0
-            return Decision(allowed=True, result=(synth, report)), 0.0
+    def _smpc_sum(self, req: RequestEnvelope) -> Decision:
+        op = req.operation
+        inputs = [smpc.PartyInput(party_id=p, secret=v) for p, v in op.values]
+        result = smpc.secure_sum(inputs, op.min_participants, self.rng)
+        return Decision(allowed=True, result=result)
 
-        if isinstance(op, FedTrain):
-            series = self.dataset.series
-            shards = [series[i::op.n_clients] for i in range(op.n_clients)]
-            cfg = fedlearn.RoundConfig(
-                rounds=op.rounds,
-                local_steps=op.local_steps,
-                learning_rate=op.learning_rate,
-            )
-            result = fedlearn.run_federation(shards, cfg, seed=op.seed)
-            return Decision(allowed=True, result=result), 0.0
+    def _he_bill(self, req: RequestEnvelope) -> Decision:
+        op, keypair = req.operation, self._keypair()
+        pub = keypair.public
+        cts = [he.encrypt(pub, m, he.draw_randomizer(pub, self.rng)) for m in op.usage_milli]
+        bill_ct = he.encrypted_bill(cts, he.RateSchedule(op.rates), pub)
+        return Decision(allowed=True, result=he.decrypt(keypair, bill_ct))
 
-        if isinstance(op, SmpcSum):
-            inputs = [smpc.PartyInput(party_id=p, secret=v) for p, v in op.values]
-            result = smpc.secure_sum(inputs, op.min_participants, self.rng)
-            return Decision(allowed=True, result=result), 0.0
-
-        if isinstance(op, HeBill):
-            keypair = self._keypair()
-            pub = keypair.public
-            cts = [
-                he.encrypt(pub, m, he.draw_randomizer(pub, self.rng))
-                for m in op.usage_milli
-            ]
-            bill_ct = he.encrypted_bill(cts, he.RateSchedule(op.rates), pub)
-            return Decision(allowed=True, result=he.decrypt(keypair, bill_ct)), 0.0
-
-        if isinstance(op, AggregateReport):
-            totals = self.dataset.meter_milli
-            groups = {
-                key: [EnergyQuantity(totals[m]) for m in meters if m in totals]
-                for key, meters in op.groups
-            }
-            policy = anonymize.AggregationPolicy(min_count=self.policy.min_aggregation_count)
-            report = anonymize.aggregate_threshold(groups, policy)
-            if any(isinstance(v, anonymize.Suppressed) for v in report.values()):
-                return (
-                    Decision(allowed=False, reason=DenialReason.BELOW_AGGREGATION_THRESHOLD),
-                    0.0,
-                )
-            return Decision(allowed=True, result=report), 0.0
-
-        raise GatewayError(f"unknown operation {op!r}")
-
-    def _run_dp_query(self, op: DpQuery):
-        params = dp.PrivacyParams(epsilon=op.epsilon, delta=op.delta)
-        if op.op == "sum":
-            if op.timestamp is None:
-                raise GatewayError("sum query needs a timestamp")
-            return dp.dp_sum(self.dataset, op.timestamp, params, self.ledger, self.rng)
-        if op.op == "count":
-            return dp.dp_count(self.dataset, params, self.ledger, self.rng)
-        if op.op == "mean":
-            return dp.dp_mean(self.dataset, params, self.ledger, self.rng)
-        if op.op == "histogram":
-            if not op.edges:
-                raise GatewayError("histogram query needs bin edges")
-            return dp.dp_histogram(self.dataset, op.edges, params, self.ledger, self.rng)
-        raise GatewayError(f"unknown dp op {op.op!r}")
+    def _aggregate_report(self, req: RequestEnvelope) -> Decision:
+        totals = self.dataset.meter_milli
+        groups = {
+            key: [EnergyQuantity(totals[m]) for m in meters if m in totals]
+            for key, meters in req.operation.groups
+        }
+        policy = anonymize.AggregationPolicy(min_count=self.policy.min_aggregation_count)
+        report = anonymize.aggregate_threshold(groups, policy)
+        if any(isinstance(v, anonymize.Suppressed) for v in report.values()):
+            return Decision(allowed=False, reason=DenialReason.BELOW_AGGREGATION_THRESHOLD)
+        return Decision(allowed=True, result=report)
 
     def _keypair(self) -> he.PaillierKeypair:
         if self._he_keypair is None:
             self._he_keypair = he.keygen(self._he_bits, self.rng)
         return self._he_keypair
+
+
+def _given(value, message: str):
+    if value is None:
+        raise ValueError(message)
+    return value
+
+
+def _answer_json(a: dp.DpAnswer) -> dict:
+    return {"value": a.value, "mechanism": a.mechanism,
+            "epsilon": a.params.epsilon, "query_id": a.query_id}
+
+
+@dataclass(frozen=True)
+class DpOp:
+    release: Callable  # (dataset, DpQuery, PrivacyParams, ledger, rng) -> answer(s)
+    summarize: Callable[[object], object]  # the answer(s), to JSON
+
+
+DP_OPS: dict[str, DpOp] = {
+    "sum": DpOp(lambda d, q, p, ledger, rng: dp.dp_sum(
+        d, _given(q.timestamp, "sum query needs a timestamp"), p, ledger, rng), _answer_json),
+    "count": DpOp(lambda d, q, p, ledger, rng: dp.dp_count(d, p, ledger, rng), _answer_json),
+    "mean": DpOp(lambda d, q, p, ledger, rng: dp.dp_mean(d, p, ledger, rng), _answer_json),
+    "histogram": DpOp(lambda d, q, p, ledger, rng: dp.dp_histogram(
+        d, _given(q.edges, "histogram query needs bin edges"), p, ledger, rng),
+        lambda answers: [a.value for a in answers]),
+}
+
+
+@dataclass(frozen=True)
+class OperationKind:
+    kind: str  # the "kind" field of the JSON protocol
+    mechanism: str  # the audit record's mechanism
+    parse: Callable[[dict], Operation]  # from the JSON "operation" object
+    run: Callable[[Gateway, RequestEnvelope], Decision]
+    summarize: Callable[[Operation, object], object]  # an allowed result, to JSON
+
+
+# One entry per operation class; a new kind is one more entry.
+OPERATIONS: dict[type, OperationKind] = {
+    RawExport: OperationKind(
+        "raw_export", "raw", lambda d: RawExport(), Gateway._raw_export, lambda op, csv: csv),
+    DpQuery: OperationKind(
+        "dp_query", "laplace",
+        lambda d: DpQuery(d["op"], float(d["epsilon"]), float(d.get("delta", 0.0)),
+                          d.get("timestamp"), tuple(d["edges"]) if d.get("edges") else None),
+        Gateway._dp_query, lambda op, answer: DP_OPS[op.op].summarize(answer)),
+    SynthGenerate: OperationKind(
+        "synth_generate", "synthetic",
+        lambda d: SynthGenerate(d["n_clusters"], d["n_households"], d["n_days"],
+                                d.get("seed", 0)),
+        Gateway._synth_generate,
+        lambda op, r: {"n_households": len(r[0].meter_ids),
+                       "min_nn_distance": r[1].min_nn_distance,
+                       "distinguisher_auc": r[1].distinguisher_auc}),
+    FedTrain: OperationKind(
+        "fed_train", "fedavg",
+        lambda d: FedTrain(d["n_clients"], d["rounds"], d["local_steps"],
+                           float(d["learning_rate"]), d.get("seed", 0)),
+        Gateway._fed_train,
+        lambda op, r: {"final_weights": [float(w) for w in r.final.weights],
+                       "rounds": len(r.history)}),
+    SmpcSum: OperationKind(
+        "smpc_sum", "smpc-sum",
+        lambda d: SmpcSum(tuple((p, int(v)) for p, v in d["values"]), d["min_participants"]),
+        Gateway._smpc_sum,
+        lambda op, r: {"total_milli": r.total, "aborted": r.aborted,
+                       "messages": len(r.transcript.messages)}),
+    HeBill: OperationKind(
+        "he_bill", "paillier",
+        lambda d: HeBill(tuple(d["usage_milli"]), tuple(d["rates"])),
+        Gateway._he_bill, lambda op, bill: bill),
+    AggregateReport: OperationKind(
+        "aggregate_report", "aggregate-threshold",
+        lambda d: AggregateReport(tuple((k, tuple(v)) for k, v in d["groups"].items())),
+        Gateway._aggregate_report,
+        lambda op, report: {str(k): {"count": v.count, "sum_kwh": v.total.kwh,
+                                     "mean_kwh": v.mean_kwh} for k, v in report.items()}),
+}
+KINDS: dict[str, OperationKind] = {e.kind: e for e in OPERATIONS.values()}
 
 
 @dataclass(frozen=True)
@@ -411,7 +458,7 @@ def spend_report(ledger: dp.BudgetLedger, log: AuditLog) -> SpendReport:
     per_requester: dict[str, float] = {}
     denied: dict[str, int] = {}
     for rec in log.records:
-        if rec.decision == "allowed" and rec.epsilon_spent > 0:
+        if rec.epsilon_spent > 0:  # allowed, or an error after the charge landed
             per_requester[rec.requester] = (
                 per_requester.get(rec.requester, 0.0) + rec.epsilon_spent
             )

@@ -269,12 +269,11 @@ class FeederDataset:
 
 
 def iso_to_epoch(text: str) -> int:
-    """ISO-8601 UTC ('Z' suffix required) to epoch seconds."""
+    """ISO-8601 UTC in exactly the form YYYY-MM-DDTHH:MM:SSZ to epoch seconds."""
     text = text.strip()
-    if not text.endswith("Z"):
-        raise ValueError("timestamp must be ISO-8601 UTC with Z suffix")
-    dt = datetime.fromisoformat(text[:-1] + "+00:00")
-    return int(dt.astimezone(timezone.utc).timestamp())
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", text):
+        raise ValueError(f"timestamp {text!r} is not of the form YYYY-MM-DDTHH:MM:SSZ")
+    return int(datetime.fromisoformat(text[:-1] + "+00:00").timestamp())
 
 
 def _check_row(parts: list[str], line: int, interval_s: int, cap: int) -> tuple[str, int, int]:

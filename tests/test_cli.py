@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +204,109 @@ def test_policy_parser_types(tmp_path):
     conf.write_text("a = 1\nb = 2.5\nc = true\nd = hello  # comment\n\n# full comment\n")
     values = cli._parse_policy_file(str(conf))
     assert values == {"a": 1, "b": 2.5, "c": True, "d": "hello"}
+
+
+def test_dp_query_reports_any_dp_error_before_charging(tmp_path, readings_csv, capsys):
+    ledger = tmp_path / "ledger.csv"
+    rc = cli.dp_query_main([
+        "--op", "count", "--epsilon", "0.5", "--delta", "1e-6", "--ledger", str(ledger),
+        "--seed", "7", str(readings_csv),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error=DeltaNotZero detail=")
+    assert not ledger.exists()
+
+
+def test_dp_query_histogram_prints_one_line_per_bin(tmp_path, readings_csv, capsys):
+    ledger = tmp_path / "ledger.csv"
+    rc = cli.dp_query_main([
+        "--op", "histogram", "--epsilon", "0.5", "--edges", "0,1,2", "--ledger", str(ledger),
+        "--seed", "7", str(readings_csv),
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=")[0] for line in lines] == ["bin0", "bin1"]
+    assert abs(float(lines[1].split("=")[1]) - 6 * 24) < 100.0  # every reading is 1.5 kWh
+    assert len(ledger.read_text().splitlines()) == 1
+
+
+def _serve(tmp_path, monkeypatch, policy_text, csv_text, lines, seed="1"):
+    """Pipe request lines through `gateway serve`; return the audit log path."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir(exist_ok=True)
+    (data_dir / "readings.csv").write_text(csv_text)
+    policy = tmp_path / "policy.conf"
+    policy.write_text(policy_text)
+    audit_path = tmp_path / "audit.jsonl"
+    audit_path.unlink(missing_ok=True)
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    rc = cli.gateway_main([
+        "serve", "--policy", str(policy), "--data", str(data_dir),
+        "--audit-log", str(audit_path), "--seed", seed,
+    ])
+    assert rc == 0
+    return audit_path
+
+
+def test_gateway_serve_answers_bad_lines_and_keeps_serving(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    def request(rid, operation, purpose="primary"):
+        return json.dumps({"request_id": rid, "requester": "ops", "purpose": purpose,
+                           "consent": False, "operation": operation})
+
+    lines = [
+        '{"request_id": "b1", "requester": ',  # malformed JSON
+        request("b2", {"kind": "teleport"}),  # unknown kind
+        request("b3", {"kind": "dp_query", "op": "histogram", "epsilon": 0.5, "edges": [1, 0]}),
+        request("b3", {"kind": "raw_export"}),  # duplicate request_id
+        request("b4", {"kind": "dp_query", "op": "count"}),  # missing field
+        "[1, 2]",  # not a request object
+        request(6, {"kind": "dp_query", "op": "count", "epsilon": 1.5}),  # id not a string
+        request("b6", {"kind": "dp_query", "op": "count", "epsilon": 1.5}),  # fits the cap
+        request("b5", {"kind": "raw_export"}),
+    ]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 2.0\n",
+                        readings_csv.read_text(), lines)
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(replies) == len(lines)
+    assert [r["request_id"] for r in replies] == [
+        None, "b2", "b3", "b3", "b4", None, 6, "b6", "b5"]
+    errors = [r["error"].split(":")[0] for r in replies[:-2]]
+    assert errors == ["JSONDecodeError", "ValueError", "RequestFailed", "DuplicateRequest",
+                      "KeyError", "TypeError", "TypeError"]
+    assert replies[2]["error"].startswith("RequestFailed: ValueError: edges must be")
+    assert replies[-2]["allowed"] is True and replies[-1]["allowed"] is True
+
+    # Only the routed lines (b3 once, b6, b5) are audited; b3 and request 6 charged nothing.
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert [(r["request_id"], r["decision"], r["epsilon_spent"]) for r in records] == [
+        ("b3", "error:ValueError", 0.0), ("b6", "allowed", 1.5), ("b5", "allowed", 0.0)]
+    assert cli.audit_show_main(["--log", str(audit_path), "--verify"]) == 0
+    assert capsys.readouterr().out.endswith("chain=valid\n")
+
+
+def test_protocol_parity_with_benchmark_workloads(tmp_path, capsys, monkeypatch):
+    """All kinds and DP ops of the benchmark workloads, served and checked as it checks them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import selftest
+    import workloads
+
+    kinds = set()
+    for name in workloads.WORKLOADS:
+        wl = workloads.build(name, seed=1, size=selftest.TINY[name])
+        reqs = wl.warmup + wl.timed
+        audit_path = _serve(tmp_path, monkeypatch, wl.policy_text, wl.csv_text,
+                            [r.line.decode().rstrip("\n") for r in reqs])
+        replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(replies) == len(reqs)
+        failures = [(req.request_id, why) for req, reply in zip(reqs, replies)
+                    if (why := workloads.check_reply(req, reply)) is not None]
+        assert failures == [], name
+        records = [cli.audit_record_from_dict(json.loads(line))
+                   for line in audit_path.read_text().splitlines()]
+        assert [r.request_id for r in records] == [r.request_id for r in reqs]
+        assert verify_chain(records).valid
+        kinds |= {r.kind for r in reqs}
+    assert kinds == {"raw_export", "dp_sum", "dp_count", "dp_mean", "dp_histogram",
+                     "aggregate_report", "he_bill", "smpc_sum", "fed_train", "synth_generate"}

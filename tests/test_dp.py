@@ -333,3 +333,17 @@ def test_ledger_running_total_equals_entry_sum(seeded, charges):
             assert ledger.entries == before
         assert ledger.epsilon_spent() == _left_fold(ledger.entries)
         assert ledger.epsilon_spent() <= 3.0 + 1e-12
+
+
+@pytest.mark.parametrize("query", [
+    lambda d, p, ledger, rng: dp_sum(d, 0, p, ledger, rng),
+    dp_count,
+    dp_mean,
+    lambda d, p, ledger, rng: dp_histogram(d, [0.0, 1.0, 2.0], p, ledger, rng),
+], ids=["sum", "count", "mean", "histogram"])
+def test_nonzero_delta_refused_before_any_charge(query):
+    ledger = _ledger(cap=1.0)
+    with pytest.raises(DeltaNotZero):
+        query(make_uniform_dataset(3, 1000, 2), PrivacyParams(0.5, 1e-6), ledger, StubRng())
+    assert ledger.entries == ()
+    assert ledger.epsilon_spent() == 0.0

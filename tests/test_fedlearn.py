@@ -22,9 +22,10 @@ from amiprivacy.fedlearn import (
     fed_avg,
     local_train,
     mask_update,
+    round_robin_shards,
     run_federation,
 )
-from conftest import build_series
+from conftest import build_series, make_uniform_dataset
 
 INTERVAL = 900  # 15-minute data so lag-96 is one day
 
@@ -323,3 +324,12 @@ def test_examples_extracted_once_per_client_and_weights_unchanged(monkeypatch):
     result = run_federation(shards, cfg, seed=0)
     assert len(calls) == len(shards) + 1  # each client once, plus the hold-out set
     np.testing.assert_array_equal(result.final.weights, w)
+
+
+def test_round_robin_shards_deal_meters_in_turn():
+    dataset = make_uniform_dataset(7, 1000, 2)
+    shards = round_robin_shards(dataset, 3)
+    assert [[s.meter_id for s in shard] for shard in shards] == [
+        ["m0000", "m0003", "m0006"], ["m0001", "m0004"], ["m0002", "m0005"],
+    ]
+    assert round_robin_shards(dataset, 10)[9] == ()

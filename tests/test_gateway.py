@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amiprivacy import dp
 from amiprivacy.gateway import (
@@ -24,6 +25,8 @@ from amiprivacy.gateway import (
     spend_report,
     verify_chain,
 )
+from amiprivacy import fedlearn
+from amiprivacy.gateway import KINDS, OPERATIONS, RequestFailed
 from conftest import StubRng, make_two_cluster_dataset, make_uniform_dataset
 
 
@@ -309,3 +312,116 @@ def test_aggregate_report_uses_cached_meter_totals():
     total = sum(r.energy.milli_kwh for r in d.all_readings())
     assert decision.result["all"].count == 6
     assert decision.result["all"].total.milli_kwh == total
+
+
+class FaultyRng(random.Random):
+    """A seeded generator whose next uniform draw raises once `fail` is set."""
+
+    fail = False
+
+    def random(self):
+        if self.fail:
+            self.fail = False
+            raise RuntimeError("injected fault after the charge")
+        return super().random()
+
+
+class TestOperationTable:
+    def test_one_entry_per_operation_class(self):
+        assert set(OPERATIONS) == {
+            RawExport, DpQuery, SynthGenerate, FedTrain, SmpcSum, HeBill, AggregateReport,
+        }
+        assert len(KINDS) == len(OPERATIONS)
+        assert len({e.mechanism for e in OPERATIONS.values()}) == len(OPERATIONS)
+
+
+class TestRouteFailures:
+    def test_nonzero_delta_audited_as_error_before_any_charge(self):
+        g = _gateway(cap=1.0)
+        op = DpQuery(op="count", epsilon=0.5, delta=1e-6)
+        with pytest.raises(RequestFailed) as err:
+            g.route(_req("r1", op, Purpose.SECONDARY))
+        assert isinstance(err.value.__cause__, dp.DeltaNotZero)
+        assert g.ledger.epsilon_spent() == 0.0 and g.ledger.entries == ()
+        [rec] = g.audit_log.records
+        assert (rec.decision, rec.mechanism, rec.epsilon_spent) == (
+            "error:DeltaNotZero", "laplace", 0.0)
+        assert verify_chain(g.audit_log.records).valid
+
+    def test_fault_after_charge_leaves_one_record_with_its_epsilon(self):
+        rng = FaultyRng(0)
+        g = _gateway(cap=1.0, rng=rng)
+        rng.fail = True
+        with pytest.raises(RequestFailed) as err:
+            g.route(_req("r1", DpQuery(op="count", epsilon=0.75), requester="a"))
+        assert isinstance(err.value.__cause__, RuntimeError)
+        [rec] = g.audit_log.records
+        assert (rec.decision, rec.epsilon_spent) == ("error:RuntimeError", 0.75)
+        assert g.ledger.epsilon_spent() == 0.75
+        assert spend_report(g.ledger, g.audit_log).per_requester == {"a": 0.75}
+        # The id counts as used, and the cap still holds for what follows.
+        with pytest.raises(DuplicateRequest):
+            g.route(_req("r1", RawExport()))
+        denied = g.route(_req("r2", DpQuery(op="count", epsilon=0.5)))
+        assert denied.reason is DenialReason.BUDGET_EXHAUSTED
+        assert len(g.audit_log.records) == 2
+        assert verify_chain(g.audit_log.records).valid
+
+    @pytest.mark.parametrize("op, cause", [
+        (DpQuery(op="histogram", epsilon=0.5, edges=(1.0, 0.0)), ValueError),
+        (DpQuery(op="histogram", epsilon=0.5), ValueError),
+        (DpQuery(op="sum", epsilon=0.5), ValueError),
+        (DpQuery(op="median", epsilon=0.5), ValueError),
+        (FedTrain(n_clients=0, rounds=1, local_steps=1, learning_rate=0.1),
+         fedlearn.FedLearnError),
+    ])
+    def test_malformed_operation_audited_as_error(self, op, cause):
+        g = _gateway()
+        with pytest.raises(RequestFailed) as err:
+            g.route(_req("r1", op))
+        assert type(err.value.__cause__) is cause
+        [rec] = g.audit_log.records
+        assert rec.decision == f"error:{cause.__name__}" and rec.epsilon_spent == 0.0
+
+    def test_audit_log_raises_audit_write_failure_itself(self):
+        def broken_writer(record):
+            raise OSError("disk full")
+
+        log = AuditLog(writer=broken_writer)
+        with pytest.raises(AuditWriteFailure) as err:
+            log.append_audit("r1", "ops", "allowed", "raw", 0.0)
+        assert isinstance(err.value.__cause__, OSError)
+        assert log.records == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["raw", "count", "bad_edges", "delta", "fault", "duplicate"]),
+        st.floats(min_value=0.01, max_value=0.6),
+    ), max_size=25))
+    def test_invariants_hold_under_faults(self, steps):
+        rng = FaultyRng(1)
+        cap = 2.0
+        g = _gateway(cap=cap, dataset=make_uniform_dataset(3, 1500, 4), rng=rng)
+        routed = 0
+        for i, (step, eps) in enumerate(steps):
+            rid = "r0" if step == "duplicate" and routed else f"r{i}"
+            op = {
+                "raw": RawExport(),
+                "bad_edges": DpQuery(op="histogram", epsilon=eps, edges=(1.0, 0.0)),
+                "delta": DpQuery(op="count", epsilon=eps, delta=1e-6),
+            }.get(step, DpQuery(op="count", epsilon=eps))
+            rng.fail = step == "fault"
+            try:
+                g.route(_req(rid, op, Purpose.SECONDARY))
+            except DuplicateRequest:
+                assert rid == "r0"
+                continue
+            except RequestFailed:
+                pass
+            routed += 1
+        records = g.audit_log.records
+        assert len(records) == routed
+        audited = sum(r.epsilon_spent for r in records)
+        assert audited <= cap + 1e-9
+        assert audited == pytest.approx(g.ledger.epsilon_spent())
+        assert verify_chain(records).valid

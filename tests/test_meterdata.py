@@ -317,6 +317,10 @@ class TestLateBadRow:
         (f"m0833,{TS},5.001", EnergyAboveCap),
         ("m0833,2024-01-01T00:30:00Z,-1.000", NegativeEnergy),  # sign before alignment
         ("m0833,2024-01-01T00:30:00Z,9.000", MisalignedTimestamp),  # alignment before cap
+        ("m0833,2024-01-01T00:00:00.9Z,1.000", MalformedRow),  # only YYYY-MM-DDTHH:MM:SSZ
+        ("m0833,2024-01-01Z,1.000", MalformedRow),
+        ("m0833,2024-01-01 00:00:00Z,1.000", MalformedRow),
+        ("m0833,20240101T000000Z,1.000", MalformedRow),
     ])
     def test_reported_at_its_line(self, lines, text, error):
         with pytest.raises(error) as err:
