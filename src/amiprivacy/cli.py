@@ -268,16 +268,17 @@ def he_decrypt_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     data = json.loads(Path(args.key).read_text())
-    n = int(data["n"])
-    keypair = he.PaillierKeypair(
-        public=he.PaillierPublicKey(n=n, g=n + 1, key_id=data["key_id"]),
-        lam=int(data["lambda"]),
-        mu=int(data["mu"]),
-    )
     text = args.ct_hex
     if Path(text).exists():
         text = Path(text).read_text().strip()
-    ct = he.Ciphertext(value=int(text, 16), key_id=data["key_id"])
+    try:
+        keypair = he.keypair_from_secret(
+            int(data["n"]), int(data["lambda"]), int(data["mu"]), data["key_id"]
+        )
+        ct = he.Ciphertext(value=int(text, 16), key_id=data["key_id"])
+    except (he.HeError, KeyError, ValueError) as exc:
+        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
+        return 1
     print(he.decrypt(keypair, ct))
     return 0
 

@@ -152,6 +152,19 @@ class BudgetLedger:
     def epsilon_spent(self) -> float:
         return self._spent
 
+    def entry_count(self) -> int:
+        return len(self._entries)
+
+    def epsilon_since(self, start: int) -> float:
+        """Sum of the epsilons of the entries after the first `start`.
+
+        One entry gives its epsilon exactly as charged; a difference of two
+        running totals can be off in the last bits.
+        """
+        if start == len(self._entries):  # no charge: denials and non-DP requests
+            return 0.0
+        return sum((e.epsilon for e in self._entries[start:]), 0.0)
+
     def charge(self, query_id: str, epsilon: float, delta: float) -> LedgerEntry:
         """Atomically append a charge, or raise BudgetExhausted untouched."""
         with self._lock:

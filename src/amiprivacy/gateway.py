@@ -16,9 +16,9 @@ Each operation class has one OPERATIONS entry: wire name, audit mechanism,
 parse, run and summarize. Every route call appends exactly one audit
 record, "allowed", "denied:<Reason>" or, when the run raised,
 "error:<ExceptionType>" (route then raises RequestFailed), carrying the
-epsilon the ledger was charged meanwhile. The gateway fails closed: if
-the record cannot be persisted, route raises AuditWriteFailure and
-releases nothing (a DP charge may already have landed, erring safe).
+epsilon of the ledger entries the request appended. The gateway fails
+closed: if the record cannot be persisted, route raises AuditWriteFailure
+and releases nothing (a DP charge may already have landed, erring safe).
 """
 
 from __future__ import annotations
@@ -126,6 +126,10 @@ class RequestEnvelope:
     consent: bool
     operation: Operation
 
+    def __post_init__(self):
+        if _FIELD_SEP in self.request_id or _FIELD_SEP in self.requester:
+            raise ValueError(f"request_id and requester must not contain {_FIELD_SEP!r}")
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -162,6 +166,9 @@ class AuditRecord:
     hash: bytes
 
 
+_FIELD_SEP = "|"  # joins the audit payload's fields; no text field may contain it
+
+
 def _record_payload(
     seq: int,
     request_id: str,
@@ -173,7 +180,7 @@ def _record_payload(
 ) -> bytes:
     fields = (str(seq), request_id, requester, decision, mechanism,
               repr(epsilon_spent), repr(timestamp))
-    return "|".join(fields).encode("utf-8")
+    return _FIELD_SEP.join(fields).encode("utf-8")
 
 
 def _record_hash(prev_hash: bytes, payload: bytes) -> bytes:
@@ -238,7 +245,12 @@ class ChainReport:
 
 
 def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
-    """Recompute every digest and link; report the first mismatch."""
+    """Recompute every digest and link; report the first mismatch.
+
+    A record whose text fields contain the payload separator is bad too:
+    moving a separator between adjacent fields would keep its digest.
+    """
+    sep = _FIELD_SEP.encode("utf-8")
     prev_hash = GENESIS_HASH
     for i, rec in enumerate(records):
         payload = _record_payload(
@@ -247,6 +259,7 @@ def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
         )
         if (
             rec.seq != i
+            or payload.count(sep) != 6  # seven fields; more means one held a separator
             or rec.prev_hash != prev_hash
             or rec.hash != _record_hash(prev_hash, payload)
         ):
@@ -283,7 +296,7 @@ class Gateway:
         with self._lock:
             if req.request_id in self._seen_ids:
                 raise DuplicateRequest(f"request_id {req.request_id!r} already routed")
-            spent_before = self.ledger.epsilon_spent()
+            entries_before = self.ledger.entry_count()
             failure = None
             try:
                 decision = entry.run(self, req)
@@ -292,7 +305,7 @@ class Gateway:
                 failure, outcome = exc, f"error:{type(exc).__name__}"
             self.audit_log.append_audit(
                 req.request_id, req.requester, outcome, entry.mechanism,
-                self.ledger.epsilon_spent() - spent_before,
+                self.ledger.epsilon_since(entries_before),
             )
             self._seen_ids.add(req.request_id)
             if failure is not None:
@@ -343,7 +356,7 @@ class Gateway:
     def _he_bill(self, req: RequestEnvelope) -> Decision:
         op, keypair = req.operation, self._keypair()
         pub = keypair.public
-        cts = [he.encrypt(pub, m, he.draw_randomizer(pub, self.rng)) for m in op.usage_milli]
+        cts = [he.encrypt(keypair, m, he.draw_randomizer(pub, self.rng)) for m in op.usage_milli]
         bill_ct = he.encrypted_bill(cts, he.RateSchedule(op.rates), pub)
         return Decision(allowed=True, result=he.decrypt(keypair, bill_ct))
 

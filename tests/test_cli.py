@@ -1,10 +1,11 @@
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from amiprivacy import cli
+from amiprivacy import cli, he
 from amiprivacy.gateway import verify_chain
 from amiprivacy.meterdata import EnergyQuantity, parse_csv, serialize_csv
 from conftest import make_uniform_dataset, make_two_cluster_dataset
@@ -310,3 +311,58 @@ def test_protocol_parity_with_benchmark_workloads(tmp_path, capsys, monkeypatch)
         kinds |= {r.kind for r in reqs}
     assert kinds == {"raw_export", "dp_sum", "dp_count", "dp_mean", "dp_histogram",
                      "aggregate_report", "he_bill", "smpc_sum", "fed_train", "synth_generate"}
+
+
+def _secret_file(path, keypair, **overrides):
+    """A secret key file in the stored {n, lambda, mu, key_id} format."""
+    n = keypair.public.n
+    mu = pow((pow(n + 1, keypair.lam, n * n) - 1) // n, -1, n)  # as stored before the CRT
+    data = {"n": str(n), "lambda": str(keypair.lam), "mu": str(mu),
+            "key_id": keypair.public.key_id}
+    data.update(overrides)
+    path.write_text(json.dumps(data, indent=2))
+    return path
+
+
+def test_he_decrypt_reads_a_stored_secret_file(tmp_path, capsys):
+    keypair = he.keygen(128, random.Random(41))
+    pub = keypair.public
+    secret = _secret_file(tmp_path / "key.secret", keypair)
+    m = 123_456_789
+    ct = he.encrypt(pub, m, he.draw_randomizer(pub, random.Random(42)))
+    ct_file = tmp_path / "bill.hex"
+    ct_file.write_text(format(ct.value, "x") + "\n")
+    assert cli.he_decrypt_main(["--key", str(secret), str(ct_file)]) == 0
+    assert capsys.readouterr().out == f"{m}\n"
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("lambda", lambda k: str(k.lam + 2)),
+    ("lambda", lambda k: str(2 * k.lam)),
+    ("key_id", lambda k: "0" * 16),
+])
+def test_he_decrypt_rejects_an_inconsistent_secret_file(tmp_path, capsys, field, corrupt):
+    keypair = he.keygen(128, random.Random(43))
+    secret = _secret_file(tmp_path / "key.secret", keypair, **{field: corrupt(keypair)})
+    ct = he.encrypt(keypair.public, 5, 7)
+    assert cli.he_decrypt_main(["--key", str(secret), format(ct.value, "x")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=InvalidSecretKey detail=")
+
+
+def test_gateway_serve_refuses_separator_in_request_fields(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    def request(rid, requester):
+        return json.dumps({"request_id": rid, "requester": requester, "purpose": "primary",
+                           "consent": False, "operation": {"kind": "raw_export"}})
+
+    lines = [request("r1|ops", "x"), request("r2", "ops|x"), request("r3", "ops")]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r.get("error", "").split(":")[0] for r in replies] == ["ValueError", "ValueError", ""]
+    assert replies[2]["allowed"] is True
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert [r["request_id"] for r in records] == ["r3"]

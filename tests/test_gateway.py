@@ -1,13 +1,15 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amiprivacy import dp
+from amiprivacy import dp, gateway
 from amiprivacy.gateway import (
     AggregateReport,
     AuditLog,
     AuditWriteFailure,
+    ChainReport,
     Decision,
     DenialReason,
     DpQuery,
@@ -425,3 +427,58 @@ class TestRouteFailures:
         assert audited <= cap + 1e-9
         assert audited == pytest.approx(g.ledger.epsilon_spent())
         assert verify_chain(records).valid
+
+
+class TestAuditPayloadSeparator:
+    @pytest.mark.parametrize("field", ["request_id", "requester"])
+    def test_envelope_refuses_separator_in_text_fields(self, field):
+        fields = {"request_id": "r1", "requester": "ops", field: "a|b"}
+        with pytest.raises(ValueError):
+            RequestEnvelope(purpose=Purpose.PRIMARY, consent=False, operation=RawExport(),
+                            **fields)
+
+    def test_moving_a_separator_between_fields_is_detected(self):
+        import dataclasses
+
+        log = AuditLog()
+        rec = log.append_audit("r1|ops", "x", "allowed", "raw", 0.0)
+        edited = dataclasses.replace(rec, request_id="r1", requester="ops|x")
+        # The edit keeps the digest, so only the separator check can catch it.
+        assert gateway._record_payload(
+            edited.seq, edited.request_id, edited.requester, edited.decision,
+            edited.mechanism, edited.epsilon_spent, edited.timestamp,
+        ) == gateway._record_payload(
+            rec.seq, rec.request_id, rec.requester, rec.decision,
+            rec.mechanism, rec.epsilon_spent, rec.timestamp,
+        )
+        assert verify_chain([edited]) == verify_chain([rec]) == ChainReport(False, 0)
+
+    def test_digest_of_a_record_is_unchanged(self):
+        rec = AuditLog().append_audit("r1", "ops", "allowed", "laplace", 0.5)
+        payload = f"0|r1|ops|allowed|laplace|0.5|{rec.timestamp!r}".encode()
+        assert rec.hash == hashlib.sha256(GENESIS_HASH + payload).digest()
+
+
+def test_audited_epsilon_is_the_ledger_entry():
+    g = _gateway(cap=1.0)
+    g.route(_req("r1", DpQuery(op="count", epsilon=0.7)))
+    g.route(_req("r2", DpQuery(op="count", epsilon=0.1)))
+    assert g.ledger.epsilon_spent() - 0.7 != 0.1  # the running totals' difference
+    assert [r.epsilon_spent for r in g.audit_log.records] == [0.7, 0.1]
+    assert [e.epsilon for e in g.ledger.entries] == [0.7, 0.1]
+
+
+def test_he_bill_encrypts_with_the_gateway_keypair(monkeypatch):
+    from amiprivacy import he
+
+    keys = []
+    real_encrypt = he.encrypt
+
+    def encrypt(key, m, r):
+        keys.append(key)
+        return real_encrypt(key, m, r)
+
+    monkeypatch.setattr(he, "encrypt", encrypt)
+    g = _gateway()
+    assert g.route(_req("r1", HeBill(usage_milli=(2, 3, 4), rates=(10, 20, 30)))).result == 200
+    assert len(keys) == 3 and all(isinstance(k, he.PaillierKeypair) for k in keys)

@@ -8,6 +8,7 @@ from amiprivacy.he import (
     BillingOverflow,
     Ciphertext,
     InvalidPrimes,
+    InvalidSecretKey,
     KeyMismatch,
     LengthMismatch,
     PaillierPublicKey,
@@ -23,6 +24,7 @@ from amiprivacy.he import (
     encryption_of_zero,
     keygen,
     keypair_from_primes,
+    keypair_from_secret,
     scalar_mul,
 )
 
@@ -206,3 +208,108 @@ class TestCiphertextHygiene:
     def test_secret_fields_not_in_repr(self):
         assert "lam" not in repr(SMALL)
         assert "mu" not in repr(SMALL)
+
+
+# Keys of the CRT tests: tiny ones hit every edge case, keygen ones are real sizes.
+CRT_KEYS = [SMALL, keypair_from_primes(17, 19), keygen(128, random.Random(31)),
+            keygen(512, random.Random(32))]
+
+
+def reference_decrypt(keypair, c):
+    """The lambda/mu decryption L(c^lambda mod n^2) * mu mod n, without the CRT."""
+    n = keypair.public.n
+    return (pow(c.value, keypair.lam, n * n) - 1) // n * keypair.mu % n
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PlaintextOutOfRange, BadRandomizer) as exc:
+        return type(exc)
+
+
+class TestCrt:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CRT_KEYS), st.data())
+    def test_keypair_encrypt_is_the_public_encrypt(self, keypair, data):
+        n = keypair.public.n
+        m = data.draw(st.integers(min_value=0, max_value=n - 1))
+        r = data.draw(st.integers(min_value=1, max_value=n - 1).filter(
+            lambda r: r % keypair.p and r % keypair.q))
+        c = encrypt(keypair, m, r)
+        assert c == encrypt(keypair.public, m, r)
+        assert decrypt(keypair, c) == m == reference_decrypt(keypair, c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CRT_KEYS), st.data())
+    def test_decrypt_is_the_lambda_mu_formula(self, keypair, data):
+        n = keypair.public.n
+        value = data.draw(st.integers(min_value=1, max_value=n * n - 1).filter(
+            lambda v: v % keypair.p and v % keypair.q))
+        c = Ciphertext(value=value, key_id=keypair.public.key_id)
+        assert decrypt(keypair, c) == reference_decrypt(keypair, c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CRT_KEYS), st.data())
+    def test_keypair_path_rejects_what_the_public_path_rejects(self, keypair, data):
+        n, p, q = keypair.public.n, keypair.p, keypair.q
+        edge = st.sampled_from([-1, 0, 1, p, q, 2 * p, n - 1, n, n + 1])
+        m = data.draw(st.one_of(edge, st.integers(min_value=-2, max_value=n + 2)))
+        r = data.draw(st.one_of(edge, st.integers(min_value=-2, max_value=n + 2)))
+        assert outcome(encrypt, keypair, m, r) == outcome(encrypt, keypair.public, m, r)
+
+    @pytest.mark.parametrize("keypair", CRT_KEYS)
+    def test_randomizer_sharing_a_factor_rejected(self, keypair):
+        for r in (keypair.p, keypair.q):
+            for key in (keypair, keypair.public):
+                with pytest.raises(BadRandomizer):
+                    encrypt(key, 1, r)
+
+    @pytest.mark.parametrize("keypair", CRT_KEYS)
+    def test_secret_factors_not_in_repr(self, keypair):
+        assert repr(keypair) == f"PaillierKeypair(public={keypair.public!r})"
+        if keypair.public.n.bit_length() >= 128:
+            assert str(keypair.p) not in repr(keypair)
+            assert str(keypair.q) not in repr(keypair)
+
+
+class TestKeypairFromSecret:
+    @pytest.mark.parametrize("keypair", CRT_KEYS)
+    def test_recovers_the_factors(self, keypair):
+        pub = keypair.public
+        rebuilt = keypair_from_secret(pub.n, keypair.lam, keypair.mu, pub.key_id)
+        assert {rebuilt.p, rebuilt.q} == {keypair.p, keypair.q}
+        assert (rebuilt.public, rebuilt.lam, rebuilt.mu) == (pub, keypair.lam, keypair.mu)
+
+    def test_mu_matches_the_stored_formula(self):
+        for keypair in CRT_KEYS:
+            n = keypair.public.n
+            g_lam = pow(keypair.public.g, keypair.lam, n * n)
+            assert keypair.mu == pow((g_lam - 1) // n, -1, n)
+
+    @pytest.mark.parametrize("change", [
+        {"lam": lambda k: k.lam + 2},  # not a multiple of the group exponent
+        {"lam": lambda k: 2 * k.lam},  # a multiple: splits n, but not the stored lambda
+        {"lam": lambda k: 0},
+        {"mu": lambda k: k.mu + 1},
+        {"n": lambda k: k.public.n + 2},
+        {"key_id": lambda k: "0" * 16},
+    ])
+    def test_inconsistent_secret_rejected(self, change):
+        keypair = CRT_KEYS[3]
+        fields = {"n": keypair.public.n, "lam": keypair.lam, "mu": keypair.mu,
+                  "key_id": keypair.public.key_id}
+        for name, fn in change.items():
+            fields[name] = fn(keypair)
+        with pytest.raises(InvalidSecretKey):
+            keypair_from_secret(**fields)
+
+
+def test_keygen_draws_the_same_primes_from_its_rng():
+    # Values from keygen before it stopped re-testing its primes: a seeded
+    # gateway must keep making the same key and leave its rng where it did.
+    rng = random.Random(31)
+    keypair = keygen(128, rng)
+    assert keypair.public.n == 139050774322062516671439730761209496673
+    assert keypair.lam == 11587564526838543053969776539977605380
+    assert rng.random() == 0.34561164153388146
