@@ -225,10 +225,13 @@ def he_keygen_main(argv=None) -> int:
     pub_path.write_text(json.dumps(
         {"n": str(keypair.public.n), "g": str(keypair.public.g),
          "key_id": keypair.public.key_id}, indent=2))
-    secret_path.write_text(json.dumps(
-        {"n": str(keypair.public.n), "lambda": str(keypair.lam),
-         "mu": str(keypair.mu), "key_id": keypair.public.key_id}, indent=2))
-    os.chmod(secret_path, 0o600)
+    # Owner-only before the first secret byte lands, also for a file that exists.
+    fd = os.open(secret_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    os.fchmod(fd, 0o600)
+    with os.fdopen(fd, "w") as fh:
+        fh.write(json.dumps(
+            {"n": str(keypair.public.n), "lambda": str(keypair.lam),
+             "mu": str(keypair.mu), "key_id": keypair.public.key_id}, indent=2))
     return 0
 
 
@@ -255,8 +258,12 @@ def he_bill_main(argv=None) -> int:
         for line in Path(args.usage_csv).read_text().split() if line.strip()
     ]
     rng = dp.default_rng()
-    cts = [he.encrypt(pub, m, he.draw_randomizer(pub, rng)) for m in usage_milli]
-    bill = he.encrypted_bill(cts, rates, pub)
+    try:
+        cts = [he.encrypt(pub, m, he.draw_randomizer(pub, rng)) for m in usage_milli]
+        bill = he.encrypted_bill(cts, rates, pub, usage_cap=max(usage_milli, default=0))
+    except he.HeError as exc:
+        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
+        return 1
     print(format(bill.value, "x"))
     return 0
 
@@ -276,10 +283,11 @@ def he_decrypt_main(argv=None) -> int:
             int(data["n"]), int(data["lambda"]), int(data["mu"]), data["key_id"]
         )
         ct = he.Ciphertext(value=int(text, 16), key_id=data["key_id"])
+        plaintext = he.decrypt(keypair, ct)
     except (he.HeError, KeyError, ValueError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 1
-    print(he.decrypt(keypair, ct))
+    print(plaintext)
     return 0
 
 

@@ -349,15 +349,18 @@ def dp_histogram(
     the declared range by construction, so parallel composition applies
     and the whole histogram costs a single epsilon. A reading counts in
     bin i iff edges[i] <= milli_kwh / 1000 < edges[i+1]; each edge becomes
-    the first milli-kWh value at or above it, so binning is integer-exact.
+    the first milli-kWh value at or above it, so binning is integer-exact,
+    and each count is read off the dataset's value index: O(bins log
+    distinct values), not O(readings), once the index exists.
     """
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
     query_id = _charge(ledger, p)
     cap = d.delta_max.milli_kwh
     firsts = np.array([_first_milli_at_or_above(e, cap) for e in edges], dtype=np.int64)
-    bins = np.searchsorted(firsts, d.milli_kwh, side="right") - 1
-    counts = np.bincount(bins[(bins >= 0) & (bins < len(edges) - 1)], minlength=len(edges) - 1)
+    values, below = d.value_index()
+    # below[searchsorted(values, f)] readings lie under f; bin i is [firsts[i], firsts[i+1]).
+    counts = np.diff(below[np.searchsorted(values, firsts)])
     return [
         laplace_mechanism(float(c), Sensitivity(1.0), p, rng, query_id=query_id)
         for c in counts.tolist()

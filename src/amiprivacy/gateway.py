@@ -357,7 +357,9 @@ class Gateway:
         op, keypair = req.operation, self._keypair()
         pub = keypair.public
         cts = [he.encrypt(keypair, m, he.draw_randomizer(pub, self.rng)) for m in op.usage_milli]
-        bill_ct = he.encrypted_bill(cts, he.RateSchedule(op.rates), pub)
+        # Bounds the bill by max(usage) * sum(rates) < n, or raises BillingOverflow.
+        bill_ct = he.encrypted_bill(cts, he.RateSchedule(op.rates), pub,
+                                    usage_cap=max(op.usage_milli, default=0))
         return Decision(allowed=True, result=he.decrypt(keypair, bill_ct))
 
     def _aggregate_report(self, req: RequestEnvelope) -> Decision:

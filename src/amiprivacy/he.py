@@ -81,6 +81,10 @@ class BillingOverflow(HeError):
     """The rate schedule could push the plaintext bill past the modulus."""
 
 
+class BadCiphertext(HeError):
+    """The value is not a unit mod n^2, so no encryption under the key gives it."""
+
+
 @dataclass(frozen=True)
 class PaillierPublicKey:
     n: int
@@ -316,9 +320,17 @@ def encrypt(key: PaillierPublicKey | PaillierKeypair, m: int, r: int) -> Ciphert
 
 
 def decrypt(keypair: PaillierKeypair, c: Ciphertext) -> int:
-    """m mod p and mod q (Paillier section 7), recombined to m mod n."""
+    """m mod p and mod q (Paillier section 7), recombined to m mod n.
+
+    Every ciphertext, the fold identity 1 included, is a unit mod n^2; any
+    other value (0, n, n^2 + 5, a truncated or foreign one) raises
+    BadCiphertext instead of decrypting to garbage.
+    """
     if c.key_id != keypair.public.key_id:
         raise WrongKey("ciphertext was produced under a different key")
+    n = keypair.public.n
+    if not 1 <= c.value < n * n or math.gcd(c.value, n) != 1:
+        raise BadCiphertext("ciphertext must lie in [1, n^2) and be coprime to n")
     p, q = keypair.p, keypair.q
     m_p = _l_function(pow(c.value, p - 1, keypair.p_sq), p) * keypair.hp % p
     m_q = _l_function(pow(c.value, q - 1, keypair.q_sq), q) * keypair.hq % q

@@ -8,6 +8,11 @@ accepted on input only.
 A `FeederDataset` keeps its readings as read-only int64 columns (meter
 index, timestamp, milli-kWh) and caches its exact totals, so queries are
 numpy passes over arrays; `MeterReading` objects exist only on request.
+Two views are memoized lazily on the dataset, built on first use and never
+again, since the columns never change: the CSV text of `serialize_csv` and
+the value index of `FeederDataset.value_index` (distinct milli-kWh values
+and how many readings lie below each), which bins a histogram without
+walking the readings.
 """
 
 from __future__ import annotations
@@ -169,14 +174,15 @@ class FeederDataset:
     per reading, grouped by meter in `meter_ids` order and strictly
     increasing in time within a meter. Exact int64 totals are computed once:
     `interval_milli` (timestamp -> total, ascending), `meter_milli`
-    (meter id -> total) and `total_milli`.
+    (meter id -> total) and `total_milli`. Views derived from the columns
+    (the CSV text, the value index) are computed on first use and kept.
 
     The cap ``delta_max`` is the sensitivity bound the DP mechanisms rely
     on; ingestion rejects readings above it rather than clipping.
     """
 
     __slots__ = ("meter_ids", "meter_idx", "timestamp", "milli_kwh", "interval_s",
-                 "delta_max", "interval_milli", "meter_milli", "total_milli")
+                 "delta_max", "interval_milli", "meter_milli", "total_milli", "_memo")
 
     def __init__(self, series: Iterable[ReadingSeries], interval_s: int,
                  delta_max: EnergyQuantity):
@@ -234,6 +240,7 @@ class FeederDataset:
             ("interval_milli", MappingProxyType(dict(zip(stamps.tolist(), per_stamp.tolist())))),
             ("meter_milli", MappingProxyType(dict(zip(meter_ids, per_meter.tolist())))),
             ("total_milli", int(milli.sum())),
+            ("_memo", {}),  # view name -> derived value, filled by _derived
         ):
             object.__setattr__(self, name, value)
 
@@ -247,8 +254,25 @@ class FeederDataset:
         return (self.meter_ids, self.interval_s, self.delta_max, self.meter_idx.tobytes(),
                 self.timestamp.tobytes(), self.milli_kwh.tobytes())
 
+    def _derived(self, name: str, compute):
+        """compute(self), run on the first call for `name` only; the columns never change."""
+        memo = self._memo
+        if name not in memo:
+            memo[name] = compute(self)
+        return memo[name]
+
     def n_readings(self) -> int:
         return len(self.milli_kwh)
+
+    def value_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct milli-kWh values ascending, and how many readings lie below each.
+
+        Returns read-only int64 (values, below): below[j] readings lie under
+        values[j] and below[-1] is the number of readings, so the readings in
+        [a, b) number below[searchsorted(values, b)] -
+        below[searchsorted(values, a)]. Computed on the first call only.
+        """
+        return self._derived("value_index", _value_index)
 
     def meter_bounds(self) -> np.ndarray:
         """Row offsets: meter i owns rows meter_bounds()[i]:meter_bounds()[i + 1]."""
@@ -266,6 +290,11 @@ class FeederDataset:
     def all_readings(self) -> Iterable[MeterReading]:
         for s in self.series:
             yield from s.readings
+
+
+def _value_index(dataset: FeederDataset) -> tuple[np.ndarray, np.ndarray]:
+    values, counts = np.unique(dataset.milli_kwh, return_counts=True)
+    return _column(values), _column(np.concatenate(([0], np.cumsum(counts))))
 
 
 def iso_to_epoch(text: str) -> int:
@@ -348,7 +377,14 @@ def parse_csv(text: str | bytes, interval_s: int, delta_max: EnergyQuantity) -> 
 
 
 def serialize_csv(dataset: FeederDataset) -> str:
-    """Inverse of parse_csv for valid datasets (round-trip identity)."""
+    """Inverse of parse_csv for valid datasets (round-trip identity).
+
+    The text is built on the first call for a dataset and kept on it.
+    """
+    return dataset._derived("csv", _serialize_csv)
+
+
+def _serialize_csv(dataset: FeederDataset) -> str:
     stamps = np.fromiter(dataset.interval_milli, np.int64, len(dataset.interval_milli))
     iso = np.array([
         datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

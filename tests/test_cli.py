@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import random
+import stat
 from pathlib import Path
 
 import pytest
 
-from amiprivacy import cli, he
+from amiprivacy import cli, dp, he
 from amiprivacy.gateway import verify_chain
 from amiprivacy.meterdata import EnergyQuantity, parse_csv, serialize_csv
 from conftest import make_uniform_dataset, make_two_cluster_dataset
@@ -366,3 +368,103 @@ def test_gateway_serve_refuses_separator_in_request_fields(
     assert replies[2]["allowed"] is True
     records = [json.loads(line) for line in audit_path.read_text().splitlines()]
     assert [r["request_id"] for r in records] == ["r3"]
+
+
+@pytest.mark.parametrize("value", [lambda n: 0, lambda n: n, lambda n: n * n + 5])
+def test_he_decrypt_rejects_a_ciphertext_that_is_not_a_unit(tmp_path, capsys, value):
+    keypair = he.keygen(128, random.Random(45))
+    secret = _secret_file(tmp_path / "key.secret", keypair)
+    ct_hex = format(value(keypair.public.n), "x")
+    assert cli.he_decrypt_main(["--key", str(secret), ct_hex]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=BadCiphertext detail=")
+
+
+class _ModeAtWrite:
+    """A file object that notes its file's mode each time it is written to."""
+
+    def __init__(self, fh, seen):
+        self._fh, self._seen = fh, seen
+
+    def write(self, text):
+        self._seen.append((stat.S_IMODE(os.fstat(self._fh.fileno()).st_mode), text))
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("pre_existing", [False, True])
+def test_he_keygen_secret_is_owner_only_when_written(tmp_path, monkeypatch, pre_existing):
+    pub = tmp_path / "keypair.json"
+    secret = tmp_path / "keypair.json.secret"
+    if pre_existing:
+        secret.write_text("old")
+        os.chmod(secret, 0o644)
+    seen = []
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: _ModeAtWrite(real_fdopen(fd, *a, **k),
+                                                                         seen))
+    assert cli.he_keygen_main(["--bits", "128", "--out", str(pub)]) == 0
+    assert seen and all(mode == 0o600 for mode, _ in seen)
+    assert '"lambda"' in "".join(text for _, text in seen)
+    assert stat.S_IMODE(secret.stat().st_mode) == 0o600
+    assert json.loads(secret.read_text())["key_id"] == json.loads(pub.read_text())["key_id"]
+
+
+def test_he_bill_refuses_a_bill_that_could_wrap(tmp_path, capsys):
+    pub = tmp_path / "keypair.json"
+    assert cli.he_keygen_main(["--bits", "128", "--out", str(pub)]) == 0
+    n = int(json.loads(pub.read_text())["n"])
+    rates = tmp_path / "rates.csv"
+    rates.write_text("2\n")
+    usage = tmp_path / "usage.csv"
+    usage.write_text(EnergyQuantity(n - 1).to_kwh_text() + "\n")
+    assert cli.he_bill_main(["--pub", str(pub), "--rates", str(rates), str(usage)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=BillingOverflow detail=")
+
+
+def _request(rid, operation):
+    return json.dumps({"request_id": rid, "requester": "ops", "purpose": "primary",
+                       "consent": False, "operation": operation})
+
+
+def test_gateway_serve_answers_a_wrapping_bill_with_an_error_and_keeps_serving(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    # The gateway's 512-bit n lies in (2^510, 2^512), so 4 * 2^510 >= n > 2^510.
+    lines = [_request("w1", {"kind": "he_bill", "usage_milli": [2**510], "rates": [4]}),
+             _request("w2", {"kind": "he_bill", "usage_milli": [2, 3], "rates": [10, 20]})]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert replies[0]["request_id"] == "w1"
+    assert replies[0]["error"].startswith("RequestFailed: BillingOverflow: ")
+    assert replies[1] == {"request_id": "w2", "allowed": True, "reason": None, "result": 80}
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert [(r["request_id"], r["decision"], r["epsilon_spent"]) for r in records] == [
+        ("w1", "error:BillingOverflow", 0.0), ("w2", "allowed", 0.0)]
+
+
+def test_gateway_serve_repeats_raw_export_and_histogram(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    histogram = {"kind": "dp_query", "op": "histogram", "epsilon": 0.25, "edges": [0, 1, 2, 3]}
+    lines = [_request("x1", {"kind": "raw_export"}), _request("x2", histogram),
+             _request("x3", {"kind": "raw_export"}), _request("x4", histogram)]
+    csv_text = readings_csv.read_text()
+    _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n", csv_text, lines, seed="1")
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["allowed"] for r in replies] == [True] * 4
+    assert replies[0]["result"] == replies[2]["result"] == csv_text
+    # Every reading is 1.5 kWh; the seeded generator draws one uniform per bin.
+    rng = random.Random(1)
+    expected = [[c + dp.laplace_sample(1 / 0.25, rng.random()) for c in (0, 6 * 24, 0)]
+                for _ in range(2)]
+    assert [replies[1]["result"], replies[3]["result"]] == expected

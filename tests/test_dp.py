@@ -2,7 +2,7 @@ import math
 import threading
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from amiprivacy.dp import (
     BudgetExhausted,
@@ -347,3 +347,33 @@ def test_nonzero_delta_refused_before_any_charge(query):
         query(make_uniform_dataset(3, 1000, 2), PrivacyParams(0.5, 1e-6), ledger, StubRng())
     assert ledger.entries == ()
     assert ledger.epsilon_spent() == 0.0
+
+
+_COLLAPSING_EDGES = [0.0001, 0.0002, 1.0001, 1.0002, 1.0009]  # pairs share a first milli-kWh
+
+
+@given(
+    st.lists(st.one_of(st.integers(0, 5000), st.sampled_from([0, 1, 2, 1000, 1001, 5000])),
+             max_size=40),
+    st.lists(st.one_of(_EDGE, st.sampled_from(_COLLAPSING_EDGES)), min_size=2, max_size=8),
+)
+@example(milli=[], edges=[0.0, 1.0, 2.0])
+@example(milli=[1, 2, 1000, 1001, 1001, 5000], edges=[0.0001, 0.0002, 1.0001, 1.0002, 5.0])
+def test_histogram_from_value_index_matches_float_rule_cold_and_warm(milli, edges):
+    edges = sorted(set(edges))
+    assume(len(edges) >= 2)
+    expected = [0] * (len(edges) - 1)
+    for m in milli:
+        for i in range(len(expected)):
+            if edges[i] <= m / 1000 < edges[i + 1]:
+                expected[i] += 1
+                break
+    d = FeederDataset(
+        series=tuple(build_series(f"m{i}", [m]) for i, m in enumerate(milli)),
+        interval_s=3600,
+        delta_max=EnergyQuantity(5000),
+    )
+    for _ in range(2):  # the first call builds the value index, the second reads it
+        rng = StubRng(uniforms=[0.5] * len(expected))
+        answers = dp_histogram(d, edges, EPS1, _ledger(), rng)
+        assert [a.value for a in answers] == [float(c) for c in expected]

@@ -482,3 +482,19 @@ def test_he_bill_encrypts_with_the_gateway_keypair(monkeypatch):
     g = _gateway()
     assert g.route(_req("r1", HeBill(usage_milli=(2, 3, 4), rates=(10, 20, 30)))).result == 200
     assert len(keys) == 3 and all(isinstance(k, he.PaillierKeypair) for k in keys)
+
+
+def test_he_bill_that_could_wrap_the_modulus_is_an_audited_error():
+    g = _gateway()
+    n = g._keypair().public.n
+    with pytest.raises(RequestFailed, match="BillingOverflow"):
+        g.route(_req("r1", HeBill(usage_milli=(n - 1,), rates=(2,))))
+    assert g.route(_req("r2", HeBill(usage_milli=(2, 3), rates=(10, 20)))).result == 80
+    assert g.route(_req("r3", HeBill(usage_milli=(), rates=()))).result == 0
+    assert [(r.request_id, r.decision, r.mechanism, r.epsilon_spent)
+            for r in g.audit_log.records] == [
+        ("r1", "error:BillingOverflow", "paillier", 0.0),
+        ("r2", "allowed", "paillier", 0.0),
+        ("r3", "allowed", "paillier", 0.0),
+    ]
+    assert verify_chain(g.audit_log.records).valid

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amiprivacy.he import (
+    BadCiphertext,
     BadRandomizer,
     BillingOverflow,
     Ciphertext,
@@ -313,3 +314,25 @@ def test_keygen_draws_the_same_primes_from_its_rng():
     assert keypair.public.n == 139050774322062516671439730761209496673
     assert keypair.lam == 11587564526838543053969776539977605380
     assert rng.random() == 0.34561164153388146
+
+
+class TestBadCiphertext:
+    KEY = keygen(128, random.Random(44))
+
+    @pytest.mark.parametrize("value", [
+        lambda n: 0, lambda n: n, lambda n: n * n + 5, lambda n: n * n, lambda n: -1,
+    ])
+    def test_non_units_rejected(self, value):
+        n = self.KEY.public.n
+        with pytest.raises(BadCiphertext):
+            decrypt(self.KEY, Ciphertext(value=value(n), key_id=self.KEY.public.key_id))
+
+    def test_value_sharing_a_factor_rejected(self):
+        for value in (SMALL.p, SMALL.q * 7, 143 * 143 - SMALL.p):
+            with pytest.raises(BadCiphertext):
+                decrypt(SMALL, Ciphertext(value=value, key_id=SMALL.public.key_id))
+
+    def test_fold_identity_and_largest_unit_accepted(self):
+        assert decrypt(SMALL, encryption_of_zero(SMALL.public)) == 0
+        c = Ciphertext(value=143 * 143 - 1, key_id=SMALL.public.key_id)
+        assert decrypt(SMALL, c) == reference_decrypt(SMALL, c)

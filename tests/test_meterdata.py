@@ -1,5 +1,6 @@
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -349,3 +350,57 @@ class TestLateBadRow:
         with pytest.raises(MixedInterval) as err:
             self._parse(lines, {self.BAD_LINE: ""})
         assert err.value.meter_id == "m0833"
+
+
+def _one_meter(milli_values):
+    return FeederDataset(series=(build_series("m0", milli_values),), interval_s=3600,
+                         delta_max=CAP)
+
+
+class TestMemoizedViews:
+    def test_serialize_twice_gives_the_same_text_and_round_trips(self):
+        d = FeederDataset(series=(build_series("a", [0, 1, 999]), build_series("b", [5000, 1])),
+                          interval_s=3600, delta_max=CAP)
+        first = serialize_csv(d)
+        assert serialize_csv(d) == first
+        assert parse_csv(first, 3600, CAP) == d
+
+    def test_views_are_built_on_first_use_only(self):
+        d = parse_csv(serialize_csv(make_uniform_dataset(2, 100, 3)), 3600, CAP)
+        assert d._memo == {}
+        d.value_index()
+        assert set(d._memo) == {"value_index"}
+        text = serialize_csv(d)
+        assert set(d._memo) == {"value_index", "csv"}
+        assert serialize_csv(d) is text
+
+    def test_datasets_with_different_values_never_share_an_entry(self):
+        a, b = _one_meter([1, 2, 3]), _one_meter([1, 2, 4])
+        text_a, text_b = serialize_csv(a), serialize_csv(b)
+        assert text_a != text_b
+        assert serialize_csv(a) == text_a
+        assert parse_csv(text_a, 3600, CAP) == a and parse_csv(text_b, 3600, CAP) == b
+        assert a.value_index()[0].tolist() == [1, 2, 3]
+        assert b.value_index()[0].tolist() == [1, 2, 4]
+
+    def test_value_index_counts_readings_below_each_value(self):
+        d = FeederDataset(series=(build_series("a", [5, 0, 5]), build_series("b", [7, 5])),
+                          interval_s=3600, delta_max=CAP)
+        values, below = d.value_index()
+        assert values.tolist() == [0, 5, 7]
+        assert below.tolist() == [0, 1, 4, 5]
+        assert values.dtype == below.dtype == np.int64
+        assert not values.flags.writeable and not below.flags.writeable
+        assert d.value_index()[1] is below
+        empty_values, empty_below = _one_meter([]).value_index()
+        assert empty_values.tolist() == [] and empty_below.tolist() == [0]
+
+    def test_filled_memo_keeps_equality_and_immutability(self):
+        d, fresh = make_uniform_dataset(2, 100, 3), make_uniform_dataset(2, 100, 3)
+        serialize_csv(d)
+        d.value_index()
+        assert d == fresh and fresh == d
+        assert d != _one_meter([100, 100, 100])
+        for name in ("milli_kwh", "_memo"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
