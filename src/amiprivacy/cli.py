@@ -189,19 +189,23 @@ def smpc_sum_main(argv=None) -> int:
     parser.add_argument("infile")
     args = parser.parse_args(argv)
 
-    inputs = []
-    for line in Path(args.infile).read_text().splitlines():
-        if not line.strip():
-            continue
-        party_id, kwh = line.split(",")
-        inputs.append(
-            smpc.PartyInput(
-                party_id=party_id.strip(),
-                secret=EnergyQuantity.from_kwh_text(kwh).milli_kwh,
-            )
-        )
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
-    result = smpc.secure_sum(inputs, args.min_participants, rng)
+    try:
+        inputs = []
+        for line in Path(args.infile).read_text().splitlines():
+            if not line.strip():
+                continue
+            party_id, kwh = line.split(",")
+            inputs.append(
+                smpc.PartyInput(
+                    party_id=party_id.strip(),
+                    secret=EnergyQuantity.from_kwh_text(kwh).milli_kwh,
+                )
+            )
+        result = smpc.secure_sum(inputs, args.min_participants, rng)
+    except (smpc.SmpcError, ValueError, OSError) as exc:
+        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
+        return 1
     lines = [f"{m.sender},{m.recipient},{m.value}" for m in result.transcript.messages]
     Path(args.transcript).write_text("\n".join(lines) + ("\n" if lines else ""))
     if result.aborted:
@@ -274,17 +278,17 @@ def he_decrypt_main(argv=None) -> int:
     parser.add_argument("ct_hex", help="hex ciphertext, or a path to a file holding it")
     args = parser.parse_args(argv)
 
-    data = json.loads(Path(args.key).read_text())
-    text = args.ct_hex
-    if Path(text).exists():
-        text = Path(text).read_text().strip()
     try:
+        data = json.loads(Path(args.key).read_text())
+        text = args.ct_hex
+        if Path(text).exists():
+            text = Path(text).read_text().strip()
         keypair = he.keypair_from_secret(
             int(data["n"]), int(data["lambda"]), int(data["mu"]), data["key_id"]
         )
         ct = he.Ciphertext(value=int(text, 16), key_id=data["key_id"])
         plaintext = he.decrypt(keypair, ct)
-    except (he.HeError, KeyError, ValueError) as exc:
+    except (he.HeError, KeyError, ValueError, OSError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 1
     print(plaintext)

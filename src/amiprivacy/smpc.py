@@ -1,24 +1,27 @@
 """Additive-secret-sharing secure sum among simulated parties.
 
-A secret s is split into n shares mod M = 2^64: n-1 shares are drawn
-uniformly and the last is s minus their sum mod M, so any proper subset
-of shares is uniform and carries no information. To sum privately, each
-party distributes one share of its input to every party, each party sums
-what it received (a share of the total), and the partial sums are
-combined. The run is recorded in a transcript of every transmitted value
-so the audit layer can verify that only shares, never raw secrets, were
-sent. Below the participation threshold the protocol aborts before any
-share leaves a party.
-
-Honest-but-curious parties only; all parties live in one process and
-messages are delivered at round boundaries.
+A secret s is split into n shares mod M = 2^64: n-1 uniform draws and s
+minus their sum, so any proper subset of shares is uniform and carries no
+information. `secure_sum` keeps a run's shares in one (n, n) uint64 matrix
+whose row i is what party i sends. Parties draw in input order, each its
+n-1 shares from one rng.getrandbits(64(n-1)); the last column is the
+secret minus the row sum, party j's partial is column j's sum and the
+total is the partials' sum, wrapping mod 2^64 as uint64 does. Each party
+refuses a secret of M // (2n) or more (n is public, so the bound reveals
+nothing; n secrets below it sum below M/2), and below the participation
+threshold the run aborts, both before any share leaves. The transcript's
+messages, which let the audit layer check that no raw secret was sent, are
+a lazy sequence over the matrix: the n^2 share deliveries row-major, then
+the n(n-1) partial broadcasts. Honest-but-curious parties, in one process.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 MODULUS = 2**64
 
@@ -38,7 +41,7 @@ class DuplicateParty(SmpcError):
 
 
 class SumOverflow(SmpcError):
-    """Decoded result landed in the wrap-around half of the modulus."""
+    """A secret exceeds its per-party bound, or the result wrapped the modulus."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,11 +68,28 @@ class TranscriptMessage:
     value: int
 
 
+class TranscriptMessages(Sequence):
+    """The 2n^2 - n messages of one run, each built when it is read."""
+
+    def __init__(self, ids: tuple[str, ...], shares: np.ndarray, partials: np.ndarray):
+        self._ids, self._shares, self._partials = ids, shares, partials
+
+    def __len__(self) -> int:
+        return 2 * self._shares.size - len(self._ids)
+
+    def __getitem__(self, k: int) -> TranscriptMessage:
+        k, n, ids = range(len(self))[k], len(self._ids), self._ids  # IndexError past the end
+        if k < n * n:
+            return TranscriptMessage(ids[k // n], ids[k % n], int(self._shares.flat[k]))
+        i, j = divmod(k - n * n, n - 1)  # party i broadcasts to every j != i
+        return TranscriptMessage(ids[i], ids[j + (j >= i)], int(self._partials[i]))
+
+
 @dataclass(frozen=True)
 class ProtocolTranscript:
     """Append-only record of every transmitted value plus the outcome."""
 
-    messages: tuple[TranscriptMessage, ...]
+    messages: Sequence[TranscriptMessage]
     result: int | None
     abort_reason: str | None = None
 
@@ -113,45 +133,24 @@ def reconstruct(shares: Sequence[Share]) -> int:
 def secure_sum(
     inputs: Sequence[PartyInput], min_participants: int, rng: random.Random
 ) -> SecureSumResult:
-    """Run the n-party secure sum, or abort below the participation floor.
-
-    Round 1: every party sends one share of its secret to each of the n
-    parties (keeping its own by self-delivery). Round 2: each party
-    broadcasts its local sum of received shares. The combined partial
-    sums equal the plain sum of the inputs, exactly.
-    """
-    ids = [p.party_id for p in inputs]
+    """Run the n-party secure sum, or abort below the participation floor."""
+    ids = tuple(p.party_id for p in inputs)
     if len(set(ids)) != len(ids):
         raise DuplicateParty("party ids must be distinct")
-
-    if len(inputs) < min_participants:
-        transcript = ProtocolTranscript(
-            messages=(), result=None, abort_reason=ABORT_NOT_ENOUGH_PARTICIPANTS
-        )
-        return SecureSumResult(total=None, transcript=transcript)
-
     n = len(inputs)
-    messages: list[TranscriptMessage] = []
-    mailboxes: dict[str, list[int]] = {pid: [] for pid in ids}
-
-    for party in inputs:
-        shares = share(party.secret, n, rng, origin_party=party.party_id, holders=ids)
-        for s in shares:
-            messages.append(
-                TranscriptMessage(sender=party.party_id, recipient=s.holder_party, value=s.value)
-            )
-            mailboxes[s.holder_party].append(s.value)
-
-    partials = {pid: sum(mailboxes[pid]) % MODULUS for pid in ids}
-    for pid in ids:
-        for other in ids:
-            if other != pid:
-                messages.append(
-                    TranscriptMessage(sender=pid, recipient=other, value=partials[pid])
-                )
-
-    total = sum(partials.values()) % MODULUS
+    if n < min_participants:
+        return SecureSumResult(None, ProtocolTranscript((), None, ABORT_NOT_ENOUGH_PARTICIPANTS))
+    if n < 2:  # a lone party would send its raw secret to itself
+        raise InvalidPartyCount("need at least 2 parties")
+    if any(p.secret >= MODULUS // (2 * n) for p in inputs):
+        raise SumOverflow(f"a secret is at or above the per-party bound M/(2n), n={n}")
+    drawn = b"".join(rng.getrandbits(64 * (n - 1)).to_bytes(8 * (n - 1), "little") for _ in ids)
+    drawn = np.frombuffer(drawn, dtype="<u8").reshape(n, n - 1)
+    secrets = np.array([p.secret for p in inputs], dtype=np.uint64)
+    shares = np.column_stack([drawn, secrets - drawn.sum(axis=1, dtype=np.uint64)])
+    partials = shares.sum(axis=0, dtype=np.uint64)
+    total = int(partials.sum(dtype=np.uint64))
     if total >= MODULUS // 2:
         raise SumOverflow("secure sum wrapped the modulus; inputs exceeded headroom")
-    transcript = ProtocolTranscript(messages=tuple(messages), result=total)
+    transcript = ProtocolTranscript(TranscriptMessages(ids, shares, partials), result=total)
     return SecureSumResult(total=total, transcript=transcript)

@@ -468,3 +468,39 @@ def test_gateway_serve_repeats_raw_export_and_histogram(
     expected = [[c + dp.laplace_sample(1 / 0.25, rng.random()) for c in (0, 6 * 24, 0)]
                 for _ in range(2)]
     assert [replies[1]["result"], replies[3]["result"]] == expected
+
+
+@pytest.mark.parametrize("rows, error", [
+    ("alice,3.000\nbob,5.000\nalice,9.000\n", "DuplicateParty"),
+    ("alice,3.000\nbob,5.000,extra\ncarol,9.000\n", "ValueError"),
+    ("alice,3.000\nbob,-5.000\ncarol,9.000\n", "ValueError"),
+    ("alice,3.0001\nbob,5.000\ncarol,9.000\n", "ValueError"),
+    (f"alice,{2**62 // 1000}.000\nbob,5.000\ncarol,9.000\n", "SumOverflow"),
+    (None, "FileNotFoundError"),
+])
+def test_smpc_sum_reports_bad_input_without_a_transcript(tmp_path, capsys, rows, error):
+    inputs = tmp_path / "inputs.csv"
+    if rows is not None:
+        inputs.write_text(rows)
+    transcript = tmp_path / "transcript.csv"
+    rc = cli.smpc_sum_main([
+        "--min-participants", "3", "--seed", "4",
+        "--transcript", str(transcript), str(inputs),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error={error} detail=")
+    assert not transcript.exists()
+
+
+@pytest.mark.parametrize("key_text, error", [(None, "FileNotFoundError"),
+                                             ("not json\n", "JSONDecodeError")])
+def test_he_decrypt_reports_an_unreadable_key_file(tmp_path, capsys, key_text, error):
+    key = tmp_path / "key.secret"
+    if key_text is not None:
+        key.write_text(key_text)
+    assert cli.he_decrypt_main(["--key", str(key), "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error={error} detail=")

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amiprivacy import dp
 from amiprivacy.smpc import (
     ABORT_NOT_ENOUGH_PARTICIPANTS,
     MODULUS,
@@ -10,6 +11,8 @@ from amiprivacy.smpc import (
     InvalidPartyCount,
     PartyInput,
     Share,
+    SumOverflow,
+    TranscriptMessage,
     reconstruct,
     secure_sum,
     share,
@@ -119,3 +122,72 @@ class TestSecureSum:
     def test_result_recorded_in_transcript(self):
         result = secure_sum(_inputs([1, 2, 3]), 3, random.Random(0))
         assert result.transcript.result == 6
+
+
+class TestPerPartyBound:
+    def test_secrets_that_would_wrap_are_refused(self):
+        rng = random.Random(2)
+        with pytest.raises(SumOverflow):
+            secure_sum(_inputs([2**63 - 1] * 3), 3, rng)
+
+    def test_largest_secrets_below_the_bound_sum_exactly(self):
+        for n in (2, 3, 7, 12):
+            bound = MODULUS // (2 * n)
+            result = secure_sum(_inputs([bound - 1] * n), n, random.Random(n))
+            assert result.total == n * (bound - 1)
+            with pytest.raises(SumOverflow):
+                secure_sum(_inputs([bound - 1] * (n - 1) + [bound]), n, random.Random(n))
+
+    def test_refused_before_any_draw(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(SumOverflow):
+            secure_sum(_inputs([1, MODULUS // 4]), 2, rng)
+        assert rng.getstate() == state
+
+    def test_a_lone_party_is_refused(self):
+        with pytest.raises(InvalidPartyCount):
+            secure_sum(_inputs([5]), 1, random.Random(0))
+
+
+def _check_columnar_transcript(secrets, result):
+    n, ids = len(secrets), [f"p{i}" for i in range(len(secrets))]
+    assert result.total == sum(secrets)
+    messages = result.transcript.messages
+    assert len(messages) == 2 * n * n - n
+    listed = list(messages)
+    assert len(listed) == len(messages)
+
+    deliveries, broadcasts = listed[: n * n], listed[n * n:]
+    assert [(m.sender, m.recipient) for m in deliveries] == [(a, b) for a in ids for b in ids]
+    for i, secret in enumerate(secrets):
+        assert sum(m.value for m in deliveries[i * n:(i + 1) * n]) % MODULUS == secret
+    partials = {j: sum(deliveries[i * n + j].value for i in range(n)) % MODULUS
+                for j in range(n)}
+    assert [(m.sender, m.recipient, m.value) for m in broadcasts] == [
+        (a, b, partials[i]) for i, a in enumerate(ids) for b in ids if b != a]
+    assert sum(partials.values()) % MODULUS == result.total
+
+    for k in (0, n * n - 1, n * n, len(listed) - 1, -1, -len(listed)):
+        assert messages[k] == listed[k]
+        assert type(messages[k]) is TranscriptMessage and type(messages[k].value) is int
+    for k in (len(listed), -len(listed) - 1):
+        with pytest.raises(IndexError):
+            messages[k]
+
+
+class TestColumnarTranscript:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=12),
+           st.integers(min_value=0, max_value=2**32))
+    def test_transcript_layout(self, data, n, seed):
+        bound = MODULUS // (2 * n)
+        secrets = data.draw(st.lists(st.integers(min_value=0, max_value=bound - 1),
+                                     min_size=n, max_size=n))
+        result = secure_sum(_inputs(secrets), n, random.Random(seed))
+        _check_columnar_transcript(secrets, result)
+
+    def test_with_the_system_generator(self):
+        secrets = [3000, 5000, 9000, 12_345, 0]
+        result = secure_sum(_inputs(secrets), 5, dp.default_rng())
+        _check_columnar_transcript(secrets, result)
