@@ -20,10 +20,20 @@ from .anonymize import PseudonymKey, pseudonymize
 from .meterdata import (
     EnergyQuantity,
     FeederDataset,
+    MeterDataError,
     iso_to_epoch,
     parse_csv,
     serialize_csv,
 )
+
+# What bad input files and arguments raise: one error= line and exit 1, no traceback.
+_INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError, MeterDataError,
+                 dp.DpError, he.HeError, smpc.SmpcError)
+
+
+def _error(exc: Exception) -> int:
+    print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
+    return 1
 
 
 def _read_dataset(path: str, interval_s: int, delta_max_kwh: str) -> FeederDataset:
@@ -78,14 +88,14 @@ def dp_query_main(argv=None) -> int:
     parser.add_argument("infile")
     args = parser.parse_args(argv)
 
-    dataset = _read_dataset(args.infile, args.interval, args.delta_max)
     ledger_path = Path(args.ledger)
-    ledger = dp.BudgetLedger.from_lines(
-        ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
-    )
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
     dp_op = gw.DP_OPS[args.op]
     try:
+        dataset = _read_dataset(args.infile, args.interval, args.delta_max)
+        ledger = dp.BudgetLedger.from_lines(
+            ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
+        )
         params = dp.PrivacyParams(epsilon=args.epsilon, delta=args.delta)
         query = gw.DpQuery(
             op=args.op, epsilon=args.epsilon, delta=args.delta,
@@ -93,9 +103,8 @@ def dp_query_main(argv=None) -> int:
             edges=None if args.edges is None else tuple(float(e) for e in args.edges.split(",")),
         )
         summary = dp_op.summarize(dp_op.release(dataset, query, params, ledger, rng))
-    except (dp.DpError, ValueError) as exc:
-        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-        return 1
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     lines = ([f"bin{i}={v!r}" for i, v in enumerate(summary)] if isinstance(summary, list)
              else [f"value={summary['value']!r}"])
     print("\n".join(lines))
@@ -203,9 +212,8 @@ def smpc_sum_main(argv=None) -> int:
                 )
             )
         result = smpc.secure_sum(inputs, args.min_participants, rng)
-    except (smpc.SmpcError, ValueError, OSError) as exc:
-        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-        return 1
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     lines = [f"{m.sender},{m.recipient},{m.value}" for m in result.transcript.messages]
     Path(args.transcript).write_text("\n".join(lines) + ("\n" if lines else ""))
     if result.aborted:
@@ -253,21 +261,20 @@ def he_bill_main(argv=None) -> int:
     parser.add_argument("usage_csv", help="CSV of per-interval kWh decimals")
     args = parser.parse_args(argv)
 
-    pub = _load_public(args.pub)
-    rates = he.RateSchedule(tuple(
-        int(line) for line in Path(args.rates).read_text().split() if line.strip()
-    ))
-    usage_milli = [
-        EnergyQuantity.from_kwh_text(line).milli_kwh
-        for line in Path(args.usage_csv).read_text().split() if line.strip()
-    ]
     rng = dp.default_rng()
     try:
+        pub = _load_public(args.pub)
+        rates = he.RateSchedule(tuple(
+            int(line) for line in Path(args.rates).read_text().split() if line.strip()
+        ))
+        usage_milli = [
+            EnergyQuantity.from_kwh_text(line).milli_kwh
+            for line in Path(args.usage_csv).read_text().split() if line.strip()
+        ]
         cts = [he.encrypt(pub, m, he.draw_randomizer(pub, rng)) for m in usage_milli]
         bill = he.encrypted_bill(cts, rates, pub, usage_cap=max(usage_milli, default=0))
-    except he.HeError as exc:
-        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-        return 1
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     print(format(bill.value, "x"))
     return 0
 
@@ -288,9 +295,8 @@ def he_decrypt_main(argv=None) -> int:
         )
         ct = he.Ciphertext(value=int(text, 16), key_id=data["key_id"])
         plaintext = he.decrypt(keypair, ct)
-    except (he.HeError, KeyError, ValueError, OSError) as exc:
-        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-        return 1
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     print(plaintext)
     return 0
 
@@ -355,21 +361,14 @@ def _request_id(line: str) -> object:
 
 
 def audit_record_to_dict(rec: gw.AuditRecord) -> dict:
-    return {
-        "seq": rec.seq, "request_id": rec.request_id, "requester": rec.requester,
-        "decision": rec.decision, "mechanism": rec.mechanism,
-        "epsilon_spent": rec.epsilon_spent, "timestamp": rec.timestamp,
-        "prev_hash": rec.prev_hash.hex(), "hash": rec.hash.hex(),
-    }
+    """The record's fields in declaration order, digests as hex."""
+    return {**vars(rec), "prev_hash": rec.prev_hash.hex(), "hash": rec.hash.hex()}
 
 
 def audit_record_from_dict(data: dict) -> gw.AuditRecord:
-    return gw.AuditRecord(
-        seq=data["seq"], request_id=data["request_id"], requester=data["requester"],
-        decision=data["decision"], mechanism=data["mechanism"],
-        epsilon_spent=data["epsilon_spent"], timestamp=data["timestamp"],
-        prev_hash=bytes.fromhex(data["prev_hash"]), hash=bytes.fromhex(data["hash"]),
-    )
+    """Inverse of audit_record_to_dict; a missing or unknown field raises TypeError."""
+    return gw.AuditRecord(**{**data, "prev_hash": bytes.fromhex(data["prev_hash"]),
+                             "hash": bytes.fromhex(data["hash"])})
 
 
 def gateway_main(argv=None) -> int:
@@ -382,19 +381,17 @@ def gateway_main(argv=None) -> int:
     serve.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
-    config = _parse_policy_file(args.policy)
-    dataset = _read_dataset(
-        str(Path(args.data) / "readings.csv"),
-        int(config.get("interval_s", 3600)),
-        str(config.get("delta_max_kwh", "5.0")),
-    )
-    policy = gw.PolicyConfig(
-        epsilon_cap=float(config.get("epsilon_cap", 1.0)),
-        min_aggregation_count=int(config.get("min_aggregation_count", 100)),
-        k_anonymity_k=int(config.get("k", 5)),
-        allow_raw_primary=bool(config.get("allow_raw_primary", True)),
-        memorization_threshold=float(config.get("memorization_threshold", 0.01)),
-    )
+    try:
+        config = _parse_policy_file(args.policy)
+        interval_s, delta_max = config.pop("interval_s", 3600), config.pop("delta_max_kwh", 5.0)
+        # The other keys are PolicyConfig's fields, k standing for k_anonymity_k;
+        # an unknown key raises TypeError.
+        k = {"k_anonymity_k": config.pop("k")} if "k" in config else {}
+        policy = gw.PolicyConfig(**config, **k)
+        dataset = _read_dataset(
+            str(Path(args.data) / "readings.csv"), int(interval_s), str(delta_max))
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     ledger = dp.BudgetLedger(epsilon_cap=policy.epsilon_cap)
 
     # One line-buffered handle per session: each record reaches the file
@@ -434,11 +431,14 @@ def audit_show_main(argv=None) -> int:
     parser.add_argument("--verify", action="store_true")
     args = parser.parse_args(argv)
 
-    records = [
-        audit_record_from_dict(json.loads(line))
-        for line in Path(args.log).read_text().splitlines()
-        if line.strip()
-    ]
+    try:
+        records = [
+            audit_record_from_dict(json.loads(line))
+            for line in Path(args.log).read_text().splitlines()
+            if line.strip()
+        ]
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
     for rec in records:
         print(f"{rec.seq},{rec.request_id},{rec.requester},{rec.decision},"
               f"{rec.mechanism},{rec.epsilon_spent},{rec.hash.hex()[:16]}")

@@ -33,7 +33,7 @@ import random
 import secrets
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -327,13 +327,7 @@ def dp_mean(
     noisy_sum = laplace_mechanism(
         true_sum, Sensitivity(d.delta_max.kwh), p, rng, query_id=query_id
     )
-    return DpAnswer(
-        value=noisy_sum.value / count,
-        mechanism="laplace",
-        params=p,
-        sensitivity=noisy_sum.sensitivity,
-        query_id=query_id,
-    )
+    return replace(noisy_sum, value=noisy_sum.value / count)
 
 
 def dp_histogram(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -78,7 +78,7 @@ class ModelParams:
 @dataclass(frozen=True)
 class ClientUpdate:
     client_id: str
-    weights: ModelParams
+    weights: ModelParams | None  # None once masked: the upload hides the plaintext
     n_samples: int
     masked: bool = False
     # Masked payload: fixed-point coordinates mod 2^64. Present iff masked,
@@ -88,6 +88,8 @@ class ClientUpdate:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if (self.weights is None) == (self.fixed_values is None):
+            raise ValueError("an update carries exactly one of weights and fixed_values")
         if self.masked != (self.fixed_values is not None):
             raise ValueError("masked updates carry fixed_values; unmasked must not")
 
@@ -226,13 +228,7 @@ def mask_update(update: ClientUpdate, pairwise_seeds: Mapping[str, int]) -> Clie
         sign = 1 if peer_id > update.client_id else -1
         for k in range(len(fixed)):
             fixed[k] = (fixed[k] + sign * stream[k]) % MASK_MODULUS
-    return ClientUpdate(
-        client_id=update.client_id,
-        weights=update.weights,
-        n_samples=update.n_samples,
-        masked=True,
-        fixed_values=tuple(fixed),
-    )
+    return replace(update, weights=None, masked=True, fixed_values=tuple(fixed))
 
 
 def aggregate_masked(updates: Sequence[ClientUpdate]) -> np.ndarray:
@@ -243,7 +239,7 @@ def aggregate_masked(updates: Sequence[ClientUpdate]) -> np.ndarray:
     """
     if not updates:
         raise EmptyUpdateList("need at least one masked update")
-    if any(not u.masked or u.fixed_values is None for u in updates):
+    if any(not u.masked for u in updates):
         raise ValueError("aggregate_masked operates on masked updates")
     dim = len(updates[0].fixed_values)
     if any(len(u.fixed_values) != dim for u in updates):
@@ -267,9 +263,7 @@ def dp_noise_update(
         w = w * (cfg.clip_norm / norm)
     if cfg.dp_sigma > 0:
         w = w + np.array([rng.gauss(0.0, cfg.dp_sigma) for _ in range(len(w))])
-    return ClientUpdate(
-        client_id=update.client_id, weights=ModelParams(w), n_samples=update.n_samples
-    )
+    return replace(update, weights=ModelParams(w))
 
 
 def _derived_seed(*parts: object) -> int:
@@ -343,11 +337,7 @@ def run_federation(
                     for v in updates
                     if v.client_id != u.client_id
                 }
-                scaled = ClientUpdate(
-                    client_id=u.client_id,
-                    weights=ModelParams(u.weights.weights * u.n_samples),
-                    n_samples=u.n_samples,
-                )
+                scaled = replace(u, weights=ModelParams(u.weights.weights * u.n_samples))
                 masked.append(mask_update(scaled, peer_seeds))
             global_w = aggregate_masked(masked) / total_n
         else:

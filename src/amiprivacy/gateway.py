@@ -7,7 +7,8 @@ Decision matrix
                      Secondary: allowed iff consent, else ConsentRequired.
     DpQuery          allowed iff the budget ledger has headroom.
     SynthGenerate    allowed once the memorization check passes.
-    AggregateReport  allowed iff every group meets min_aggregation_count.
+    AggregateReport  allowed iff every group has at least
+                     max(min_aggregation_count, k_anonymity_k) members.
     FedTrain / SmpcSum / HeBill
                      allowed for both purposes: only protected outputs
                      (model parameters, protocol sums, a total bill) leave.
@@ -144,6 +145,8 @@ class PolicyConfig:
             raise ValueError("policy thresholds must be positive")
         if self.memorization_threshold < 0:
             raise ValueError("memorization_threshold must be non-negative")
+        if not isinstance(self.allow_raw_primary, bool):
+            raise TypeError("allow_raw_primary must be true or false")
 
 
 @dataclass(frozen=True)
@@ -214,21 +217,8 @@ class AuditLog:
     ) -> AuditRecord:
         seq = len(self._records)
         prev_hash = self._records[-1].hash if self._records else GENESIS_HASH
-        timestamp = time.time()
-        payload = _record_payload(
-            seq, request_id, requester, decision, mechanism, epsilon_spent, timestamp
-        )
-        record = AuditRecord(
-            seq=seq,
-            request_id=request_id,
-            requester=requester,
-            decision=decision,
-            mechanism=mechanism,
-            epsilon_spent=epsilon_spent,
-            timestamp=timestamp,
-            prev_hash=prev_hash,
-            hash=_record_hash(prev_hash, payload),
-        )
+        fields = (seq, request_id, requester, decision, mechanism, epsilon_spent, time.time())
+        record = AuditRecord(*fields, prev_hash, _record_hash(prev_hash, _record_payload(*fields)))
         if self._writer is not None:
             try:
                 self._writer(record)
@@ -278,14 +268,12 @@ class Gateway:
         ledger: dp.BudgetLedger,
         audit_log: AuditLog,
         rng=None,
-        he_bits: int = 512,
     ):
         self.dataset = dataset
         self.policy = policy
         self.ledger = ledger
         self.audit_log = audit_log
         self.rng = rng if rng is not None else dp.default_rng()
-        self._he_bits = he_bits
         self._he_keypair: he.PaillierKeypair | None = None
         self._seen_ids: set[str] = set()
         self._lock = threading.Lock()
@@ -368,7 +356,8 @@ class Gateway:
             key: [EnergyQuantity(totals[m]) for m in meters if m in totals]
             for key, meters in req.operation.groups
         }
-        policy = anonymize.AggregationPolicy(min_count=self.policy.min_aggregation_count)
+        policy = anonymize.AggregationPolicy(
+            min_count=max(self.policy.min_aggregation_count, self.policy.k_anonymity_k))
         report = anonymize.aggregate_threshold(groups, policy)
         if any(isinstance(v, anonymize.Suppressed) for v in report.values()):
             return Decision(allowed=False, reason=DenialReason.BELOW_AGGREGATION_THRESHOLD)
@@ -376,7 +365,7 @@ class Gateway:
 
     def _keypair(self) -> he.PaillierKeypair:
         if self._he_keypair is None:
-            self._he_keypair = he.keygen(self._he_bits, self.rng)
+            self._he_keypair = he.keygen(512, self.rng)  # billing key, made on first use
         return self._he_keypair
 
 

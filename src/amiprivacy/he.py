@@ -77,6 +77,10 @@ class InvalidSecretKey(HeError):
     """A stored secret key does not factor its n or disagrees with itself."""
 
 
+class InvalidPublicKey(HeError):
+    """g is not n + 1, or key_id is not the digest of n."""
+
+
 class BillingOverflow(HeError):
     """The rate schedule could push the plaintext bill past the modulus."""
 
@@ -90,6 +94,11 @@ class PaillierPublicKey:
     n: int
     g: int
     key_id: str
+
+    def __post_init__(self):
+        # encrypt relies on g = n + 1; the key_id names n and nothing else.
+        if self.g != self.n + 1 or self.key_id != _key_id(self.n):
+            raise InvalidPublicKey("public key needs g = n + 1 and key_id = digest of n")
 
     @property
     def n_squared(self) -> int:

@@ -281,19 +281,9 @@ def _rank_auc(member_scores: np.ndarray, other_scores: np.ndarray) -> float:
     if len(member_scores) == 0 or len(other_scores) == 0:
         return 0.5
     combined = np.concatenate([member_scores, other_scores])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(len(combined))
-    ranks[order] = np.arange(1, len(combined) + 1)
-    # Average ranks within tie groups.
-    sorted_vals = combined[order]
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
+    # Each tie group takes the mean of the 1-based ranks it spans.
+    _, group, counts = np.unique(combined, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     m = len(member_scores)
     u = ranks[:m].sum() - m * (m + 1) / 2.0
     return float(1.0 - u / (m * len(other_scores)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from amiprivacy import cli, dp, he
-from amiprivacy.gateway import verify_chain
+from amiprivacy.gateway import AuditLog, verify_chain
 from amiprivacy.meterdata import EnergyQuantity, parse_csv, serialize_csv
 from conftest import make_uniform_dataset, make_two_cluster_dataset
 
@@ -504,3 +504,129 @@ def test_he_decrypt_reports_an_unreadable_key_file(tmp_path, capsys, key_text, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error={error} detail=")
+
+
+def _explicit_audit_dict(rec):
+    """The audit line's fields as they were once listed by hand, in file order."""
+    return {
+        "seq": rec.seq, "request_id": rec.request_id, "requester": rec.requester,
+        "decision": rec.decision, "mechanism": rec.mechanism,
+        "epsilon_spent": rec.epsilon_spent, "timestamp": rec.timestamp,
+        "prev_hash": rec.prev_hash.hex(), "hash": rec.hash.hex(),
+    }
+
+
+def test_audit_codec_writes_the_explicit_field_dict_byte_for_byte():
+    log = AuditLog()
+    log.append_audit("r1", "ops", "allowed", "laplace", 0.25)
+    log.append_audit("r2", "vendor", "denied:ConsentRequired", "raw", 0.0)
+    log.append_audit("r3", "ops", "error:ValueError", "laplace", 1e-300)
+    for rec in log.records:
+        line = json.dumps(cli.audit_record_to_dict(rec))
+        assert line == json.dumps(_explicit_audit_dict(rec))
+        assert cli.audit_record_from_dict(json.loads(line)) == rec
+    with pytest.raises(TypeError):
+        cli.audit_record_from_dict({**_explicit_audit_dict(rec), "note": "x"})
+
+
+def _serve_status(tmp_path, monkeypatch, policy_text, csv_text, lines):
+    """`gateway serve` on the given files; return its status, stdin and audit path."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir(exist_ok=True)
+    (data_dir / "readings.csv").write_text(csv_text)
+    policy = tmp_path / "policy.conf"
+    policy.write_text(policy_text)
+    audit_path = tmp_path / "audit.jsonl"
+    stdin = io.StringIO("".join(line + "\n" for line in lines))
+    monkeypatch.setattr("sys.stdin", stdin)
+    rc = cli.gateway_main(["serve", "--policy", str(policy), "--data", str(data_dir),
+                           "--audit-log", str(audit_path), "--seed", "1"])
+    return rc, stdin, audit_path
+
+
+@pytest.mark.parametrize("bad_line, key", [("epsilon-cap = 0.1", "epsilon-cap"),
+                                           ("allow_raw_primary = no", "allow_raw_primary")])
+def test_gateway_serve_refuses_a_policy_key_it_would_not_enforce(
+    tmp_path, readings_csv, capsys, monkeypatch, bad_line, key
+):
+    lines = [_request("p1", {"kind": "raw_export"}),
+             _request("p2", {"kind": "dp_query", "op": "count", "epsilon": 0.9})]
+    rc, stdin, audit_path = _serve_status(
+        tmp_path, monkeypatch, f"{bad_line}\nmin_aggregation_count = 3\n",
+        readings_csv.read_text(), lines)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=TypeError detail=")
+    assert key in captured.err
+    assert stdin.tell() == 0
+    assert not audit_path.exists()
+
+
+def test_gateway_serve_reads_every_documented_policy_key(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    policy = ("epsilon_cap = 0.5\nmin_aggregation_count = 3\nk = 7\n"
+              "allow_raw_primary = false\nmemorization_threshold = 0.02\n"
+              "interval_s = 3600\ndelta_max_kwh = 5.0\n")
+    meters = [f"m{i:04d}" for i in range(6)]
+    lines = [_request("p1", {"kind": "raw_export"}),
+             _request("p2", {"kind": "dp_query", "op": "count", "epsilon": 0.9}),
+             _request("p3", {"kind": "aggregate_report", "groups": {"g": meters}})]
+    rc, _, _ = _serve_status(tmp_path, monkeypatch, policy, readings_csv.read_text(), lines)
+    assert rc == 0
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["reason"] for r in replies] == [
+        "PolicyViolation", "BudgetExhausted", "BelowAggregationThreshold"]
+
+
+def _dp_query_missing_infile(tmp_path, monkeypatch):
+    return cli.dp_query_main(["--op", "count", "--epsilon", "0.5", "--ledger",
+                              str(tmp_path / "ledger.csv"), str(tmp_path / "missing.csv")])
+
+
+def _he_bill_missing_pub(tmp_path, monkeypatch):
+    (tmp_path / "rates.csv").write_text("10\n")
+    (tmp_path / "usage.csv").write_text("0.002\n")
+    return cli.he_bill_main(["--pub", str(tmp_path / "missing.json"), "--rates",
+                             str(tmp_path / "rates.csv"), str(tmp_path / "usage.csv")])
+
+
+def _serve_malformed_readings(tmp_path, monkeypatch):
+    csv_text = "meter_id,timestamp,kwh\nm0000,2024-01-01T00:00:00Z\n"
+    return _serve_status(tmp_path, monkeypatch, "epsilon_cap = 1.0\n", csv_text,
+                         [_request("x1", {"kind": "raw_export"})])[0]
+
+
+def _audit_show_missing_log(tmp_path, monkeypatch):
+    return cli.audit_show_main(["--log", str(tmp_path / "missing.jsonl"), "--verify"])
+
+
+@pytest.mark.parametrize("run, error", [
+    (_dp_query_missing_infile, "FileNotFoundError"),
+    (_he_bill_missing_pub, "FileNotFoundError"),
+    (_serve_malformed_readings, "MalformedRow"),
+    (_audit_show_missing_log, "FileNotFoundError"),
+])
+def test_cli_reports_unreadable_input_as_an_error_line(tmp_path, capsys, monkeypatch, run, error):
+    assert run(tmp_path, monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error={error} detail=")
+    assert not (tmp_path / "ledger.csv").exists()
+    assert not (tmp_path / "audit.jsonl").exists()
+
+
+@pytest.mark.parametrize("override", [{"g": "7"}, {"key_id": "deadbeefdeadbeef"}])
+def test_he_bill_refuses_a_public_key_file_that_does_not_match_n(tmp_path, capsys, override):
+    pub = tmp_path / "keypair.json"
+    assert cli.he_keygen_main(["--bits", "128", "--out", str(pub)]) == 0
+    pub.write_text(json.dumps({**json.loads(pub.read_text()), **override}))
+    rates = tmp_path / "rates.csv"
+    rates.write_text("10\n20\n")
+    usage = tmp_path / "usage.csv"
+    usage.write_text("0.002\n0.003\n")
+    assert cli.he_bill_main(["--pub", str(pub), "--rates", str(rates), str(usage)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=InvalidPublicKey detail=")

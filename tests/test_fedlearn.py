@@ -154,6 +154,16 @@ class TestMasking:
         assert masked.masked
         assert masked.fixed_values != encode_fixed(w)
 
+    def test_masked_update_drops_the_plaintext_weights(self):
+        u = ClientUpdate("a", ModelParams(np.array([0.5, -1.5])), 7)
+        masked = mask_update(u, {"b": 99})
+        assert masked.weights is None
+        assert (masked.client_id, masked.n_samples) == ("a", 7)
+        with pytest.raises(ValueError):
+            ClientUpdate("a", ModelParams(np.zeros(2)), 1, masked=True, fixed_values=(0, 0))
+        with pytest.raises(ValueError):
+            ClientUpdate("a", None, 1)
+
     def test_single_client_mask_is_empty_sum(self):
         w = np.array([0.25, -0.75])
         u = ClientUpdate("solo", ModelParams(w), 1)

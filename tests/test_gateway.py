@@ -316,6 +316,21 @@ def test_aggregate_report_uses_cached_meter_totals():
     assert decision.result["all"].total.milli_kwh == total
 
 
+def test_aggregate_report_needs_k_members_when_k_exceeds_the_minimum():
+    policy = PolicyConfig(epsilon_cap=10.0, min_aggregation_count=3, k_anonymity_k=4)
+    g = _gateway(policy=policy)
+    meters = tuple(s.meter_id for s in g.dataset.series)
+    denied = g.route(_req("r1", AggregateReport(groups=(("g", meters[:3]),))))
+    assert denied == Decision(allowed=False, reason=DenialReason.BELOW_AGGREGATION_THRESHOLD)
+    assert g.route(_req("r2", AggregateReport(groups=(("g", meters[:4]),)))).allowed
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_policy_refuses_allow_raw_primary_that_is_not_a_bool(value):
+    with pytest.raises(TypeError):
+        PolicyConfig(allow_raw_primary=value)
+
+
 class FaultyRng(random.Random):
     """A seeded generator whose next uniform draw raises once `fail` is set."""
 

@@ -9,6 +9,7 @@ from amiprivacy.he import (
     BillingOverflow,
     Ciphertext,
     InvalidPrimes,
+    InvalidPublicKey,
     InvalidSecretKey,
     KeyMismatch,
     LengthMismatch,
@@ -336,3 +337,11 @@ class TestBadCiphertext:
         assert decrypt(SMALL, encryption_of_zero(SMALL.public)) == 0
         c = Ciphertext(value=143 * 143 - 1, key_id=SMALL.public.key_id)
         assert decrypt(SMALL, c) == reference_decrypt(SMALL, c)
+
+
+@pytest.mark.parametrize("g, key_id", [(7, None), (None, "deadbeefdeadbeef")])
+def test_public_key_needs_g_n_plus_1_and_the_key_id_of_n(g, key_id):
+    pub = SMALL.public
+    assert PaillierPublicKey(n=pub.n, g=pub.g, key_id=pub.key_id) == pub
+    with pytest.raises(InvalidPublicKey):
+        PaillierPublicKey(n=pub.n, g=g or pub.g, key_id=key_id or pub.key_id)

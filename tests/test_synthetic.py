@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amiprivacy.meterdata import EnergyQuantity, FeederDataset, serialize_csv
 from amiprivacy.synthetic import (
@@ -9,6 +10,7 @@ from amiprivacy.synthetic import (
     EmptySeries,
     GeneratorModel,
     TooFewSeries,
+    _rank_auc,
     fidelity_report,
     fit,
     generate,
@@ -224,3 +226,38 @@ class TestPrivacyCheck:
         empty = FeederDataset(series=(), interval_s=3600, delta_max=EnergyQuantity(5000))
         with pytest.raises(EmptyDataset):
             privacy_check(d, empty, threshold=0.1)
+
+
+def _loop_rank_auc(member_scores, other_scores):
+    """The tie loop _rank_auc used before np.unique, kept as the reference."""
+    if len(member_scores) == 0 or len(other_scores) == 0:
+        return 0.5
+    combined = np.concatenate([member_scores, other_scores])
+    order = np.argsort(combined, kind="mergesort")
+    ranks = np.empty(len(combined))
+    ranks[order] = np.arange(1, len(combined) + 1)
+    sorted_vals = combined[order]
+    i = 0
+    while i < len(sorted_vals):
+        j = i
+        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
+        i = j + 1
+    m = len(member_scores)
+    u = ranks[:m].sum() - m * (m + 1) / 2.0
+    return float(1.0 - u / (m * len(other_scores)))
+
+
+# Few distinct values, so most draws hold ties; lists may be empty.
+_scores = st.lists(st.sampled_from([0.0, 0.125, 0.5, 1.0 / 3.0, 2.0, 7.5]), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=_scores, others=_scores, spread=st.lists(
+    st.floats(0.0, 10.0, allow_nan=False), max_size=40))
+def test_rank_auc_matches_the_tie_loop_bit_for_bit(members, others, spread):
+    for a, b in ((members, others), (members + spread, others), (spread, others + spread)):
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        assert _rank_auc(a, b).hex() == _loop_rank_auc(a, b).hex()
