@@ -10,13 +10,14 @@ need no network stack.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import dp, fedlearn, gateway as gw, he, smpc, synthetic
-from .anonymize import PseudonymKey, pseudonymize
+from .anonymize import AnonymizeError, PseudonymKey, pseudonymize
 from .meterdata import (
     EnergyQuantity,
     FeederDataset,
@@ -27,13 +28,21 @@ from .meterdata import (
 )
 
 # What bad input files and arguments raise: one error= line and exit 1, no traceback.
-_INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError, MeterDataError,
-                 dp.DpError, he.HeError, smpc.SmpcError)
+_INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError, MeterDataError, AnonymizeError,
+                 dp.DpError, fedlearn.FedLearnError, he.HeError, smpc.SmpcError,
+                 synthetic.SyntheticError)
 
 
-def _error(exc: Exception) -> int:
-    print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
-    return 1
+def _console_script(main):
+    """Wrap an entry point: an input error prints `error=<Type> detail=...` and exits 1."""
+    @functools.wraps(main)
+    def run(argv=None) -> int:
+        try:
+            return main(argv)
+        except _INPUT_ERRORS as exc:
+            print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
+            return 1
+    return run
 
 
 def _read_dataset(path: str, interval_s: int, delta_max_kwh: str) -> FeederDataset:
@@ -48,6 +57,7 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
                         help="per-reading cap in kWh (default 5.0)")
 
 
+@_console_script
 def anonymize_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="anonymize", description="Replace the meter_id column with keyed pseudonyms."
@@ -72,6 +82,7 @@ def anonymize_main(argv=None) -> int:
     return 0
 
 
+@_console_script
 def dp_query_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dp-query", description="Answer one query under differential privacy."
@@ -91,27 +102,26 @@ def dp_query_main(argv=None) -> int:
     ledger_path = Path(args.ledger)
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
     dp_op = gw.DP_OPS[args.op]
-    try:
-        dataset = _read_dataset(args.infile, args.interval, args.delta_max)
-        ledger = dp.BudgetLedger.from_lines(
-            ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
-        )
-        params = dp.PrivacyParams(epsilon=args.epsilon, delta=args.delta)
-        query = gw.DpQuery(
-            op=args.op, epsilon=args.epsilon, delta=args.delta,
-            timestamp=None if args.timestamp is None else iso_to_epoch(args.timestamp),
-            edges=None if args.edges is None else tuple(float(e) for e in args.edges.split(",")),
-        )
-        summary = dp_op.summarize(dp_op.release(dataset, query, params, ledger, rng))
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    dataset = _read_dataset(args.infile, args.interval, args.delta_max)
+    ledger = dp.BudgetLedger.from_lines(
+        ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
+    )
+    params = dp.PrivacyParams(epsilon=args.epsilon, delta=args.delta)
+    query = gw.DpQuery(
+        op=args.op, epsilon=args.epsilon, delta=args.delta,
+        timestamp=None if args.timestamp is None else iso_to_epoch(args.timestamp),
+        edges=None if args.edges is None else tuple(float(e) for e in args.edges.split(",")),
+    )
+    summary = dp_op.summarize(dp_op.release(dataset, query, params, ledger, rng))
+    # The spend is recorded before the answer leaves: a failed write releases nothing.
+    ledger_path.write_text(ledger.to_lines())
     lines = ([f"bin{i}={v!r}" for i, v in enumerate(summary)] if isinstance(summary, list)
              else [f"value={summary['value']!r}"])
     print("\n".join(lines))
-    ledger_path.write_text(ledger.to_lines())
     return 0
 
 
+@_console_script
 def synth_gen_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="synth-gen", description="Fit the generator on real data and emit synthetic CSV."
@@ -132,6 +142,7 @@ def synth_gen_main(argv=None) -> int:
     return 0
 
 
+@_console_script
 def synth_check_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="synth-check", description="Fidelity and memorization reports, key=value lines."
@@ -156,6 +167,7 @@ def synth_check_main(argv=None) -> int:
     return 0
 
 
+@_console_script
 def fed_train_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fed-train", description="Federated training over round-robin meter shards."
@@ -188,6 +200,7 @@ def fed_train_main(argv=None) -> int:
     return 0
 
 
+@_console_script
 def smpc_sum_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="smpc-sum", description="n-party secure sum over party_id,kwh rows."
@@ -199,21 +212,18 @@ def smpc_sum_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
-    try:
-        inputs = []
-        for line in Path(args.infile).read_text().splitlines():
-            if not line.strip():
-                continue
-            party_id, kwh = line.split(",")
-            inputs.append(
-                smpc.PartyInput(
-                    party_id=party_id.strip(),
-                    secret=EnergyQuantity.from_kwh_text(kwh).milli_kwh,
-                )
+    inputs = []
+    for line in Path(args.infile).read_text().splitlines():
+        if not line.strip():
+            continue
+        party_id, kwh = line.split(",")
+        inputs.append(
+            smpc.PartyInput(
+                party_id=party_id.strip(),
+                secret=EnergyQuantity.from_kwh_text(kwh).milli_kwh,
             )
-        result = smpc.secure_sum(inputs, args.min_participants, rng)
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+        )
+    result = smpc.secure_sum(inputs, args.min_participants, rng)
     lines = [f"{m.sender},{m.recipient},{m.value}" for m in result.transcript.messages]
     Path(args.transcript).write_text("\n".join(lines) + ("\n" if lines else ""))
     if result.aborted:
@@ -223,6 +233,7 @@ def smpc_sum_main(argv=None) -> int:
     return 0
 
 
+@_console_script
 def he_keygen_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="he-keygen", description="Generate a Paillier keypair.")
     parser.add_argument("--bits", type=int, default=2048)
@@ -252,6 +263,7 @@ def _load_public(path: str) -> he.PaillierPublicKey:
     return he.PaillierPublicKey(n=int(data["n"]), g=int(data["g"]), key_id=data["key_id"])
 
 
+@_console_script
 def he_bill_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="he-bill", description="Compute an encrypted bill from usage and rates."
@@ -262,42 +274,36 @@ def he_bill_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = dp.default_rng()
-    try:
-        pub = _load_public(args.pub)
-        rates = he.RateSchedule(tuple(
-            int(line) for line in Path(args.rates).read_text().split() if line.strip()
-        ))
-        usage_milli = [
-            EnergyQuantity.from_kwh_text(line).milli_kwh
-            for line in Path(args.usage_csv).read_text().split() if line.strip()
-        ]
-        cts = [he.encrypt(pub, m, he.draw_randomizer(pub, rng)) for m in usage_milli]
-        bill = he.encrypted_bill(cts, rates, pub, usage_cap=max(usage_milli, default=0))
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    pub = _load_public(args.pub)
+    rates = he.RateSchedule(tuple(
+        int(line) for line in Path(args.rates).read_text().split() if line.strip()
+    ))
+    usage_milli = [
+        EnergyQuantity.from_kwh_text(line).milli_kwh
+        for line in Path(args.usage_csv).read_text().split() if line.strip()
+    ]
+    cts = [he.encrypt(pub, m, he.draw_randomizer(pub, rng)) for m in usage_milli]
+    bill = he.encrypted_bill(cts, rates, pub, usage_cap=max(usage_milli, default=0))
     print(format(bill.value, "x"))
     return 0
 
 
+@_console_script
 def he_decrypt_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="he-decrypt", description="Decrypt a ciphertext.")
     parser.add_argument("--key", required=True, help="secret key JSON path")
     parser.add_argument("ct_hex", help="hex ciphertext, or a path to a file holding it")
     args = parser.parse_args(argv)
 
-    try:
-        data = json.loads(Path(args.key).read_text())
-        text = args.ct_hex
-        if Path(text).exists():
-            text = Path(text).read_text().strip()
-        keypair = he.keypair_from_secret(
-            int(data["n"]), int(data["lambda"]), int(data["mu"]), data["key_id"]
-        )
-        ct = he.Ciphertext(value=int(text, 16), key_id=data["key_id"])
-        plaintext = he.decrypt(keypair, ct)
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
-    print(plaintext)
+    data = json.loads(Path(args.key).read_text())
+    text = args.ct_hex
+    if Path(text).exists():
+        text = Path(text).read_text().strip()
+    keypair = he.keypair_from_secret(
+        int(data["n"]), int(data["lambda"]), int(data["mu"]), data["key_id"]
+    )
+    ct = he.Ciphertext(value=int(text, 16), key_id=data["key_id"])
+    print(he.decrypt(keypair, ct))
     return 0
 
 
@@ -371,6 +377,7 @@ def audit_record_from_dict(data: dict) -> gw.AuditRecord:
                              "hash": bytes.fromhex(data["hash"])})
 
 
+@_console_script
 def gateway_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gateway", description="Policy-and-audit gateway.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,17 +388,13 @@ def gateway_main(argv=None) -> int:
     serve.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
-    try:
-        config = _parse_policy_file(args.policy)
-        interval_s, delta_max = config.pop("interval_s", 3600), config.pop("delta_max_kwh", 5.0)
-        # The other keys are PolicyConfig's fields, k standing for k_anonymity_k;
-        # an unknown key raises TypeError.
-        k = {"k_anonymity_k": config.pop("k")} if "k" in config else {}
-        policy = gw.PolicyConfig(**config, **k)
-        dataset = _read_dataset(
-            str(Path(args.data) / "readings.csv"), int(interval_s), str(delta_max))
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    config = _parse_policy_file(args.policy)
+    interval_s, delta_max = config.pop("interval_s", 3600), config.pop("delta_max_kwh", 5.0)
+    # The other keys are PolicyConfig's fields, k standing for k_anonymity_k;
+    # an unknown key or a value of the wrong type raises TypeError.
+    k = {"k_anonymity_k": config.pop("k")} if "k" in config else {}
+    policy = gw.PolicyConfig(**config, **k)
+    dataset = _read_dataset(str(Path(args.data) / "readings.csv"), int(interval_s), str(delta_max))
     ledger = dp.BudgetLedger(epsilon_cap=policy.epsilon_cap)
 
     # One line-buffered handle per session: each record reaches the file
@@ -425,20 +428,18 @@ def gateway_main(argv=None) -> int:
     return 0
 
 
+@_console_script
 def audit_show_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="audit-show", description="Inspect an audit log.")
     parser.add_argument("--log", required=True)
     parser.add_argument("--verify", action="store_true")
     args = parser.parse_args(argv)
 
-    try:
-        records = [
-            audit_record_from_dict(json.loads(line))
-            for line in Path(args.log).read_text().splitlines()
-            if line.strip()
-        ]
-    except _INPUT_ERRORS as exc:
-        return _error(exc)
+    records = [
+        audit_record_from_dict(json.loads(line))
+        for line in Path(args.log).read_text().splitlines()
+        if line.strip()
+    ]
     for rec in records:
         print(f"{rec.seq},{rec.request_id},{rec.requester},{rec.decision},"
               f"{rec.mechanism},{rec.epsilon_spent},{rec.hash.hex()[:16]}")

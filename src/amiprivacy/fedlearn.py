@@ -195,19 +195,16 @@ def encode_fixed(vec: np.ndarray) -> tuple[int, ...]:
 
 
 def decode_fixed(values: Sequence[int]) -> np.ndarray:
-    """Inverse of encode_fixed for values within +-M/2 of zero."""
-    out = []
-    for v in values:
-        v %= MASK_MODULUS
-        if v >= MASK_MODULUS // 2:
-            v -= MASK_MODULUS
-        out.append(v / FX_SCALE)
-    return np.array(out)
+    """Inverse of encode_fixed for residues mod 2^64 within +-M/2 of zero."""
+    signed = np.asarray(values, dtype=np.uint64).astype(np.int64).tolist()  # two's complement
+    # int / int rounds once; int64 -> float64 and then / 1e6 would round twice.
+    return np.array([v / FX_SCALE for v in signed], dtype=float)
 
 
-def _pair_mask_stream(seed: int, dim: int) -> list[int]:
-    prg = random.Random(seed)
-    return [prg.getrandbits(64) for _ in range(dim)]
+def _pair_mask_stream(seed: int, dim: int) -> np.ndarray:
+    """dim mask words: getrandbits(64 dim) read little-endian gives dim getrandbits(64) draws."""
+    words = random.Random(seed).getrandbits(64 * dim).to_bytes(8 * dim, "little")
+    return np.frombuffer(words, dtype="<u8")
 
 
 def mask_update(update: ClientUpdate, pairwise_seeds: Mapping[str, int]) -> ClientUpdate:
@@ -222,13 +219,11 @@ def mask_update(update: ClientUpdate, pairwise_seeds: Mapping[str, int]) -> Clie
         raise MissingPeerSeed("pairwise_seeds must map peers only, not the client itself")
     if any(seed is None for seed in pairwise_seeds.values()):
         raise MissingPeerSeed("every participating peer needs a shared seed")
-    fixed = list(encode_fixed(update.weights.weights))
+    fixed = np.array(encode_fixed(update.weights.weights), dtype=np.uint64)
     for peer_id, seed in pairwise_seeds.items():
         stream = _pair_mask_stream(seed, len(fixed))
-        sign = 1 if peer_id > update.client_id else -1
-        for k in range(len(fixed)):
-            fixed[k] = (fixed[k] + sign * stream[k]) % MASK_MODULUS
-    return replace(update, weights=None, masked=True, fixed_values=tuple(fixed))
+        fixed = fixed + stream if peer_id > update.client_id else fixed - stream  # wraps mod 2^64
+    return replace(update, weights=None, masked=True, fixed_values=tuple(fixed.tolist()))
 
 
 def aggregate_masked(updates: Sequence[ClientUpdate]) -> np.ndarray:
@@ -244,11 +239,8 @@ def aggregate_masked(updates: Sequence[ClientUpdate]) -> np.ndarray:
     dim = len(updates[0].fixed_values)
     if any(len(u.fixed_values) != dim for u in updates):
         raise DimensionMismatch("all masked payloads must share one dimension")
-    total = [0] * dim
-    for u in updates:
-        for k, v in enumerate(u.fixed_values):
-            total[k] = (total[k] + v) % MASK_MODULUS
-    return decode_fixed(total)
+    payloads = np.array([u.fixed_values for u in updates], dtype=np.uint64)
+    return decode_fixed(payloads.sum(axis=0, dtype=np.uint64))
 
 
 def dp_noise_update(

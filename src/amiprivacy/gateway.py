@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -141,12 +141,16 @@ class PolicyConfig:
     memorization_threshold: float = 0.01
 
     def __post_init__(self):
-        if self.epsilon_cap <= 0 or self.min_aggregation_count < 1 or self.k_anonymity_k < 1:
+        for f in fields(self):  # an int may stand for a float; a bool is an int but no number
+            value = getattr(self, f.name)
+            kinds = {"float": (int, float), "int": int, "bool": bool}[f.type]
+            if not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool"):
+                raise TypeError(f"{f.name} must be of type {f.type}, not {value!r}")
+        if not (self.epsilon_cap > 0 and self.min_aggregation_count >= 1
+                and self.k_anonymity_k >= 1):
             raise ValueError("policy thresholds must be positive")
-        if self.memorization_threshold < 0:
+        if not self.memorization_threshold >= 0:  # also refuses nan
             raise ValueError("memorization_threshold must be non-negative")
-        if not isinstance(self.allow_raw_primary, bool):
-            raise TypeError("allow_raw_primary must be true or false")
 
 
 @dataclass(frozen=True)

@@ -83,11 +83,6 @@ class EnergyQuantity:
         frac = (m.group(3) or "").ljust(3, "0")
         return cls(sign * (whole * MILLI_PER_KWH + int(frac)))
 
-    @classmethod
-    def from_kwh(cls, kwh: float) -> "EnergyQuantity":
-        """Round a float kWh value to the nearest milli-kWh."""
-        return cls(round(kwh * MILLI_PER_KWH))
-
     @property
     def kwh(self) -> float:
         return self.milli_kwh / MILLI_PER_KWH
@@ -324,7 +319,7 @@ def _check_row(parts: list[str], line: int, interval_s: int, cap: int) -> tuple[
     return meter_id, ts, milli
 
 
-def parse_csv(text: str | bytes, interval_s: int, delta_max: EnergyQuantity) -> FeederDataset:
+def parse_csv(text: str, interval_s: int, delta_max: EnergyQuantity) -> FeederDataset:
     """Parse `meter_id,timestamp,kwh` CSV into a validated dataset.
 
     One meter per distinct meter_id, sorted by id, rows sorted by time.
@@ -333,8 +328,6 @@ def parse_csv(text: str | bytes, interval_s: int, delta_max: EnergyQuantity) -> 
     not been seen in a valid row before, so each distinct timestamp and
     kWh text is parsed once and the first bad row in the file is reported.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     empty = FeederDataset(series=(), interval_s=interval_s, delta_max=delta_max)
     lines = text.splitlines()
     if not lines:
@@ -398,8 +391,3 @@ def _serialize_csv(dataset: FeederDataset) -> str:
         kwh[value_idx].tolist(),
     )
     return "meter_id,timestamp,kwh\n" + "".join([f"{m},{t},{k}\n" for m, t, k in rows])
-
-
-def interval_totals(dataset: FeederDataset) -> dict[int, EnergyQuantity]:
-    """Exact per-timestamp totals over all meters (the pre-noise ground truth)."""
-    return {t: EnergyQuantity(v) for t, v in dataset.interval_milli.items()}

@@ -45,13 +45,6 @@ class SumOverflow(SmpcError):
 
 
 @dataclass(frozen=True, slots=True)
-class Share:
-    value: int  # in [0, MODULUS)
-    origin_party: str
-    holder_party: str
-
-
-@dataclass(frozen=True, slots=True)
 class PartyInput:
     party_id: str
     secret: int  # non-negative milli-kWh, < MODULUS/2 for wrap headroom
@@ -102,32 +95,6 @@ class SecureSumResult:
     @property
     def aborted(self) -> bool:
         return self.transcript.abort_reason is not None
-
-
-def share(
-    secret: int,
-    n: int,
-    rng: random.Random,
-    origin_party: str = "",
-    holders: Sequence[str] | None = None,
-) -> list[Share]:
-    """Split secret into n additive shares mod M; their sum is the secret."""
-    if n < 2:
-        raise InvalidPartyCount("need at least 2 shares")
-    if holders is None:
-        holders = [str(i) for i in range(n)]
-    secret %= MODULUS
-    values = [rng.randrange(MODULUS) for _ in range(n - 1)]
-    values.append((secret - sum(values)) % MODULUS)
-    return [
-        Share(value=v, origin_party=origin_party, holder_party=h)
-        for v, h in zip(values, holders)
-    ]
-
-
-def reconstruct(shares: Sequence[Share]) -> int:
-    """Sum a complete share set mod M. Incomplete sets yield garbage by design."""
-    return sum(s.value for s in shares) % MODULUS
 
 
 def secure_sum(

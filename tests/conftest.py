@@ -16,19 +16,15 @@ from amiprivacy.meterdata import (
 class StubRng:
     """Feeds predetermined draws to code expecting a random.Random."""
 
-    def __init__(self, uniforms=(), gausses=(), randranges=()):
+    def __init__(self, uniforms=(), gausses=()):
         self._uniforms = list(uniforms)
         self._gausses = list(gausses)
-        self._randranges = list(randranges)
 
     def random(self):
         return self._uniforms.pop(0)
 
     def gauss(self, mu, sigma):
         return mu + sigma * self._gausses.pop(0)
-
-    def randrange(self, *args):
-        return self._randranges.pop(0)
 
 
 def build_series(meter_id, milli_values, interval_s=3600, start=0):

@@ -80,7 +80,7 @@ def _nearest_multiple_oracle(milli: int, step: int) -> int:
 
 class TestGeneralize:
     def test_rounds_to_nearest_tenth_kwh(self):
-        assert generalize(EnergyQuantity.from_kwh(3.14159), STEP_01) == EnergyQuantity(3100)
+        assert generalize(EnergyQuantity(3142), STEP_01) == EnergyQuantity(3100)
 
     def test_zero(self):
         assert generalize(EnergyQuantity(0), STEP_01) == EnergyQuantity(0)

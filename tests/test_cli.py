@@ -545,7 +545,9 @@ def _serve_status(tmp_path, monkeypatch, policy_text, csv_text, lines):
 
 
 @pytest.mark.parametrize("bad_line, key", [("epsilon-cap = 0.1", "epsilon-cap"),
-                                           ("allow_raw_primary = no", "allow_raw_primary")])
+                                           ("allow_raw_primary = no", "allow_raw_primary"),
+                                           ("epsilon_cap = true", "epsilon_cap"),
+                                           ("k = 2.5", "k_anonymity_k")])
 def test_gateway_serve_refuses_a_policy_key_it_would_not_enforce(
     tmp_path, readings_csv, capsys, monkeypatch, bad_line, key
 ):
@@ -602,11 +604,50 @@ def _audit_show_missing_log(tmp_path, monkeypatch):
     return cli.audit_show_main(["--log", str(tmp_path / "missing.jsonl"), "--verify"])
 
 
+def _dp_query_ledger_in_missing_dir(tmp_path, monkeypatch):
+    (tmp_path / "readings.csv").write_text(serialize_csv(make_uniform_dataset(2, 100, 3)))
+    return cli.dp_query_main(["--op", "count", "--epsilon", "0.5", "--ledger",
+                              str(tmp_path / "missing" / "ledger.csv"),
+                              str(tmp_path / "readings.csv")])
+
+
+def _anonymize_missing_key(tmp_path, monkeypatch):
+    (tmp_path / "readings.csv").write_text("meter_id,timestamp,kwh\n")
+    return cli.anonymize_main(["--epoch", "1", "--key-file", str(tmp_path / "missing.bin"),
+                               str(tmp_path / "readings.csv"), str(tmp_path / "out.csv")])
+
+
+def _synth_gen_missing_csv(tmp_path, monkeypatch):
+    return cli.synth_gen_main(["--fit", str(tmp_path / "missing.csv"), "--clusters", "2",
+                               "--households", "3", "--days", "1", "--seed", "1",
+                               "--out", str(tmp_path / "out.csv")])
+
+
+def _synth_check_missing_csv(tmp_path, monkeypatch):
+    return cli.synth_check_main([str(tmp_path / "missing.csv"), str(tmp_path / "synth.csv"),
+                                 "--threshold", "0.01"])
+
+
+def _fed_train_missing_csv(tmp_path, monkeypatch):
+    return cli.fed_train_main(["--clients", "2", "--rounds", "1", "--local-steps", "1",
+                               "--lr", "0.01", "--seed", "1", str(tmp_path / "missing.csv")])
+
+
+def _he_keygen_out_in_missing_dir(tmp_path, monkeypatch):
+    return cli.he_keygen_main(["--bits", "128", "--out", str(tmp_path / "missing" / "pub.json")])
+
+
 @pytest.mark.parametrize("run, error", [
     (_dp_query_missing_infile, "FileNotFoundError"),
     (_he_bill_missing_pub, "FileNotFoundError"),
     (_serve_malformed_readings, "MalformedRow"),
     (_audit_show_missing_log, "FileNotFoundError"),
+    (_dp_query_ledger_in_missing_dir, "FileNotFoundError"),
+    (_anonymize_missing_key, "FileNotFoundError"),
+    (_synth_gen_missing_csv, "FileNotFoundError"),
+    (_synth_check_missing_csv, "FileNotFoundError"),
+    (_fed_train_missing_csv, "FileNotFoundError"),
+    (_he_keygen_out_in_missing_dir, "FileNotFoundError"),
 ])
 def test_cli_reports_unreadable_input_as_an_error_line(tmp_path, capsys, monkeypatch, run, error):
     assert run(tmp_path, monkeypatch) == 1
@@ -630,3 +671,20 @@ def test_he_bill_refuses_a_public_key_file_that_does_not_match_n(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error=InvalidPublicKey detail=")
+
+
+def test_audit_show_verify_names_the_first_tampered_record(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    lines = [_request(f"t{i}", {"kind": "dp_query", "op": "count", "epsilon": 0.1})
+             for i in range(3)]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    records[1]["requester"] = "mallory"
+    audit_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    assert cli.audit_show_main(["--log", str(audit_path), "--verify"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and out[1].split(",")[2] == "mallory"
+    assert out[-1] == "chain=invalid first_bad_seq=1"

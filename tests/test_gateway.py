@@ -101,6 +101,19 @@ class TestDecisionMatrix:
         assert len(synth.series) == 10
         assert not report.memorization_flag
 
+    def test_synth_generate_denied_when_the_sample_is_too_close(self):
+        # Distances are RMS over the per-reading cap, below 1 here: every sample is flagged.
+        real = make_two_cluster_dataset(n_meters=24, n_days=2, seed=4)
+        policy = PolicyConfig(epsilon_cap=10.0, min_aggregation_count=3,
+                              memorization_threshold=1.0)
+        g = _gateway(policy=policy, dataset=real)
+        decision = g.route(
+            _req("r1", SynthGenerate(n_clusters=2, n_households=10, n_days=2, seed=3),
+                 Purpose.SECONDARY)
+        )
+        assert decision == Decision(allowed=False, reason=DenialReason.MEMORIZATION_DETECTED)
+        assert g.audit_log.records[-1].decision == "denied:MemorizationDetected"
+
     def test_aggregate_report_threshold(self):
         g = _gateway()
         meters = [s.meter_id for s in g.dataset.series]
@@ -329,6 +342,27 @@ def test_aggregate_report_needs_k_members_when_k_exceeds_the_minimum():
 def test_policy_refuses_allow_raw_primary_that_is_not_a_bool(value):
     with pytest.raises(TypeError):
         PolicyConfig(allow_raw_primary=value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon_cap", True), ("memorization_threshold", False), ("min_aggregation_count", True),
+    ("min_aggregation_count", 2.5), ("k_anonymity_k", 3.0), ("epsilon_cap", "0.5"),
+])
+def test_policy_refuses_a_value_of_the_wrong_type(field, value):
+    with pytest.raises(TypeError, match=field):
+        PolicyConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["epsilon_cap", "memorization_threshold"])
+def test_policy_refuses_nan(field):
+    # nan compares false with everything: as a threshold it would flag no sample.
+    with pytest.raises(ValueError):
+        PolicyConfig(**{field: float("nan")})
+
+
+def test_policy_takes_an_int_where_a_float_is_declared():
+    policy = PolicyConfig(epsilon_cap=2, memorization_threshold=0)
+    assert (policy.epsilon_cap, policy.memorization_threshold) == (2, 0)
 
 
 class FaultyRng(random.Random):

@@ -15,7 +15,6 @@ from amiprivacy.meterdata import (
     MixedInterval,
     NegativeEnergy,
     ReadingSeries,
-    interval_totals,
     parse_csv,
     serialize_csv,
 )
@@ -135,19 +134,19 @@ class TestIntervalTotals:
             interval_s=3600,
             delta_max=CAP,
         )
-        assert interval_totals(d) == {0: EnergyQuantity(5000)}
+        assert d.interval_milli == {0: 5000}
 
     def test_single_meter_identity(self):
         d = FeederDataset(
             series=(build_series("a", [1000, 2000]),), interval_s=3600, delta_max=CAP
         )
-        assert interval_totals(d) == {0: EnergyQuantity(1000), 3600: EnergyQuantity(2000)}
+        assert d.interval_milli == {0: 1000, 3600: 2000}
 
     def test_thousand_meters_against_plain_sum(self):
         d = make_uniform_dataset(1000, 1500, 1)
         expected = sum(r.energy.milli_kwh for r in d.all_readings())
         assert expected == 1_500_000
-        assert interval_totals(d) == {0: EnergyQuantity(expected)}
+        assert d.interval_milli == {0: expected}
 
     def test_additive_over_disjoint_meter_sets(self):
         a = make_uniform_dataset(7, 1200, 3)
@@ -158,22 +157,22 @@ class TestIntervalTotals:
         union = FeederDataset(
             series=a.series + b.series, interval_s=3600, delta_max=CAP
         )
-        ta, tb, tu = interval_totals(a), interval_totals(b), interval_totals(union)
+        ta, tb, tu = a.interval_milli, b.interval_milli, union.interval_milli
         for t in tu:
-            assert tu[t].milli_kwh == ta[t].milli_kwh + tb[t].milli_kwh
+            assert tu[t] == ta[t] + tb[t]
 
     def test_permutation_invariant(self):
         d = make_uniform_dataset(5, 1000, 2)
         flipped = FeederDataset(
             series=tuple(reversed(d.series)), interval_s=3600, delta_max=CAP
         )
-        assert interval_totals(d) == interval_totals(flipped)
+        assert d.interval_milli == flipped.interval_milli
 
     def test_checked_bound_no_overflow(self):
         # 10^6 meters at the 5 kWh cap stays far inside the declared range.
         assert 10**6 * 5000 < 2**62
         d = make_uniform_dataset(10_000, 5000, 1)
-        assert interval_totals(d)[0].milli_kwh == 50_000_000
+        assert d.interval_milli[0] == 50_000_000
 
 
 class TestTypeInvariants:
@@ -203,6 +202,30 @@ class TestTypeInvariants:
             FeederDataset(
                 series=(build_series("a", [6000]),), interval_s=3600, delta_max=CAP
             )
+
+
+_COLUMNS = dict(meter_ids=("a", "b"), meter_idx=[0, 0, 1], timestamp=[0, 3600, 0],
+                milli_kwh=[1, 2, 3], interval_s=3600, delta_max=CAP)
+
+
+@pytest.mark.parametrize("change, refusal", [
+    ({"interval_s": 0}, "interval_s must be positive"),
+    ({"delta_max": EnergyQuantity(0)}, "delta_max must be positive"),
+    ({"delta_max": EnergyQuantity(2**63)}, "delta_max must be positive"),
+    ({"timestamp": [0, 3600]}, "one entry per reading"),
+    ({"meter_idx": [-1, 0, 1]}, "grouped by meter"),
+    ({"meter_idx": [0, 0, 2]}, "grouped by meter"),
+    ({"meter_idx": [0, 1, 0]}, "grouped by meter"),
+    ({"timestamp": [3600, 0, 0]}, "strictly increasing"),
+    ({"timestamp": [0, 3601, 0]}, "multiple of interval_s"),
+    ({"milli_kwh": [1, -2, 3]}, "non-negative"),
+    ({"milli_kwh": [1, 5001, 3]}, "exceeds delta_max"),
+    ({"milli_kwh": [2**62, 2**62, 1], "delta_max": EnergyQuantity(2**62)}, "overflow"),
+])
+def test_from_columns_refuses_each_broken_layout(change, refusal):
+    assert FeederDataset.from_columns(**_COLUMNS).meter_milli == {"a": 3, "b": 3}
+    with pytest.raises(ValueError, match=refusal):
+        FeederDataset.from_columns(**{**_COLUMNS, **change})
 
 
 def _iso(ts):
@@ -260,7 +283,6 @@ def test_cached_totals_equal_python_sums(per_meter):
     assert list(d.interval_milli.items()) == sorted(by_ts.items())
     assert dict(d.meter_milli) == by_meter
     assert d.total_milli == sum(by_ts.values())
-    assert interval_totals(d) == {t: EnergyQuantity(v) for t, v in sorted(by_ts.items())}
 
 
 def test_totals_exact_beyond_float_precision():

@@ -10,61 +10,10 @@ from amiprivacy.smpc import (
     DuplicateParty,
     InvalidPartyCount,
     PartyInput,
-    Share,
     SumOverflow,
     TranscriptMessage,
-    reconstruct,
     secure_sum,
-    share,
 )
-from conftest import StubRng
-
-
-class TestShare:
-    def test_injected_random_example(self):
-        shares = share(10, 2, StubRng(randranges=[7]))
-        assert [s.value for s in shares] == [7, 3]
-
-    def test_modular_wrap_example(self):
-        shares = share(5, 2, StubRng(randranges=[MODULUS - 2]))
-        assert [s.value for s in shares] == [MODULUS - 2, 7]
-        assert (MODULUS - 2 + 7) % MODULUS == 5
-
-    def test_zero_secret_sums_to_zero(self):
-        for n in (2, 3, 7):
-            shares = share(0, n, random.Random(n))
-            assert sum(s.value for s in shares) % MODULUS == 0
-
-    def test_party_count_validated(self):
-        with pytest.raises(InvalidPartyCount):
-            share(1, 1, random.Random(0))
-
-    def test_reconstruct_simple(self):
-        shares = [Share(7, "a", "0"), Share(3, "a", "1")]
-        assert reconstruct(shares) == 10
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=MODULUS // 2 - 1),
-        st.integers(min_value=2, max_value=10),
-        st.integers(min_value=0, max_value=2**32),
-    )
-    def test_round_trip(self, secret, n, seed):
-        assert reconstruct(share(secret, n, random.Random(seed))) == secret
-
-    def test_single_share_is_uniform(self):
-        # The derived (last) share of a shared secret over 1e5 sharings:
-        # chi-square against uniform over 256 top-byte buckets.
-        import scipy.stats
-
-        rng = random.Random(99)
-        counts = [0] * 256
-        runs = 100_000
-        for _ in range(runs):
-            last = share(123_456, 2, rng)[1].value
-            counts[last >> 56] += 1
-        _, p = scipy.stats.chisquare(counts)
-        assert p > 0.01
 
 
 def _inputs(milli_values):
@@ -122,6 +71,21 @@ class TestSecureSum:
     def test_result_recorded_in_transcript(self):
         result = secure_sum(_inputs([1, 2, 3]), 3, random.Random(0))
         assert result.transcript.result == 6
+
+    def test_single_share_is_uniform(self):
+        # With two parties, p0's message to p1 is its derived share (the
+        # secret minus its draw): chi-square against uniform over 256
+        # top-byte buckets in 2e4 runs.
+        import scipy.stats
+
+        rng = random.Random(99)
+        counts = [0] * 256
+        for _ in range(20_000):
+            derived = secure_sum(_inputs([123_456, 0]), 2, rng).transcript.messages[1]
+            assert (derived.sender, derived.recipient) == ("p0", "p1")
+            counts[derived.value >> 56] += 1
+        _, p = scipy.stats.chisquare(counts)
+        assert p > 0.01
 
 
 class TestPerPartyBound:
