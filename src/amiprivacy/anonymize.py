@@ -47,13 +47,10 @@ class PseudonymKey:
 @dataclass(frozen=True)
 class GeneralizationRule:
     energy_granularity: EnergyQuantity
-    zip_prefix_len: int = 0
 
     def __post_init__(self):
         if self.energy_granularity.milli_kwh <= 0:
             raise ValueError("energy_granularity must be positive")
-        if self.zip_prefix_len < 0:
-            raise ValueError("zip_prefix_len must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -113,11 +110,6 @@ def generalize(energy: EnergyQuantity, rule: GeneralizationRule) -> EnergyQuanti
     if 2 * remainder >= step:
         quotient += 1
     return EnergyQuantity(sign * quotient * step)
-
-
-def generalize_zip(zip_code: str, rule: GeneralizationRule) -> str:
-    """Coarsen a zip code to its configured prefix."""
-    return zip_code[: rule.zip_prefix_len]
 
 
 def aggregate_threshold(

@@ -333,6 +333,8 @@ def envelope_from_json(line: str) -> gw.RequestEnvelope:
     data = json.loads(line)
     if not all(isinstance(data[key], str) for key in ("request_id", "requester")):
         raise TypeError("request_id and requester must be strings")
+    if not isinstance(data["consent"], bool):  # the string "false" would count as consent
+        raise TypeError("consent must be true or false")
     op = data["operation"]
     kind = gw.KINDS.get(op["kind"])
     if kind is None:
@@ -341,7 +343,7 @@ def envelope_from_json(line: str) -> gw.RequestEnvelope:
         request_id=data["request_id"],
         requester=data["requester"],
         purpose=gw.Purpose(data["purpose"]),
-        consent=bool(data["consent"]),
+        consent=data["consent"],
         operation=kind.parse(op),
     )
 

@@ -80,8 +80,7 @@ class ClientUpdate:
     client_id: str
     weights: ModelParams | None  # None once masked: the upload hides the plaintext
     n_samples: int
-    masked: bool = False
-    # Masked payload: fixed-point coordinates mod 2^64. Present iff masked,
+    # Masked payload: fixed-point coordinates mod 2^64, kept as ints
     # because 64-bit masked values do not fit a float64 exactly.
     fixed_values: tuple[int, ...] | None = None
 
@@ -90,8 +89,10 @@ class ClientUpdate:
             raise ValueError("n_samples must be >= 1")
         if (self.weights is None) == (self.fixed_values is None):
             raise ValueError("an update carries exactly one of weights and fixed_values")
-        if self.masked != (self.fixed_values is not None):
-            raise ValueError("masked updates carry fixed_values; unmasked must not")
+
+    @property
+    def masked(self) -> bool:
+        return self.fixed_values is not None
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ def mask_update(update: ClientUpdate, pairwise_seeds: Mapping[str, int]) -> Clie
     for peer_id, seed in pairwise_seeds.items():
         stream = _pair_mask_stream(seed, len(fixed))
         fixed = fixed + stream if peer_id > update.client_id else fixed - stream  # wraps mod 2^64
-    return replace(update, weights=None, masked=True, fixed_values=tuple(fixed.tolist()))
+    return replace(update, weights=None, fixed_values=tuple(fixed.tolist()))
 
 
 def aggregate_masked(updates: Sequence[ClientUpdate]) -> np.ndarray:

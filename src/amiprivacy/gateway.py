@@ -356,8 +356,9 @@ class Gateway:
 
     def _aggregate_report(self, req: RequestEnvelope) -> Decision:
         totals = self.dataset.meter_milli
+        # dict.fromkeys drops a repeated id, so each meter counts once toward the threshold.
         groups = {
-            key: [EnergyQuantity(totals[m]) for m in meters if m in totals]
+            key: [EnergyQuantity(totals[m]) for m in dict.fromkeys(meters) if m in totals]
             for key, meters in req.operation.groups
         }
         policy = anonymize.AggregationPolicy(
@@ -377,6 +378,16 @@ def _given(value, message: str):
     if value is None:
         raise ValueError(message)
     return value
+
+
+def _number(value, kind: type):
+    """value as kind, if it is a JSON number of that kind; an int also passes as a float.
+
+    bool is an int subclass, but a JSON true or false is no number.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise TypeError(f"expected {kind.__name__}, not {value!r}")
+    return kind(value)
 
 
 def _answer_json(a: dp.DpAnswer) -> dict:
@@ -416,7 +427,8 @@ OPERATIONS: dict[type, OperationKind] = {
         "raw_export", "raw", lambda d: RawExport(), Gateway._raw_export, lambda op, csv: csv),
     DpQuery: OperationKind(
         "dp_query", "laplace",
-        lambda d: DpQuery(d["op"], float(d["epsilon"]), float(d.get("delta", 0.0)),
+        lambda d: DpQuery(d["op"], _number(d["epsilon"], float),
+                          _number(d.get("delta", 0.0), float),
                           d.get("timestamp"), tuple(d["edges"]) if d.get("edges") else None),
         Gateway._dp_query, lambda op, answer: DP_OPS[op.op].summarize(answer)),
     SynthGenerate: OperationKind(
@@ -430,19 +442,21 @@ OPERATIONS: dict[type, OperationKind] = {
     FedTrain: OperationKind(
         "fed_train", "fedavg",
         lambda d: FedTrain(d["n_clients"], d["rounds"], d["local_steps"],
-                           float(d["learning_rate"]), d.get("seed", 0)),
+                           _number(d["learning_rate"], float), d.get("seed", 0)),
         Gateway._fed_train,
         lambda op, r: {"final_weights": [float(w) for w in r.final.weights],
                        "rounds": len(r.history)}),
     SmpcSum: OperationKind(
         "smpc_sum", "smpc-sum",
-        lambda d: SmpcSum(tuple((p, int(v)) for p, v in d["values"]), d["min_participants"]),
+        lambda d: SmpcSum(tuple((p, _number(v, int)) for p, v in d["values"]),
+                          d["min_participants"]),
         Gateway._smpc_sum,
         lambda op, r: {"total_milli": r.total, "aborted": r.aborted,
                        "messages": len(r.transcript.messages)}),
     HeBill: OperationKind(
         "he_bill", "paillier",
-        lambda d: HeBill(tuple(d["usage_milli"]), tuple(d["rates"])),
+        lambda d: HeBill(tuple(_number(m, int) for m in d["usage_milli"]),
+                         tuple(_number(r, int) for r in d["rates"])),
         Gateway._he_bill, lambda op, bill: bill),
     AggregateReport: OperationKind(
         "aggregate_report", "aggregate-threshold",

@@ -296,9 +296,8 @@ def keypair_from_secret(n: int, lam: int, mu: int, key_id: str) -> PaillierKeypa
     return keypair
 
 
-def draw_randomizer(pub: PaillierPublicKey, rng: random.Random | None = None) -> int:
+def draw_randomizer(pub: PaillierPublicKey, rng: random.Random) -> int:
     """Uniform r in [1, n) with gcd(r, n) = 1, by retry."""
-    rng = rng or random.SystemRandom()
     while True:
         r = rng.randrange(1, pub.n)
         if math.gcd(r, pub.n) == 1:
@@ -379,20 +378,20 @@ def encrypted_bill(
     usage_cts: Sequence[Ciphertext],
     rates: RateSchedule,
     pub: PaillierPublicKey,
-    usage_cap: int | None = None,
+    usage_cap: int,
 ) -> Ciphertext:
     """Encrypted dot product of per-interval usage with the rate schedule.
 
     Only the folded ciphertext is returned, so the key holder decrypts
-    the total bill and never the per-interval breakdown. If usage_cap is
-    supplied (the declared per-interval plaintext bound), the worst-case
-    bill is checked against the modulus up front.
+    the total bill and never the per-interval breakdown. usage_cap is the
+    per-interval plaintext bound: the worst-case bill, usage_cap times the
+    sum of the rates, must stay below n or BillingOverflow is raised.
     """
     if len(usage_cts) != len(rates.rates):
         raise LengthMismatch(
             f"{len(usage_cts)} usage ciphertexts vs {len(rates.rates)} rates"
         )
-    if usage_cap is not None and sum(rates.rates) * usage_cap >= pub.n:
+    if sum(rates.rates) * usage_cap >= pub.n:
         raise BillingOverflow("worst-case bill would wrap the plaintext modulus")
     terms = [scalar_mul(c, k, pub) for c, k in zip(usage_cts, rates.rates)]
     return encrypted_aggregate(terms, pub)

@@ -4,8 +4,7 @@ memorization checks used before any synthetic dataset leaves the platform.
 The generator is deliberately simple and desk-scale verifiable: cluster
 per-meter daily profiles, keep per-cluster hourly mean/std over member
 days, and sample households as clamped normal draws around a cluster
-profile plus Poisson-arriving appliance events. Neural generators are a
-non-goal here.
+profile. Neural generators are a non-goal here.
 """
 
 from __future__ import annotations
@@ -53,27 +52,8 @@ class ClusterProfile:
 
 
 @dataclass(frozen=True)
-class ApplianceEventModel:
-    rate_per_day: float
-    magnitude_kwh: float
-    duration_intervals: int
-
-    def __post_init__(self):
-        if self.rate_per_day < 0:
-            raise ValueError("rate_per_day must be non-negative")
-        if self.magnitude_kwh <= 0:
-            raise ValueError("magnitude_kwh must be positive")
-        if self.duration_intervals < 1:
-            raise ValueError("duration_intervals must be >= 1")
-
-
-NO_EVENTS = ApplianceEventModel(rate_per_day=0.0, magnitude_kwh=1.0, duration_intervals=1)
-
-
-@dataclass(frozen=True)
 class GeneratorModel:
     clusters: tuple[ClusterProfile, ...]
-    appliance_events: ApplianceEventModel = NO_EVENTS
 
     def __post_init__(self):
         total = sum(c.weight for c in self.clusters)
@@ -164,28 +144,19 @@ def fit(real: FeederDataset, n_clusters: int, seed: int) -> GeneratorModel:
     return GeneratorModel(clusters=tuple(clusters))
 
 
-def generate(
-    model: GeneratorModel,
-    n_households: int,
-    n_days: int,
-    seed: int,
-    jitter_milli: int = 0,
-) -> FeederDataset:
+def generate(model: GeneratorModel, n_households: int, n_days: int, seed: int) -> FeederDataset:
     """Sample a synthetic hourly dataset from the model, deterministically.
 
     Each household draws a cluster by weight, then every interval is
-    max(0, N(mean_h, std_h)) plus any active appliance-event contribution
-    (Poisson arrivals per day, fixed magnitude over the event duration).
-    Optional post-generation jitter adds uniform +-jitter_milli noise.
-    Household h derives its own generator from (seed, h), so generation
-    is order-independent and repeatable.
+    max(0, N(mean_h, std_h)) rounded to milli-kWh. Household h derives its
+    own generator from (seed, h), so generation is order-independent and
+    repeatable.
     """
     if n_households < 1 or n_days < 1:
         raise ValueError("n_households and n_days must be >= 1")
     interval_s = 3600
     horizon = n_days * HOURS_PER_DAY
     weights = np.array([c.weight for c in model.clusters])
-    events = model.appliance_events
 
     households = []
     for h in range(n_households):
@@ -194,16 +165,7 @@ def generate(
         mean = np.tile(cluster.hourly_mean, n_days)
         std = np.tile(cluster.hourly_std, n_days)
         values = np.maximum(0.0, rng.normal(mean, std))
-        if events.rate_per_day > 0:
-            for day in range(n_days):
-                for _ in range(rng.poisson(events.rate_per_day)):
-                    start = day * HOURS_PER_DAY + int(rng.integers(0, HOURS_PER_DAY))
-                    stop = min(start + events.duration_intervals, horizon)
-                    values[start:stop] += events.magnitude_kwh
-        milli = np.rint(values * 1000).astype(np.int64)
-        if jitter_milli > 0:
-            milli = milli + rng.integers(-jitter_milli, jitter_milli + 1, size=horizon)
-        households.append(np.maximum(milli, 0))
+        households.append(np.rint(values * 1000).astype(np.int64))
     milli = np.concatenate(households)
     return FeederDataset.from_columns(
         meter_ids=[f"synth-{h:05d}" for h in range(n_households)],

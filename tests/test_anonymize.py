@@ -15,7 +15,6 @@ from amiprivacy.anonymize import (
     aggregate_threshold,
     check_k_anonymity,
     generalize,
-    generalize_zip,
     pseudonymize,
 )
 from amiprivacy.meterdata import EnergyQuantity
@@ -102,10 +101,6 @@ class TestGeneralize:
         rule = GeneralizationRule(energy_granularity=EnergyQuantity(step))
         once = generalize(EnergyQuantity(milli), rule)
         assert generalize(once, rule) == once
-
-    def test_zip_prefix(self):
-        rule = GeneralizationRule(energy_granularity=EnergyQuantity(100), zip_prefix_len=3)
-        assert generalize_zip("92617", rule) == "926"
 
 
 class TestAggregateThreshold:

@@ -370,6 +370,31 @@ def test_gateway_serve_refuses_separator_in_request_fields(
     assert [r["request_id"] for r in records] == ["r3"]
 
 
+def test_gateway_serve_refuses_consent_that_is_not_a_json_boolean(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    def request(rid, consent):
+        return json.dumps({"request_id": rid, "requester": "analyst", "purpose": "secondary",
+                           "consent": consent, "operation": {"kind": "raw_export"}})
+
+    lines = [request("c1", "false"), request("c2", "no"), request("c3", 1),
+             request("c4", False), request("c5", True)]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["request_id"] for r in replies] == ["c1", "c2", "c3", "c4", "c5"]
+    for reply in replies[:3]:
+        assert reply.keys() == {"request_id", "error"}
+        assert reply["error"].startswith("TypeError: consent")
+    assert (replies[3]["allowed"], replies[3]["reason"], replies[3]["result"]) == (
+        False, "ConsentRequired", None)
+    assert replies[4]["allowed"] is True
+    assert replies[4]["result"] == readings_csv.read_text()
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert [(r["request_id"], r["decision"]) for r in records] == [
+        ("c4", "denied:ConsentRequired"), ("c5", "allowed")]
+
+
 @pytest.mark.parametrize("value", [lambda n: 0, lambda n: n, lambda n: n * n + 5])
 def test_he_decrypt_rejects_a_ciphertext_that_is_not_a_unit(tmp_path, capsys, value):
     keypair = he.keygen(128, random.Random(45))

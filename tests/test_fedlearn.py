@@ -160,7 +160,7 @@ class TestMasking:
         assert masked.weights is None
         assert (masked.client_id, masked.n_samples) == ("a", 7)
         with pytest.raises(ValueError):
-            ClientUpdate("a", ModelParams(np.zeros(2)), 1, masked=True, fixed_values=(0, 0))
+            ClientUpdate("a", ModelParams(np.zeros(2)), 1, fixed_values=(0, 0))
         with pytest.raises(ValueError):
             ClientUpdate("a", None, 1)
 

@@ -329,6 +329,18 @@ def test_aggregate_report_uses_cached_meter_totals():
     assert decision.result["all"].total.milli_kwh == total
 
 
+def test_aggregate_report_counts_each_meter_once():
+    d = make_two_cluster_dataset(n_meters=6, n_days=1, seed=3)
+    g = _gateway(dataset=d)  # groups need 3 members
+    meters = tuple(s.meter_id for s in d.series)
+    denied = g.route(_req("r1", AggregateReport(groups=(("one", (meters[0],) * 100),))))
+    assert denied == Decision(allowed=False, reason=DenialReason.BELOW_AGGREGATION_THRESHOLD)
+    decision = g.route(_req("r2", AggregateReport(groups=(("g", meters[:3] + meters[1:2]),))))
+    assert decision.allowed
+    assert decision.result["g"].count == 3
+    assert decision.result["g"].total.milli_kwh == sum(d.meter_milli[m] for m in meters[:3])
+
+
 def test_aggregate_report_needs_k_members_when_k_exceeds_the_minimum():
     policy = PolicyConfig(epsilon_cap=10.0, min_aggregation_count=3, k_anonymity_k=4)
     g = _gateway(policy=policy)
@@ -384,6 +396,32 @@ class TestOperationTable:
         }
         assert len(KINDS) == len(OPERATIONS)
         assert len({e.mechanism for e in OPERATIONS.values()}) == len(OPERATIONS)
+
+    # Each protocol number field: a wire operation around the value, a good value, bad values.
+    @pytest.mark.parametrize("build, good, bad_values", [
+        (lambda v: {"kind": "smpc_sum", "values": [["p0", 1], ["p1", v]], "min_participants": 2},
+         3, [True, 1.9, 2.0, "2"]),
+        (lambda v: {"kind": "he_bill", "usage_milli": [2, v], "rates": [1, 1]},
+         3, [True, 1.9, 2.0, "2"]),
+        (lambda v: {"kind": "he_bill", "usage_milli": [2, 3], "rates": [v, 1]},
+         3, [False, 1.5, 1.0, "1"]),
+        (lambda v: {"kind": "dp_query", "op": "count", "epsilon": v}, 1, [True, "0.5"]),
+        (lambda v: {"kind": "dp_query", "op": "count", "epsilon": 0.5, "delta": v},
+         0, [False, "0"]),
+        (lambda v: {"kind": "fed_train", "n_clients": 2, "rounds": 1, "local_steps": 1,
+                    "learning_rate": v}, 0.1, [True, "0.1"]),
+    ], ids=["smpc_sum.values", "he_bill.usage_milli", "he_bill.rates", "dp_query.epsilon",
+            "dp_query.delta", "fed_train.learning_rate"])
+    def test_protocol_numbers_are_checked_not_coerced(self, build, good, bad_values):
+        KINDS[build(good)["kind"]].parse(build(good))
+        for value in bad_values:
+            op = build(value)
+            with pytest.raises(TypeError):
+                KINDS[op["kind"]].parse(op)
+
+    def test_an_int_float_field_parses_as_a_float(self):
+        op = KINDS["dp_query"].parse({"kind": "dp_query", "op": "count", "epsilon": 1})
+        assert op.epsilon == 1.0 and type(op.epsilon) is float
 
 
 class TestRouteFailures:

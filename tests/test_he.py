@@ -174,23 +174,23 @@ class TestAggregate:
 class TestBilling:
     def test_dot_product_oracle(self):
         usage = [enc(2), enc(3)]
-        bill = encrypted_bill(usage, RateSchedule((10, 20)), SMALL.public)
+        bill = encrypted_bill(usage, RateSchedule((10, 20)), SMALL.public, usage_cap=3)
         assert decrypt(SMALL, bill) == 80
 
     def test_zero_rates(self):
         usage = [enc(2), enc(3)]
-        bill = encrypted_bill(usage, RateSchedule((0, 0)), SMALL.public)
+        bill = encrypted_bill(usage, RateSchedule((0, 0)), SMALL.public, usage_cap=3)
         assert decrypt(SMALL, bill) == 0
 
     def test_unit_rates_reduce_to_aggregate(self):
         usage = [enc(2), enc(3), enc(4)]
-        bill = encrypted_bill(usage, RateSchedule((1, 1, 1)), SMALL.public)
+        bill = encrypted_bill(usage, RateSchedule((1, 1, 1)), SMALL.public, usage_cap=4)
         agg = encrypted_aggregate(usage, SMALL.public)
         assert decrypt(SMALL, bill) == decrypt(SMALL, agg)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            encrypted_bill([enc(1)], RateSchedule((1, 2)), SMALL.public)
+            encrypted_bill([enc(1)], RateSchedule((1, 2)), SMALL.public, usage_cap=1)
 
     def test_overflow_bound_check(self):
         with pytest.raises(BillingOverflow):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from amiprivacy.meterdata import EnergyQuantity, FeederDataset, serialize_csv
 from amiprivacy.synthetic import (
-    ApplianceEventModel,
     ClusterProfile,
     EmptyDataset,
     EmptySeries,
@@ -19,13 +18,11 @@ from amiprivacy.synthetic import (
 from conftest import build_series, make_two_cluster_dataset
 
 
-def _flat_model(mean_kwh=1.0, std=0.0, events=None):
+def _flat_model(mean_kwh=1.0, std=0.0):
     cluster = ClusterProfile(
         weight=1.0, hourly_mean=(mean_kwh,) * 24, hourly_std=(std,) * 24
     )
-    if events is None:
-        return GeneratorModel(clusters=(cluster,))
-    return GeneratorModel(clusters=(cluster,), appliance_events=events)
+    return GeneratorModel(clusters=(cluster,))
 
 
 def _constant_dataset(n_meters, milli, n_days=1):
@@ -97,12 +94,16 @@ class TestGenerate:
         d = generate(_flat_model(1.0, 0.0), n_households=3, n_days=1, seed=2)
         assert max(r.energy.milli_kwh for r in d.all_readings()) == 1000
 
-    def test_events_add_magnitude(self):
-        events = ApplianceEventModel(rate_per_day=2.0, magnitude_kwh=3.0, duration_intervals=1)
-        d = generate(_flat_model(1.0, 0.0, events), n_households=50, n_days=1, seed=3)
-        values = {r.energy.milli_kwh for r in d.all_readings()}
-        assert 4000 in values  # base 1.0 plus one 3.0 event
-        assert 1000 in values
+    def test_household_does_not_depend_on_how_many_are_generated(self):
+        night = ClusterProfile(weight=0.5, hourly_mean=(2.0,) * 6 + (0.5,) * 18,
+                               hourly_std=(0.3,) * 24)
+        day = ClusterProfile(weight=0.5, hourly_mean=(0.4,) * 9 + (2.2,) * 15,
+                             hourly_std=(0.2,) * 24)
+        model = GeneratorModel(clusters=(night, day))
+        few = generate(model, 3, 2, seed=17)
+        many = generate(model, 10, 2, seed=17)
+        assert many.meter_ids[:3] == few.meter_ids
+        np.testing.assert_array_equal(many.milli_kwh[:3 * 48], few.milli_kwh)
 
     def test_same_seed_byte_identical(self):
         a = generate(_flat_model(1.0, 0.3), 20, 2, seed=9)
@@ -114,10 +115,6 @@ class TestGenerate:
         d = generate(_flat_model(0.05, 0.5), 30, 1, seed=4)
         assert all(r.energy.milli_kwh >= 0 for r in d.all_readings())
         assert all(r.timestamp % d.interval_s == 0 for r in d.all_readings())
-
-    def test_jitter_stays_non_negative(self):
-        d = generate(_flat_model(0.01, 0.0), 10, 1, seed=5, jitter_milli=50)
-        assert all(r.energy.milli_kwh >= 0 for r in d.all_readings())
 
     def test_weights_must_sum_to_one(self):
         cluster = ClusterProfile(weight=0.5, hourly_mean=(1.0,) * 24, hourly_std=(0.0,) * 24)
