@@ -10,6 +10,7 @@ need no network stack.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import functools
 import json
 import os
@@ -103,18 +104,27 @@ def dp_query_main(argv=None) -> int:
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
     dp_op = gw.DP_OPS[args.op]
     dataset = _read_dataset(args.infile, args.interval, args.delta_max)
-    ledger = dp.BudgetLedger.from_lines(
-        ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
-    )
     params = dp.PrivacyParams(epsilon=args.epsilon, delta=args.delta)
     query = gw.DpQuery(
         op=args.op, epsilon=args.epsilon, delta=args.delta,
         timestamp=None if args.timestamp is None else iso_to_epoch(args.timestamp),
         edges=None if args.edges is None else tuple(float(e) for e in args.edges.split(",")),
     )
-    summary = dp_op.summarize(dp_op.release(dataset, query, params, ledger, rng))
-    # The spend is recorded before the answer leaves: a failed write releases nothing.
-    ledger_path.write_text(ledger.to_lines())
+    # One run at a time from the read to the replace, so concurrent runs cannot both
+    # pass the cap; the ledger is replaced whole, so a crash leaves the old one.
+    with open(f"{ledger_path}.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        ledger = dp.BudgetLedger.from_lines(
+            ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
+        )
+        summary = dp_op.summarize(dp_op.release(dataset, query, params, ledger, rng))
+        # The spend is recorded before the answer leaves: a failed write releases nothing.
+        tmp = f"{ledger_path}.tmp"
+        with open(tmp, "w") as fh:
+            fh.write(ledger.to_lines())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, ledger_path)
     lines = ([f"bin{i}={v!r}" for i, v in enumerate(summary)] if isinstance(summary, list)
              else [f"value={summary['value']!r}"])
     print("\n".join(lines))

@@ -144,15 +144,6 @@ def extract_examples(series_set: Iterable[ReadingSeries]) -> tuple[np.ndarray, n
     return np.concatenate(feats), np.concatenate(targets)
 
 
-class _Shard(tuple):
-    """A client's series with their training examples, extracted once per federation."""
-
-    def __new__(cls, series: Iterable[ReadingSeries]):
-        shard = super().__new__(cls, series)
-        shard.examples = extract_examples(shard)
-        return shard
-
-
 def _gradient_step(X: np.ndarray, y: np.ndarray, w: np.ndarray, lr: float) -> np.ndarray:
     residual = X @ w - y
     grad = (2.0 / len(y)) * (X.T @ residual)
@@ -160,13 +151,13 @@ def _gradient_step(X: np.ndarray, y: np.ndarray, w: np.ndarray, lr: float) -> np
 
 
 def local_train(
-    data: Iterable[ReadingSeries],
+    examples: tuple[np.ndarray, np.ndarray],
     global_params: ModelParams,
     cfg: RoundConfig,
     client_id: str = "",
 ) -> ClientUpdate:
-    """Run cfg.local_steps full-batch MSE gradient steps on the client's data."""
-    X, y = data.examples if isinstance(data, _Shard) else extract_examples(data)
+    """Run cfg.local_steps full-batch MSE gradient steps on the client's (X, y) examples."""
+    X, y = examples
     if len(y) == 0:
         raise NoTrainingData(f"client {client_id!r} has no training examples")
     w = np.array(global_params.weights, dtype=float)
@@ -264,15 +255,6 @@ def _derived_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _split_shard(
-    shard: Sequence[ReadingSeries],
-) -> tuple[list[ReadingSeries], list[ReadingSeries]]:
-    # Clients with more than one series hold their last one out for eval.
-    if len(shard) > 1:
-        return list(shard[:-1]), [shard[-1]]
-    return list(shard), []
-
-
 def round_robin_shards(
     dataset: FeederDataset, n_clients: int
 ) -> list[tuple[ReadingSeries, ...]]:
@@ -299,19 +281,18 @@ def run_federation(
     """
     if not clients:
         raise FedLearnError("need at least one client")
-    splits = [_split_shard(shard) for shard in clients]
-    holdout_series = [s for _, held in splits for s in held]
-    X_hold, y_hold = extract_examples(holdout_series)
-    shards = [_Shard(train_series) for train_series, _ in splits]
+    # Clients with more than one series hold their last one out for eval.
+    X_hold, y_hold = extract_examples([shard[-1] for shard in clients if len(shard) > 1])
+    examples = [extract_examples(shard[:-1] if len(shard) > 1 else shard) for shard in clients]
 
     global_w = np.zeros(N_FEATURES)
     history: list[RoundMetrics] = []
     for rnd in range(cfg.rounds):
         updates: list[ClientUpdate] = []
-        for i, shard in enumerate(shards):
+        for i, client_examples in enumerate(examples):
             client_id = f"client-{i:03d}"
             try:
-                update = local_train(shard, ModelParams(global_w), cfg, client_id)
+                update = local_train(client_examples, ModelParams(global_w), cfg, client_id)
             except NoTrainingData:
                 continue
             if cfg.dp_sigma > 0:

@@ -429,27 +429,30 @@ OPERATIONS: dict[type, OperationKind] = {
         "dp_query", "laplace",
         lambda d: DpQuery(d["op"], _number(d["epsilon"], float),
                           _number(d.get("delta", 0.0), float),
-                          d.get("timestamp"), tuple(d["edges"]) if d.get("edges") else None),
+                          None if d.get("timestamp") is None else _number(d["timestamp"], int),
+                          tuple(_number(e, float) for e in d["edges"])
+                          if d.get("edges") else None),
         Gateway._dp_query, lambda op, answer: DP_OPS[op.op].summarize(answer)),
     SynthGenerate: OperationKind(
         "synth_generate", "synthetic",
-        lambda d: SynthGenerate(d["n_clusters"], d["n_households"], d["n_days"],
-                                d.get("seed", 0)),
+        lambda d: SynthGenerate(_number(d["n_clusters"], int), _number(d["n_households"], int),
+                                _number(d["n_days"], int), _number(d.get("seed", 0), int)),
         Gateway._synth_generate,
         lambda op, r: {"n_households": len(r[0].meter_ids),
                        "min_nn_distance": r[1].min_nn_distance,
                        "distinguisher_auc": r[1].distinguisher_auc}),
     FedTrain: OperationKind(
         "fed_train", "fedavg",
-        lambda d: FedTrain(d["n_clients"], d["rounds"], d["local_steps"],
-                           _number(d["learning_rate"], float), d.get("seed", 0)),
+        lambda d: FedTrain(_number(d["n_clients"], int), _number(d["rounds"], int),
+                           _number(d["local_steps"], int), _number(d["learning_rate"], float),
+                           _number(d.get("seed", 0), int)),
         Gateway._fed_train,
         lambda op, r: {"final_weights": [float(w) for w in r.final.weights],
                        "rounds": len(r.history)}),
     SmpcSum: OperationKind(
         "smpc_sum", "smpc-sum",
         lambda d: SmpcSum(tuple((p, _number(v, int)) for p, v in d["values"]),
-                          d["min_participants"]),
+                          _number(d["min_participants"], int)),
         Gateway._smpc_sum,
         lambda op, r: {"total_milli": r.total, "aborted": r.aborted,
                        "messages": len(r.transcript.messages)}),

@@ -98,20 +98,12 @@ class EnergyQuantity:
 
 @dataclass(frozen=True)
 class MeterReading:
-    """One interval reading for one (pseudonymous) meter."""
+    """One reading of one (pseudonymous) meter, as `ReadingSeries.readings` yields it."""
 
     meter_id: str
     timestamp: int  # UTC epoch seconds
     interval_s: int
     energy: EnergyQuantity
-
-    def __post_init__(self):
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if self.energy.milli_kwh < 0:
-            raise ValueError("reading energy must be non-negative")
-        if self.timestamp % self.interval_s != 0:
-            raise ValueError("timestamp must be a multiple of interval_s")
 
 
 def _column(values) -> np.ndarray:
@@ -122,33 +114,19 @@ def _column(values) -> np.ndarray:
 
 
 class ReadingSeries:
-    """One meter's readings as read-only int64 `timestamp` and `milli_kwh` columns.
+    """One meter's rows of a `FeederDataset`, made only by `FeederDataset.series`.
 
-    Built from MeterReading objects (one meter, strictly increasing
-    timestamps, one interval), or without copying as a view of a dataset's
-    rows; `readings` builds the objects on request.
+    `timestamp` and `milli_kwh` are read-only int64 slices of the dataset's
+    columns, so a series copies nothing and needs no checks of its own;
+    `readings` builds the objects on request.
     """
 
     __slots__ = ("meter_id", "interval_s", "timestamp", "milli_kwh")
 
-    def __init__(self, meter_id: str, readings: Sequence[MeterReading]):
-        if any(r.meter_id != meter_id for r in readings):
-            raise ValueError("reading meter_id does not match series")
-        if len({r.interval_s for r in readings}) > 1:
-            raise ValueError("interval_s must be uniform within a series")
-        self.meter_id = meter_id
-        self.interval_s = readings[0].interval_s if readings else 0
-        self.timestamp = _column([r.timestamp for r in readings])
-        self.milli_kwh = _column([r.energy.milli_kwh for r in readings])
-        if (np.diff(self.timestamp) <= 0).any():
-            raise ValueError("timestamps must be strictly increasing")
-
-    @classmethod
-    def _view(cls, meter_id: str, interval_s: int, timestamp, milli_kwh) -> "ReadingSeries":
-        series = cls.__new__(cls)
-        series.meter_id, series.interval_s = meter_id, interval_s
-        series.timestamp, series.milli_kwh = timestamp, milli_kwh
-        return series
+    def __init__(self, meter_id: str, interval_s: int, timestamp: np.ndarray,
+                 milli_kwh: np.ndarray):
+        self.meter_id, self.interval_s = meter_id, interval_s
+        self.timestamp, self.milli_kwh = timestamp, milli_kwh
 
     @property
     def readings(self) -> tuple[MeterReading, ...]:
@@ -164,7 +142,7 @@ class ReadingSeries:
 class FeederDataset:
     """Readings of many meters sharing one interval and a per-reading cap.
 
-    Columns: `meter_ids` names each meter; `meter_idx`, `timestamp` (UTC
+    Columns: `meter_ids` names each meter once; `meter_idx`, `timestamp` (UTC
     epoch seconds) and `milli_kwh` are read-only int64 arrays with one entry
     per reading, grouped by meter in `meter_ids` order and strictly
     increasing in time within a meter. Exact int64 totals are computed once:
@@ -207,6 +185,8 @@ class FeederDataset:
             raise ValueError("interval_s must be positive")
         if not 0 < delta_max.milli_kwh < 2**63:
             raise ValueError("delta_max must be positive and below 2**63 milli-kWh")
+        if len(set(meter_ids)) != len(meter_ids):
+            raise ValueError("meter_ids must be distinct")
         meter_idx, timestamp, milli = _column(meter_idx), _column(timestamp), _column(milli_kwh)
         if not len(meter_idx) == len(timestamp) == len(milli):
             raise ValueError("columns must have one entry per reading")
@@ -278,13 +258,9 @@ class FeederDataset:
         """One column view per meter, in `meter_ids` order."""
         bounds = self.meter_bounds().tolist()
         return tuple(
-            ReadingSeries._view(m, self.interval_s, self.timestamp[a:b], self.milli_kwh[a:b])
+            ReadingSeries(m, self.interval_s, self.timestamp[a:b], self.milli_kwh[a:b])
             for m, a, b in zip(self.meter_ids, bounds, bounds[1:])
         )
-
-    def all_readings(self) -> Iterable[MeterReading]:
-        for s in self.series:
-            yield from s.readings
 
 
 def _value_index(dataset: FeederDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +304,7 @@ def parse_csv(text: str, interval_s: int, delta_max: EnergyQuantity) -> FeederDa
     not been seen in a valid row before, so each distinct timestamp and
     kWh text is parsed once and the first bad row in the file is reported.
     """
-    empty = FeederDataset(series=(), interval_s=interval_s, delta_max=delta_max)
+    empty = FeederDataset.from_columns((), (), (), (), interval_s, delta_max)
     lines = text.splitlines()
     if not lines:
         return empty

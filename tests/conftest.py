@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from amiprivacy.meterdata import (
-    EnergyQuantity,
-    FeederDataset,
-    MeterReading,
-    ReadingSeries,
-)
+from amiprivacy.meterdata import EnergyQuantity, FeederDataset
 
 
 class StubRng:
@@ -28,16 +23,13 @@ class StubRng:
 
 
 def build_series(meter_id, milli_values, interval_s=3600, start=0):
-    readings = tuple(
-        MeterReading(
-            meter_id=meter_id,
-            timestamp=start + i * interval_s,
-            interval_s=interval_s,
-            energy=EnergyQuantity(int(v)),
-        )
-        for i, v in enumerate(milli_values)
+    """One meter's series, made and checked by a one-meter dataset."""
+    dataset = FeederDataset.from_columns(
+        (meter_id,), [0] * len(milli_values),
+        [start + i * interval_s for i in range(len(milli_values))], milli_values,
+        interval_s, EnergyQuantity(2**63 - 1),
     )
-    return ReadingSeries(meter_id=meter_id, readings=readings)
+    return dataset.series[0]
 
 
 def make_uniform_dataset(

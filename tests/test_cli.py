@@ -1,8 +1,12 @@
+import fcntl
 import io
 import json
 import os
 import random
 import stat
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +222,54 @@ def test_dp_query_reports_any_dp_error_before_charging(tmp_path, readings_csv, c
     assert rc == 1
     assert capsys.readouterr().err.startswith("error=DeltaNotZero detail=")
     assert not ledger.exists()
+
+
+def test_dp_query_keeps_the_old_ledger_when_the_replace_fails(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    ledger = tmp_path / "ledger.csv"
+    args = ["--op", "count", "--epsilon", "0.2", "--ledger", str(ledger), "--seed", "7",
+            str(readings_csv)]
+    assert cli.dp_query_main(args) == 0
+    before = ledger.read_bytes()
+    capsys.readouterr()
+
+    def crash(src, dst):
+        raise OSError("injected crash between the write and the replace")
+
+    monkeypatch.setattr(os, "replace", crash)
+    assert cli.dp_query_main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error=OSError detail=")
+    assert ledger.read_bytes() == before
+
+
+def test_concurrent_dp_queries_take_the_ledger_lock_in_turn(tmp_path, readings_csv):
+    ledger = tmp_path / "ledger.csv"
+    main = "import sys; from amiprivacy.cli import dp_query_main; sys.exit(dp_query_main())"
+    command = [sys.executable, "-c", main, "--op", "count", "--epsilon", "0.6",
+               "--epsilon-cap", "1.0", "--ledger", str(ledger), str(readings_csv)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    runs = []
+    try:
+        with open(f"{ledger}.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            runs = [subprocess.Popen(command, env=env, text=True, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE) for _ in range(2)]
+            time.sleep(1)
+            assert [run.poll() for run in runs] == [None, None]  # both wait for the lock
+        results = [run.communicate(timeout=60) for run in runs]
+    finally:
+        for run in runs:
+            if run.poll() is None:
+                run.kill()
+                run.communicate()
+    (ok, ok_out, _), (refused, refused_out, refused_err) = sorted(
+        (run.returncode, out, err) for run, (out, err) in zip(runs, results))
+    assert (ok, refused) == (0, 1)
+    assert ok_out.startswith("value=") and refused_out == ""
+    assert refused_err.startswith("error=BudgetExhausted detail=")
+    assert len(ledger.read_text().splitlines()) == 1
 
 
 def test_dp_query_histogram_prints_one_line_per_bin(tmp_path, readings_csv, capsys):
@@ -475,6 +527,21 @@ def test_gateway_serve_answers_a_wrapping_bill_with_an_error_and_keeps_serving(
     records = [json.loads(line) for line in audit_path.read_text().splitlines()]
     assert [(r["request_id"], r["decision"], r["epsilon_spent"]) for r in records] == [
         ("w1", "error:BillingOverflow", 0.0), ("w2", "allowed", 0.0)]
+
+
+def test_gateway_serve_refuses_a_string_timestamp_before_any_charge(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    lines = [_request("s1", {"kind": "dp_query", "op": "sum", "epsilon": 0.1, "timestamp": "0"}),
+             _request("s2", {"kind": "dp_query", "op": "count", "epsilon": 1.0})]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert replies[0] == {"request_id": "s1", "error": "TypeError: expected int, not '0'"}
+    assert replies[1]["allowed"] is True  # the whole cap was still left
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert [(r["request_id"], r["decision"], r["epsilon_spent"]) for r in records] == [
+        ("s2", "allowed", 1.0)]
 
 
 def test_gateway_serve_repeats_raw_export_and_histogram(

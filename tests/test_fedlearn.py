@@ -54,7 +54,7 @@ class TestLocalTrain:
         series = build_series("m", [1000] * 200, interval_s=INTERVAL)
         global_params = ModelParams(np.array([1.0, 0.0, 0.0, 0.0]))
         cfg = RoundConfig(local_steps=5, learning_rate=0.1)
-        update = local_train([series], global_params, cfg, "c0")
+        update = local_train(extract_examples([series]), global_params, cfg, "c0")
         assert np.array_equal(update.weights.weights, global_params.weights)
         assert update.n_samples == 200 - 96
 
@@ -70,14 +70,14 @@ class TestLocalTrain:
         expected = [wi - lr * 2.0 * residual * xi for wi, xi in zip(w0, x)]
 
         cfg = RoundConfig(local_steps=1, learning_rate=lr)
-        update = local_train([series], ModelParams(np.array(w0)), cfg, "c0")
+        update = local_train(extract_examples([series]), ModelParams(np.array(w0)), cfg, "c0")
         assert update.n_samples == 1
         np.testing.assert_allclose(update.weights.weights, expected, rtol=0, atol=1e-12)
 
     def test_no_training_data(self):
         short = _random_series("m", 50, seed=1)  # below the lag horizon
         with pytest.raises(NoTrainingData):
-            local_train([short], ModelParams(np.zeros(4)), RoundConfig(), "c0")
+            local_train(extract_examples([short]), ModelParams(np.zeros(4)), RoundConfig(), "c0")
 
     def test_local_steps_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -297,20 +297,17 @@ class TestRunFederation:
 
     def test_clients_only_see_their_own_shard(self, monkeypatch):
         shards = _shards(3, 1, seed=9)
-        shard_meters = [{s.meter_id for s in shard} for shard in shards]
         calls = []
-        real = fedlearn.local_train
+        real = fedlearn.extract_examples
 
-        def spy(data, global_params, cfg, client_id=""):
-            calls.append((client_id, {s.meter_id for s in data}))
-            return real(data, global_params, cfg, client_id)
+        def spy(series_set):
+            calls.append({s.meter_id for s in series_set})
+            return real(series_set)
 
-        monkeypatch.setattr(fedlearn, "local_train", spy)
+        monkeypatch.setattr(fedlearn, "extract_examples", spy)
         run_federation(shards, RoundConfig(rounds=2, learning_rate=0.01), seed=0)
-        assert calls
-        for client_id, seen in calls:
-            idx = int(client_id.split("-")[1])
-            assert seen <= shard_meters[idx]
+        # The hold-out set first (empty: no client has a second series), then each client's own.
+        assert calls == [set()] + [{s.meter_id for s in shard} for shard in shards]
 
 
 def test_examples_extracted_once_per_client_and_weights_unchanged(monkeypatch):
@@ -319,8 +316,8 @@ def test_examples_extracted_once_per_client_and_weights_unchanged(monkeypatch):
     # Reference: every round re-extracts each client's examples.
     w = np.zeros(4)
     for _ in range(cfg.rounds):
-        updates = [local_train(list(shard[:-1]), ModelParams(w), cfg, f"client-{i:03d}")
-                   for i, shard in enumerate(shards)]
+        updates = [local_train(extract_examples(shard[:-1]), ModelParams(w), cfg,
+                               f"client-{i:03d}") for i, shard in enumerate(shards)]
         w = np.array(fed_avg(updates).weights)
 
     calls = []

@@ -324,7 +324,7 @@ def test_aggregate_report_uses_cached_meter_totals():
     meters = tuple(s.meter_id for s in d.series)
     decision = g.route(_req("r1", AggregateReport(groups=(("all", meters + ("nobody",)),))))
     assert decision.allowed
-    total = sum(r.energy.milli_kwh for r in d.all_readings())
+    total = int(d.milli_kwh.sum())
     assert decision.result["all"].count == 6
     assert decision.result["all"].total.milli_kwh == total
 
@@ -389,6 +389,14 @@ class FaultyRng(random.Random):
         return super().random()
 
 
+_SMPC = {"kind": "smpc_sum", "values": [["p0", 1], ["p1", 2]], "min_participants": 2}
+_SYNTH = {"kind": "synth_generate", "n_clusters": 2, "n_households": 3, "n_days": 1, "seed": 0}
+_SYNTH_INTS = ("n_clusters", "n_households", "n_days", "seed")
+_FED = {"kind": "fed_train", "n_clients": 2, "rounds": 1, "local_steps": 1,
+        "learning_rate": 0.1, "seed": 0}
+_FED_INTS = ("n_clients", "rounds", "local_steps", "seed")
+
+
 class TestOperationTable:
     def test_one_entry_per_operation_class(self):
         assert set(OPERATIONS) == {
@@ -410,8 +418,17 @@ class TestOperationTable:
          0, [False, "0"]),
         (lambda v: {"kind": "fed_train", "n_clients": 2, "rounds": 1, "local_steps": 1,
                     "learning_rate": v}, 0.1, [True, "0.1"]),
+        (lambda v: {"kind": "dp_query", "op": "sum", "epsilon": 0.1, "timestamp": v},
+         0, [True, 0.0, "0"]),
+        (lambda v: {"kind": "dp_query", "op": "histogram", "epsilon": 0.1, "edges": v},
+         [0, 1.5], ["0123", [0, True], [0, "1"]]),
+        (lambda v: {**_SMPC, "min_participants": v}, 2, [True, 2.0, "2"]),
+        *[(lambda v, key=key: {**_SYNTH, key: v}, 1, [True, 1.0, "1"]) for key in _SYNTH_INTS],
+        *[(lambda v, key=key: {**_FED, key: v}, 1, [True, 1.0, "1"]) for key in _FED_INTS],
     ], ids=["smpc_sum.values", "he_bill.usage_milli", "he_bill.rates", "dp_query.epsilon",
-            "dp_query.delta", "fed_train.learning_rate"])
+            "dp_query.delta", "fed_train.learning_rate", "dp_query.timestamp", "dp_query.edges",
+            "smpc_sum.min_participants", *(f"synth_generate.{key}" for key in _SYNTH_INTS),
+            *(f"fed_train.{key}" for key in _FED_INTS)])
     def test_protocol_numbers_are_checked_not_coerced(self, build, good, bad_values):
         KINDS[build(good)["kind"]].parse(build(good))
         for value in bad_values:

@@ -10,11 +10,9 @@ from amiprivacy.meterdata import (
     FeederDataset,
     MalformedRow,
     MeterDataError,
-    MeterReading,
     MisalignedTimestamp,
     MixedInterval,
     NegativeEnergy,
-    ReadingSeries,
     parse_csv,
     serialize_csv,
 )
@@ -144,7 +142,7 @@ class TestIntervalTotals:
 
     def test_thousand_meters_against_plain_sum(self):
         d = make_uniform_dataset(1000, 1500, 1)
-        expected = sum(r.energy.milli_kwh for r in d.all_readings())
+        expected = sum(r.energy.milli_kwh for s in d.series for r in s.readings)
         assert expected == 1_500_000
         assert d.interval_milli == {0: expected}
 
@@ -176,19 +174,6 @@ class TestIntervalTotals:
 
 
 class TestTypeInvariants:
-    def test_reading_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MeterReading("m", 0, 900, EnergyQuantity(-1))
-
-    def test_reading_rejects_misaligned(self):
-        with pytest.raises(ValueError):
-            MeterReading("m", 450, 900, EnergyQuantity(1))
-
-    def test_series_rejects_nonincreasing(self):
-        r0 = MeterReading("m", 0, 900, EnergyQuantity(1))
-        with pytest.raises(ValueError):
-            ReadingSeries("m", (r0, r0))
-
     def test_dataset_rejects_mixed_interval(self):
         with pytest.raises(ValueError):
             FeederDataset(
@@ -221,11 +206,23 @@ _COLUMNS = dict(meter_ids=("a", "b"), meter_idx=[0, 0, 1], timestamp=[0, 3600, 0
     ({"milli_kwh": [1, -2, 3]}, "non-negative"),
     ({"milli_kwh": [1, 5001, 3]}, "exceeds delta_max"),
     ({"milli_kwh": [2**62, 2**62, 1], "delta_max": EnergyQuantity(2**62)}, "overflow"),
+    ({"meter_ids": ("a", "a")}, "distinct"),
 ])
 def test_from_columns_refuses_each_broken_layout(change, refusal):
     assert FeederDataset.from_columns(**_COLUMNS).meter_milli == {"a": 3, "b": 3}
     with pytest.raises(ValueError, match=refusal):
         FeederDataset.from_columns(**{**_COLUMNS, **change})
+
+
+def test_series_are_read_only_views_of_the_dataset_columns():
+    d = FeederDataset.from_columns(**_COLUMNS)
+    for s in d.series:
+        for column, own in ((s.timestamp, d.timestamp), (s.milli_kwh, d.milli_kwh)):
+            assert np.shares_memory(column, own) and not column.flags.writeable
+    rows = [(d.meter_ids.index(r.meter_id), r.timestamp, r.energy.milli_kwh)
+            for s in d.series for r in s.readings]
+    assert [list(column) for column in zip(*rows)] == [
+        d.meter_idx.tolist(), d.timestamp.tolist(), d.milli_kwh.tolist()]
 
 
 def _iso(ts):

@@ -80,7 +80,7 @@ class TestFit:
 class TestGenerate:
     def test_degenerate_distribution_is_exact(self):
         d = generate(_flat_model(mean_kwh=1.0, std=0.0), n_households=5, n_days=2, seed=0)
-        assert all(r.energy.milli_kwh == 1000 for r in d.all_readings())
+        assert (d.milli_kwh == 1000).all()
 
     def test_daily_totals_match_analytic_mean(self):
         model = _flat_model(mean_kwh=1.0, std=0.2)
@@ -92,7 +92,7 @@ class TestGenerate:
 
     def test_no_events_when_rate_zero(self):
         d = generate(_flat_model(1.0, 0.0), n_households=3, n_days=1, seed=2)
-        assert max(r.energy.milli_kwh for r in d.all_readings()) == 1000
+        assert d.milli_kwh.max() == 1000
 
     def test_household_does_not_depend_on_how_many_are_generated(self):
         night = ClusterProfile(weight=0.5, hourly_mean=(2.0,) * 6 + (0.5,) * 18,
@@ -113,8 +113,8 @@ class TestGenerate:
 
     def test_output_satisfies_dataset_invariants(self):
         d = generate(_flat_model(0.05, 0.5), 30, 1, seed=4)
-        assert all(r.energy.milli_kwh >= 0 for r in d.all_readings())
-        assert all(r.timestamp % d.interval_s == 0 for r in d.all_readings())
+        assert (d.milli_kwh >= 0).all()
+        assert not (d.timestamp % d.interval_s).any()
 
     def test_weights_must_sum_to_one(self):
         cluster = ClusterProfile(weight=0.5, hourly_mean=(1.0,) * 24, hourly_std=(0.0,) * 24)
