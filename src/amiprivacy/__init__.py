@@ -1,9 +1,9 @@
 """Privacy-preserving analytics engine for smart-meter interval data.
 
 Subsystems: `meterdata` (fixed-point interval data model), `anonymize`
-(pseudonyms, generalization, k-anonymity), `dp` (differential privacy
-with budget accounting), `synthetic` (simulation-based load generation
-and leakage checks), `fedlearn` (federated averaging with secure
+(pseudonyms, minimum-count aggregation, k-anonymity), `dp` (differential
+privacy with budget accounting), `synthetic` (simulation-based load
+generation and leakage checks), `fedlearn` (federated averaging with secure
 aggregation), `smpc` (additive-secret-sharing secure sums), `he`
 (Paillier homomorphic aggregation and billing), and `gateway` (the
 policy-and-audit chokepoint in front of everything else).

@@ -1,10 +1,10 @@
-"""First-line de-identification: keyed rotating pseudonyms, value
-generalization, minimum-count aggregation, and a k-anonymity verifier.
+"""First-line de-identification: keyed rotating pseudonyms, minimum-count
+aggregation, and a k-anonymity verifier.
 
 Pseudonyms are a keyed pseudorandom derivation of (epoch, identifier),
 deterministic within an epoch and unlinkable across epochs as long as
-the key stays secret. Generalization and suppression prepare data for
-the k-anonymity check, which operates on categorical tuples only.
+the key stays secret. Aggregation suppresses every group below the
+threshold; the k-anonymity check operates on categorical tuples only.
 """
 
 from __future__ import annotations
@@ -42,15 +42,6 @@ class PseudonymKey:
             raise ValueError("pseudonym key secret must be exactly 32 bytes")
         if self.epoch < 0:
             raise ValueError("epoch must be non-negative")
-
-
-@dataclass(frozen=True)
-class GeneralizationRule:
-    energy_granularity: EnergyQuantity
-
-    def __post_init__(self):
-        if self.energy_granularity.milli_kwh <= 0:
-            raise ValueError("energy_granularity must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,18 +89,6 @@ def pseudonymize(real_id: str, key: PseudonymKey) -> str:
     msg = key.epoch.to_bytes(8, "big") + real_id.encode("utf-8")
     digest = hmac.new(key.secret, msg, hashlib.sha256).hexdigest()
     return digest[:32]
-
-
-def generalize(energy: EnergyQuantity, rule: GeneralizationRule) -> EnergyQuantity:
-    """Round to the nearest multiple of the granularity, ties away from zero."""
-    step = rule.energy_granularity.milli_kwh
-    value = energy.milli_kwh
-    sign = -1 if value < 0 else 1
-    magnitude = abs(value)
-    quotient, remainder = divmod(magnitude, step)
-    if 2 * remainder >= step:
-        quotient += 1
-    return EnergyQuantity(sign * quotient * step)
 
 
 def aggregate_threshold(

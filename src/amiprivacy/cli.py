@@ -318,14 +318,16 @@ def he_decrypt_main(argv=None) -> int:
 
 
 def _parse_policy_file(path: str) -> dict:
-    """Minimal `key = value` config parser (toml-like, flat)."""
+    """Minimal `key = value` config parser (toml-like, flat); a repeated key is refused."""
     values: dict[str, object] = {}
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip().strip('"')
+        if key in values:
+            raise ValueError(f"policy key {key!r} repeated at line {lineno}")
         if value.lower() in ("true", "false"):
             values[key] = value.lower() == "true"
         else:
@@ -401,12 +403,16 @@ def gateway_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     config = _parse_policy_file(args.policy)
-    interval_s, delta_max = config.pop("interval_s", 3600), config.pop("delta_max_kwh", 5.0)
+    try:  # 3600.5 or true is refused, not truncated to 3600 or read as 1
+        interval_s = gw._number(config.pop("interval_s", 3600), int)
+    except TypeError as exc:
+        raise TypeError(f"interval_s: {exc}") from None
+    delta_max = config.pop("delta_max_kwh", 5.0)
     # The other keys are PolicyConfig's fields, k standing for k_anonymity_k;
     # an unknown key or a value of the wrong type raises TypeError.
     k = {"k_anonymity_k": config.pop("k")} if "k" in config else {}
     policy = gw.PolicyConfig(**config, **k)
-    dataset = _read_dataset(str(Path(args.data) / "readings.csv"), int(interval_s), str(delta_max))
+    dataset = _read_dataset(str(Path(args.data) / "readings.csv"), interval_s, str(delta_max))
     ledger = dp.BudgetLedger(epsilon_cap=policy.epsilon_cap)
 
     # One line-buffered handle per session: each record reaches the file

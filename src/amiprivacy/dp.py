@@ -10,11 +10,6 @@ Mechanisms
 
     which makes outputs reproducible under injected uniforms.
 
-    Gaussian: for (eps, delta)-DP with delta > 0 and eps <= 1, the
-    classical analytic calibration is used::
-
-        sigma = d * sqrt(2 * ln(1.25 / delta)) / eps
-
 Budget accounting
     Basic (additive) composition only: the ledger is an append-only log
     of (query_id, eps, delta) charges, and an append that would push the
@@ -53,14 +48,6 @@ class DeltaNotZero(DpError):
     pass
 
 
-class DeltaZero(DpError):
-    pass
-
-
-class EpsilonOutOfRange(DpError):
-    pass
-
-
 class BudgetExhausted(DpError):
     pass
 
@@ -79,16 +66,18 @@ def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def _check_loss(epsilon: float, delta: float) -> None:
+    if not (epsilon > 0 and 0.0 <= delta < 1.0):  # also refuses nan, which no cap bounds
+        raise ValueError(f"epsilon must be > 0 and delta in [0, 1), not {epsilon}, {delta}")
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     epsilon: float
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must be in [0, 1)")
+        _check_loss(self.epsilon, self.delta)
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,7 @@ class DpAnswer:
     """A released noisy value plus the exact parameters used, for audit."""
 
     value: float
-    mechanism: str  # "laplace" | "gaussian"
+    mechanism: str  # "laplace"
     params: PrivacyParams
     sensitivity: Sensitivity
     query_id: str
@@ -142,6 +131,7 @@ class BudgetLedger:
         self._entries: list[LedgerEntry] = list(entries)
         self._spent = 0.0  # running left-to-right total: a charge is O(1), not O(#entries)
         for e in self._entries:
+            _check_loss(e.epsilon, e.delta)
             self._spent += e.epsilon
         self._lock = threading.Lock()
 
@@ -166,7 +156,8 @@ class BudgetLedger:
         return sum((e.epsilon for e in self._entries[start:]), 0.0)
 
     def charge(self, query_id: str, epsilon: float, delta: float) -> LedgerEntry:
-        """Atomically append a charge, or raise BudgetExhausted untouched."""
+        """Atomically append a charge, or raise BudgetExhausted (or ValueError) untouched."""
+        _check_loss(epsilon, delta)
         with self._lock:
             if self._spent + epsilon > self.epsilon_cap + 1e-12:
                 raise BudgetExhausted(
@@ -250,34 +241,6 @@ def laplace_mechanism(
     return DpAnswer(
         value=true_value + noise,
         mechanism="laplace",
-        params=p,
-        sensitivity=sens,
-        query_id=query_id or _new_query_id(),
-    )
-
-
-def gaussian_sigma(sens: Sensitivity, p: PrivacyParams) -> float:
-    """Noise std for the analytic (eps, delta) Gaussian calibration."""
-    return sens.delta_f * math.sqrt(2.0 * math.log(1.25 / p.delta)) / p.epsilon
-
-
-def gaussian_mechanism(
-    true_value: float,
-    sens: Sensitivity,
-    p: PrivacyParams,
-    rng: random.Random,
-    query_id: str | None = None,
-) -> DpAnswer:
-    """Release true_value + N(0, sigma^2); valid for delta > 0 and eps <= 1."""
-    if p.delta == 0.0:
-        raise DeltaZero("the Gaussian mechanism requires delta > 0")
-    if p.epsilon > 1.0:
-        raise EpsilonOutOfRange("analytic Gaussian calibration requires epsilon <= 1")
-    sigma = gaussian_sigma(sens, p)
-    noise = rng.gauss(0.0, sigma)
-    return DpAnswer(
-        value=true_value + noise,
-        mechanism="gaussian",
         params=p,
         sensitivity=sens,
         query_id=query_id or _new_query_id(),

@@ -144,9 +144,11 @@ class RateSchedule:
 
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+_MILLER_RABIN_ROUNDS = 40
+_PRIME_TRIES = 100_000
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
+def _is_probable_prime(n: int, rng: random.Random) -> bool:
     """Miller-Rabin with rng-chosen bases."""
     if n < 2:
         return False
@@ -160,7 +162,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    for _ in range(_MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -174,12 +176,12 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
     return True
 
 
-def _random_prime(bits: int, rng: random.Random, max_tries: int = 100_000) -> int:
-    for _ in range(max_tries):
+def _random_prime(bits: int, rng: random.Random) -> int:
+    for _ in range(_PRIME_TRIES):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if _is_probable_prime(candidate, rng):
             return candidate
-    raise PrimeGenerationFailure(f"no {bits}-bit prime after {max_tries} tries")
+    raise PrimeGenerationFailure(f"no {bits}-bit prime after {_PRIME_TRIES} tries")
 
 
 def _key_id(n: int) -> str:

@@ -92,9 +92,6 @@ class EnergyQuantity:
         whole, frac = divmod(abs(self.milli_kwh), MILLI_PER_KWH)
         return f"{sign}{whole}.{frac:03d}"
 
-    def __add__(self, other: "EnergyQuantity") -> "EnergyQuantity":
-        return EnergyQuantity(self.milli_kwh + other.milli_kwh)
-
 
 @dataclass(frozen=True)
 class MeterReading:

@@ -11,15 +11,11 @@ from amiprivacy.meterdata import EnergyQuantity, FeederDataset
 class StubRng:
     """Feeds predetermined draws to code expecting a random.Random."""
 
-    def __init__(self, uniforms=(), gausses=()):
+    def __init__(self, uniforms=()):
         self._uniforms = list(uniforms)
-        self._gausses = list(gausses)
 
     def random(self):
         return self._uniforms.pop(0)
-
-    def gauss(self, mu, sigma):
-        return mu + sigma * self._gausses.pop(0)
 
 
 def build_series(meter_id, milli_values, interval_s=3600, start=0):

@@ -1,26 +1,22 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
 
 from amiprivacy.anonymize import (
     Aggregate,
     AggregationPolicy,
     EmptyIdentifier,
-    GeneralizationRule,
     KAnonymityReport,
     PseudonymKey,
     QuasiIdentifierRecord,
     Suppressed,
     aggregate_threshold,
     check_k_anonymity,
-    generalize,
     pseudonymize,
 )
 from amiprivacy.meterdata import EnergyQuantity
 
 KEY = PseudonymKey(secret=bytes(range(32)), epoch=0)
-STEP_01 = GeneralizationRule(energy_granularity=EnergyQuantity(100))
 
 
 class TestPseudonymize:
@@ -59,48 +55,6 @@ class TestPseudonymize:
     def test_key_must_be_32_bytes(self):
         with pytest.raises(ValueError):
             PseudonymKey(secret=b"short", epoch=0)
-
-
-def _nearest_multiple_oracle(milli: int, step: int) -> int:
-    """Independent check: scan candidate multiples, ties away from zero."""
-    lower = (milli // step) * step
-    candidates = [lower, lower + step]
-    best = None
-    for c in candidates:
-        d = abs(milli - c)
-        if (
-            best is None
-            or d < best[0]
-            or (d == best[0] and abs(c) > abs(best[1]))
-        ):
-            best = (d, c)
-    return best[1]
-
-
-class TestGeneralize:
-    def test_rounds_to_nearest_tenth_kwh(self):
-        assert generalize(EnergyQuantity(3142), STEP_01) == EnergyQuantity(3100)
-
-    def test_zero(self):
-        assert generalize(EnergyQuantity(0), STEP_01) == EnergyQuantity(0)
-
-    def test_tie_rounds_away_from_zero(self):
-        assert generalize(EnergyQuantity(250), STEP_01) == EnergyQuantity(300)
-        assert generalize(EnergyQuantity(-250), STEP_01) == EnergyQuantity(-300)
-
-    def test_exhaustive_against_oracle(self):
-        for milli in range(0, 1001):
-            got = generalize(EnergyQuantity(milli), STEP_01).milli_kwh
-            assert got == _nearest_multiple_oracle(milli, 100), milli
-
-    @given(
-        st.integers(min_value=-10**7, max_value=10**7),
-        st.integers(min_value=1, max_value=5000),
-    )
-    def test_idempotent(self, milli, step):
-        rule = GeneralizationRule(energy_granularity=EnergyQuantity(step))
-        once = generalize(EnergyQuantity(milli), rule)
-        assert generalize(once, rule) == once
 
 
 class TestAggregateThreshold:

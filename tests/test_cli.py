@@ -780,3 +780,47 @@ def test_audit_show_verify_names_the_first_tampered_record(
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 4 and out[1].split(",")[2] == "mallory"
     assert out[-1] == "chain=invalid first_bad_seq=1"
+
+
+def test_gateway_serve_refuses_a_repeated_policy_key(tmp_path, readings_csv, capsys, monkeypatch):
+    # Keeping the last value would serve three 0.9 counts under a cap of 50, not 1.0.
+    lines = [_request(f"r{i}", {"kind": "dp_query", "op": "count", "epsilon": 0.9})
+             for i in range(3)]
+    rc, stdin, audit_path = _serve_status(
+        tmp_path, monkeypatch, "epsilon_cap = 1.0\nmin_aggregation_count = 3\nepsilon_cap = 50\n",
+        readings_csv.read_text(), lines)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=ValueError detail=")
+    assert "'epsilon_cap'" in captured.err and "line 3" in captured.err
+    assert stdin.tell() == 0
+    assert not audit_path.exists()
+
+
+@pytest.mark.parametrize("value", ["3600.5", "true"])
+def test_gateway_serve_refuses_an_interval_that_is_not_an_integer(
+    tmp_path, readings_csv, capsys, monkeypatch, value
+):
+    lines = [_request("i1", {"kind": "dp_query", "op": "count", "epsilon": 0.1})]
+    rc, stdin, audit_path = _serve_status(
+        tmp_path, monkeypatch, f"interval_s = {value}\n", readings_csv.read_text(), lines)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=TypeError detail=interval_s")
+    assert stdin.tell() == 0
+    assert not audit_path.exists()
+
+
+@pytest.mark.parametrize("line", ["a,nan,0.0,0\n", "a,-5.0,0.0,0\n"])
+def test_dp_query_refuses_a_ledger_entry_no_cap_bounds(tmp_path, readings_csv, capsys, line):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(line)
+    rc = cli.dp_query_main(["--op", "count", "--epsilon", "0.9", "--ledger", str(ledger),
+                            "--seed", "7", str(readings_csv)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=ValueError detail=")
+    assert ledger.read_bytes() == line.encode()

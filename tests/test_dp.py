@@ -8,9 +8,7 @@ from amiprivacy.dp import (
     BudgetExhausted,
     BudgetLedger,
     DeltaNotZero,
-    DeltaZero,
     EmptyDataset,
-    EpsilonOutOfRange,
     InvalidUniform,
     LedgerEntry,
     PrivacyParams,
@@ -20,8 +18,6 @@ from amiprivacy.dp import (
     dp_histogram,
     dp_mean,
     dp_sum,
-    gaussian_mechanism,
-    gaussian_sigma,
     laplace_mechanism,
     laplace_sample,
     seeded_rng,
@@ -87,33 +83,6 @@ class TestLaplaceMechanism:
         with pytest.raises(DeltaNotZero):
             laplace_mechanism(
                 1.0, Sensitivity(1.0), PrivacyParams(1.0, 1e-5), StubRng(uniforms=[0.5])
-            )
-
-
-class TestGaussianMechanism:
-    def test_sigma_closed_form(self):
-        sigma = gaussian_sigma(Sensitivity(1.0), PrivacyParams(1.0, 1e-5))
-        assert sigma == pytest.approx(4.844805262605389, abs=1e-12)
-        assert sigma == pytest.approx(math.sqrt(2.0 * math.log(1.25e5)), abs=1e-15)
-
-    def test_zero_draw_is_identity(self):
-        answer = gaussian_mechanism(
-            42.0, Sensitivity(1.0), PrivacyParams(1.0, 1e-5), StubRng(gausses=[0.0])
-        )
-        assert answer.value == 42.0
-
-    def test_sigma_linear_in_sensitivity(self):
-        p = PrivacyParams(0.7, 1e-6)
-        assert gaussian_sigma(Sensitivity(2.0), p) == 2 * gaussian_sigma(Sensitivity(1.0), p)
-
-    def test_requires_delta_positive(self):
-        with pytest.raises(DeltaZero):
-            gaussian_mechanism(1.0, Sensitivity(1.0), EPS1, StubRng(gausses=[0.0]))
-
-    def test_epsilon_range(self):
-        with pytest.raises(EpsilonOutOfRange):
-            gaussian_mechanism(
-                1.0, Sensitivity(1.0), PrivacyParams(1.5, 1e-5), StubRng(gausses=[0.0])
             )
 
 
@@ -262,6 +231,21 @@ class TestLedger:
         ledger.charge("q2", 0.5, 0.0)
         restored = BudgetLedger.from_lines(ledger.to_lines(), epsilon_cap=7.0)
         assert restored.entries == ledger.entries
+
+    def test_nan_charge_is_refused_untouched(self):
+        ledger = _ledger()
+        ledger.charge("q1", 0.25, 0.0)
+        before = ledger.entries
+        with pytest.raises(ValueError):
+            ledger.charge("q2", float("nan"), 0.0)
+        assert ledger.entries == before
+        assert ledger.epsilon_spent() == 0.25
+
+    # Summed into the running total, a nan or negative epsilon lets every later charge pass.
+    @pytest.mark.parametrize("line", ["a,nan,0.0,0\n", "a,-5.0,0.0,0\n", "a,0.5,1.0,0\n"])
+    def test_from_lines_refuses_a_loss_no_cap_bounds(self, line):
+        with pytest.raises(ValueError):
+            BudgetLedger.from_lines(line, epsilon_cap=1.0)
 
 
 _AWKWARD_EDGES = [0.1, 0.2, 0.3, 0.1 + 0.2, 0.7, 1.0005, 1.2345, 2.0004999, 0.0009999999999999998,
