@@ -99,18 +99,16 @@ def aggregate_threshold(
     Suppressed groups are returned as an explicit marker, never omitted,
     so callers can distinguish "no group" from "suppressed group".
     """
-    out: dict[object, Aggregate | Suppressed] = {}
-    for key, values in groups.items():
-        if len(values) < policy.min_count:
-            out[key] = Suppressed()
-        else:
-            total = sum(v.milli_kwh for v in values)
-            out[key] = Aggregate(
-                count=len(values),
-                total=EnergyQuantity(total),
-                mean_kwh=total / len(values) / 1000.0,
-            )
-    return out
+    return {key: _aggregate(len(values), sum(v.milli_kwh for v in values), policy.min_count)
+            for key, values in groups.items()}
+
+
+def _aggregate(count: int, total_milli: int, min_count: int) -> Aggregate | Suppressed:
+    """The one threshold rule, on a group's member count and exact total."""
+    if count < min_count:
+        return Suppressed()
+    return Aggregate(count=count, total=EnergyQuantity(total_milli),
+                     mean_kwh=total_milli / count / 1000.0)
 
 
 def check_k_anonymity(records: Sequence[QuasiIdentifierRecord], k: int) -> KAnonymityReport:

@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from . import anonymize, dp, fedlearn, he, smpc, synthetic
-from .meterdata import EnergyQuantity, FeederDataset, serialize_csv
+from .meterdata import FeederDataset, serialize_csv
 
 GENESIS_HASH = bytes(32)
 
@@ -356,14 +356,12 @@ class Gateway:
 
     def _aggregate_report(self, req: RequestEnvelope) -> Decision:
         totals = self.dataset.meter_milli
-        # dict.fromkeys drops a repeated id, so each meter counts once toward the threshold.
-        groups = {
-            key: [EnergyQuantity(totals[m]) for m in dict.fromkeys(meters) if m in totals]
-            for key, meters in req.operation.groups
-        }
-        policy = anonymize.AggregationPolicy(
-            min_count=max(self.policy.min_aggregation_count, self.policy.k_anonymity_k))
-        report = anonymize.aggregate_threshold(groups, policy)
+        min_count = max(self.policy.min_aggregation_count, self.policy.k_anonymity_k)
+        report = {}
+        for key, meters in req.operation.groups:
+            # dict.fromkeys drops a repeated id, so each meter counts once toward the threshold.
+            members = [t for t in map(totals.get, dict.fromkeys(meters)) if t is not None]
+            report[key] = anonymize._aggregate(len(members), sum(members), min_count)
         if any(isinstance(v, anonymize.Suppressed) for v in report.values()):
             return Decision(allowed=False, reason=DenialReason.BELOW_AGGREGATION_THRESHOLD)
         return Decision(allowed=True, result=report)

@@ -8,15 +8,18 @@ accepted on input only.
 A `FeederDataset` keeps its readings as read-only int64 columns (meter
 index, timestamp, milli-kWh) and caches its exact totals, so queries are
 numpy passes over arrays; `MeterReading` objects exist only on request.
-Two views are memoized lazily on the dataset, built on first use and never
-again, since the columns never change: the CSV text of `serialize_csv` and
-the value index of `FeederDataset.value_index` (distinct milli-kWh values
-and how many readings lie below each), which bins a histogram without
-walking the readings.
+Three views are memoized lazily on the dataset, built on first use and never
+again, since the columns never change: the CSV text of `serialize_csv`, its
+JSON string encoding (`serialize_csv_json`), so a repeated raw export pays
+neither serialization nor JSON encoding, and the value index of
+`FeederDataset.value_index` (distinct milli-kWh values and how many
+readings lie below each), which bins a histogram without walking the
+readings.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -145,7 +148,7 @@ class FeederDataset:
     increasing in time within a meter. Exact int64 totals are computed once:
     `interval_milli` (timestamp -> total, ascending), `meter_milli`
     (meter id -> total) and `total_milli`. Views derived from the columns
-    (the CSV text, the value index) are computed on first use and kept.
+    (CSV text, its JSON form, value index) are computed on first use and kept.
 
     The cap ``delta_max`` is the sensitivity bound the DP mechanisms rely
     on; ingestion rejects readings above it rather than clipping.
@@ -348,6 +351,11 @@ def serialize_csv(dataset: FeederDataset) -> str:
     The text is built on the first call for a dataset and kept on it.
     """
     return dataset._derived("csv", _serialize_csv)
+
+
+def serialize_csv_json(dataset: FeederDataset) -> bytes:
+    """`json.dumps(serialize_csv(dataset)).encode()`, built on the first call and kept."""
+    return dataset._derived("csv_json", lambda d: json.dumps(serialize_csv(d)).encode())
 
 
 def _serialize_csv(dataset: FeederDataset) -> str:

@@ -13,7 +13,7 @@ import pytest
 
 from amiprivacy import cli, dp, he
 from amiprivacy.gateway import AuditLog, verify_chain
-from amiprivacy.meterdata import EnergyQuantity, parse_csv, serialize_csv
+from amiprivacy.meterdata import EnergyQuantity, FeederDataset, parse_csv, serialize_csv
 from conftest import make_uniform_dataset, make_two_cluster_dataset
 
 CAP = EnergyQuantity(5000)
@@ -824,3 +824,59 @@ def test_dp_query_refuses_a_ledger_entry_no_cap_bounds(tmp_path, readings_csv, c
     assert captured.out == ""
     assert captured.err.startswith("error=ValueError detail=")
     assert ledger.read_bytes() == line.encode()
+
+
+def _raw_export_reply(rid, csv_text):
+    """What `gateway serve` has always printed for an allowed raw export."""
+    return json.dumps({"request_id": rid, "allowed": True, "reason": None, "result": csv_text})
+
+
+def test_gateway_serve_writes_raw_exports_byte_for_byte_through_a_pipe(tmp_path):
+    # Meter ids that JSON must escape: a quote, a backslash and a non-ASCII letter.
+    ids = sorted(['m"quote', "m\\slash", "méter"])
+    csv_text = serialize_csv(FeederDataset.from_columns(
+        ids, [0, 0, 1, 1, 2, 2], [0, 3600] * 3, [1500, 250, 0, 4999, 1000, 1], 3600, CAP))
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "readings.csv").write_bytes(csv_text.encode("utf-8"))
+    policy = tmp_path / "policy.conf"
+    policy.write_text("epsilon_cap = 1.0\n")
+    lines = [_request("x1", {"kind": "raw_export"}), '{"request_id": "bad", ',
+             _request("x2", {"kind": "raw_export"}),
+             _request("c1", {"kind": "dp_query", "op": "count", "epsilon": 0.5})]
+    main = "import sys; from amiprivacy.cli import gateway_main; sys.exit(gateway_main())"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONUTF8": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", main, "serve", "--policy", str(policy), "--data", str(data_dir),
+         "--seed", "5"],
+        input="".join(line + "\n" for line in lines).encode(), capture_output=True, env=env,
+        timeout=60)
+    assert run.returncode == 0, run.stderr.decode()
+    replies = run.stdout.split(b"\n")
+    assert replies[-1] == b"" and len(replies) == len(lines) + 1
+    assert replies[0] == _raw_export_reply("x1", csv_text).encode()
+    assert replies[2] == _raw_export_reply("x2", csv_text).encode()
+    error = json.loads(replies[1])
+    assert error["request_id"] is None and error["error"].startswith("JSONDecodeError: ")
+    count = json.loads(replies[3])
+    assert (count["request_id"], count["allowed"]) == ("c1", True)
+
+
+def test_gateway_serve_encodes_the_csv_for_the_first_raw_export_only(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    csv_text = readings_csv.read_text()
+    expected = [_raw_export_reply(rid, csv_text) for rid in ("e1", "e2", "e3")]
+    encode = json.encoder.encode_basestring_ascii
+    encoded = []
+
+    def spy(text):
+        if text == csv_text:
+            encoded.append(text)
+        return encode(text)
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", spy)
+    lines = [_request(rid, {"kind": "raw_export"}) for rid in ("e1", "e2", "e3")]
+    _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n", csv_text, lines)
+    assert len(encoded) == 1
+    assert capsys.readouterr().out.splitlines() == expected

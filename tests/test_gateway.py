@@ -28,6 +28,8 @@ from amiprivacy.gateway import (
     verify_chain,
 )
 from amiprivacy import fedlearn
+from amiprivacy.anonymize import AggregationPolicy, Suppressed, aggregate_threshold
+from amiprivacy.meterdata import EnergyQuantity
 from amiprivacy.gateway import KINDS, OPERATIONS, RequestFailed
 from conftest import StubRng, make_two_cluster_dataset, make_uniform_dataset
 
@@ -348,6 +350,33 @@ def test_aggregate_report_needs_k_members_when_k_exceeds_the_minimum():
     denied = g.route(_req("r1", AggregateReport(groups=(("g", meters[:3]),))))
     assert denied == Decision(allowed=False, reason=DenialReason.BELOW_AGGREGATION_THRESHOLD)
     assert g.route(_req("r2", AggregateReport(groups=(("g", meters[:4]),)))).allowed
+
+
+_AGG_DATASET = make_two_cluster_dataset(n_meters=8, n_days=1, seed=3)  # distinct totals
+_AGG_IDS = _AGG_DATASET.meter_ids + ("nobody", "m9999")  # the last two are not in it
+
+
+@given(groups=st.dictionaries(st.text(max_size=3), st.lists(st.sampled_from(_AGG_IDS),
+                                                            max_size=14), max_size=4),
+       min_count=st.integers(1, 9), k=st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_aggregate_report_matches_aggregate_threshold_over_energy_quantities(
+    groups, min_count, k
+):
+    policy = PolicyConfig(epsilon_cap=10.0, min_aggregation_count=min_count, k_anonymity_k=k)
+    g = _gateway(policy=policy, dataset=_AGG_DATASET)
+    decision = g.route(_req("r1", AggregateReport(
+        groups=tuple((key, tuple(meters)) for key, meters in groups.items()))))
+    totals = _AGG_DATASET.meter_milli
+    expected = aggregate_threshold(
+        {key: [EnergyQuantity(totals[m]) for m in dict.fromkeys(meters) if m in totals]
+         for key, meters in groups.items()},
+        AggregationPolicy(min_count=max(min_count, k)))
+    if any(isinstance(v, Suppressed) for v in expected.values()):
+        assert decision == Decision(allowed=False,
+                                    reason=DenialReason.BELOW_AGGREGATION_THRESHOLD)
+    else:
+        assert decision == Decision(allowed=True, result=expected)
 
 
 @pytest.mark.parametrize("value", ["no", 1, None])
