@@ -6,16 +6,18 @@ features: previous interval, 96 intervals back, hour-of-day scaled to
 squared error, so the weighted average of per-client updates equals one
 centralized full-batch step when local_steps = 1.
 
-Secure aggregation adds canceling pairwise masks to fixed-point encoded
-updates (scale 1e-6, modulus 2^64): the coordinator sees only masked
-vectors, and the modular sum of the masked vectors equals the sum of the
-quantized unmasked ones, exactly. Optional DP noising clips the update
-to a norm bound and adds per-coordinate Gaussian noise before upload.
+Secure aggregation masks one (k, d) uint64 matrix, one row per client
+upload: the fixed-point encoding (scale 1e-6, mod 2^64) of its
+sample-weighted update plus canceling pairwise masks, so the column sums
+are the quantized sums, exact while every quantized coordinate is below
+2^63 / k (past that, FixedPointOverflow). Optional DP noising clips the
+update to a norm bound and adds per-coordinate Gaussian noise before upload.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -51,7 +53,7 @@ class ClipNormMissing(FedLearnError):
     pass
 
 
-class MissingPeerSeed(FedLearnError):
+class FixedPointOverflow(FedLearnError):
     pass
 
 
@@ -78,21 +80,12 @@ class ModelParams:
 @dataclass(frozen=True)
 class ClientUpdate:
     client_id: str
-    weights: ModelParams | None  # None once masked: the upload hides the plaintext
+    weights: ModelParams
     n_samples: int
-    # Masked payload: fixed-point coordinates mod 2^64, kept as ints
-    # because 64-bit masked values do not fit a float64 exactly.
-    fixed_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if (self.weights is None) == (self.fixed_values is None):
-            raise ValueError("an update carries exactly one of weights and fixed_values")
-
-    @property
-    def masked(self) -> bool:
-        return self.fixed_values is not None
 
 
 @dataclass(frozen=True)
@@ -170,8 +163,6 @@ def fed_avg(updates: Sequence[ClientUpdate]) -> ModelParams:
     """Weighted mean of client weights by sample count."""
     if not updates:
         raise EmptyUpdateList("need at least one client update")
-    if any(u.masked for u in updates):
-        raise ValueError("fed_avg operates on unmasked updates")
     dim = updates[0].weights.dim
     if any(u.weights.dim != dim for u in updates):
         raise DimensionMismatch("all weight vectors must share one dimension")
@@ -199,40 +190,23 @@ def _pair_mask_stream(seed: int, dim: int) -> np.ndarray:
     return np.frombuffer(words, dtype="<u8")
 
 
-def mask_update(update: ClientUpdate, pairwise_seeds: Mapping[str, int]) -> ClientUpdate:
-    """Add canceling pairwise masks to the fixed-point encoding of the update.
+def masked_uploads(vectors: np.ndarray, pair_seeds: Mapping[tuple[int, int], int]) -> np.ndarray:
+    """The (k, d) uint64 uploads the coordinator sees, one per row of vectors.
 
-    Peers with a lexically greater id contribute +PRG(seed), smaller ids
-    contribute -PRG(seed); over all participants the masks sum to zero
-    mod 2^64, so the aggregate of masked updates is the exact aggregate
-    of quantized unmasked ones.
+    Row i is encode_fixed(vectors[i]), plus _pair_mask_stream(seed) for each
+    pair (i, j) and minus it for each pair (j, i), mod 2^64, so the masks
+    cancel in the column sums. decode_fixed reads a sum back only within
+    +-2^63, so every quantized coordinate must be below 2^63 / k.
     """
-    if update.client_id in pairwise_seeds:
-        raise MissingPeerSeed("pairwise_seeds must map peers only, not the client itself")
-    if any(seed is None for seed in pairwise_seeds.values()):
-        raise MissingPeerSeed("every participating peer needs a shared seed")
-    fixed = np.array(encode_fixed(update.weights.weights), dtype=np.uint64)
-    for peer_id, seed in pairwise_seeds.items():
-        stream = _pair_mask_stream(seed, len(fixed))
-        fixed = fixed + stream if peer_id > update.client_id else fixed - stream  # wraps mod 2^64
-    return replace(update, weights=None, fixed_values=tuple(fixed.tolist()))
-
-
-def aggregate_masked(updates: Sequence[ClientUpdate]) -> np.ndarray:
-    """Modular sum of masked payloads, decoded back to reals.
-
-    Equals the sum of the participants' quantized weight vectors because
-    the pairwise masks cancel exactly.
-    """
-    if not updates:
-        raise EmptyUpdateList("need at least one masked update")
-    if any(not u.masked for u in updates):
-        raise ValueError("aggregate_masked operates on masked updates")
-    dim = len(updates[0].fixed_values)
-    if any(len(u.fixed_values) != dim for u in updates):
-        raise DimensionMismatch("all masked payloads must share one dimension")
-    payloads = np.array([u.fixed_values for u in updates], dtype=np.uint64)
-    return decode_fixed(payloads.sum(axis=0, dtype=np.uint64))
+    k, dim = vectors.shape
+    if not np.all(np.abs(np.round(vectors * FX_SCALE)) < MASK_MODULUS / 2 / k):
+        raise FixedPointOverflow(f"a coordinate * 1e6 is not below 2^63 / {k} for {k} uploads")
+    uploads = np.array([encode_fixed(row) for row in vectors], dtype=np.uint64).reshape(k, dim)
+    for (i, j), seed in pair_seeds.items():
+        stream = _pair_mask_stream(seed, dim)
+        uploads[i] += stream  # wraps mod 2^64
+        uploads[j] -= stream
+    return uploads
 
 
 def dp_noise_update(
@@ -303,17 +277,12 @@ def run_federation(
             raise NoTrainingData("no client produced a training update")
 
         if secure_agg:
+            pair_seeds = {(i, j): _derived_seed(seed, rnd, *sorted((a.client_id, b.client_id)))
+                          for (i, a), (j, b) in itertools.combinations(enumerate(updates), 2)}
+            vectors = np.stack([u.weights.weights * u.n_samples for u in updates])
+            uploads = masked_uploads(vectors, pair_seeds)
             total_n = sum(u.n_samples for u in updates)
-            masked = []
-            for u in updates:
-                peer_seeds = {
-                    v.client_id: _derived_seed(seed, rnd, *sorted((u.client_id, v.client_id)))
-                    for v in updates
-                    if v.client_id != u.client_id
-                }
-                scaled = replace(u, weights=ModelParams(u.weights.weights * u.n_samples))
-                masked.append(mask_update(scaled, peer_seeds))
-            global_w = aggregate_masked(masked) / total_n
+            global_w = decode_fixed(uploads.sum(axis=0, dtype=np.uint64)) / total_n
         else:
             global_w = np.array(fed_avg(updates).weights)
 

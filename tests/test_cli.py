@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from amiprivacy import cli, dp, he
@@ -100,6 +101,40 @@ def test_fed_train_emits_history(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "round,mse"
     assert len(out) == 4
+
+
+def _fed_train_mse(argv, capsys):
+    assert cli.fed_train_main(argv) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[0] == "round,mse"
+    return [float(line.split(",")[1]) for line in out[1:]]
+
+
+@pytest.mark.parametrize("dp_args", [[], ["--clip", "1.0", "--dp-sigma", "0.01"]])
+def test_fed_train_secure_agg_matches_the_plain_run(tmp_path, capsys, dp_args):
+    # The README's two fed-train lines; two meters per client, so each holds one out for MSE.
+    data = tmp_path / "data.csv"
+    data.write_text(serialize_csv(make_uniform_dataset(8, 1500, 200, interval_s=900)))
+    argv = ["--clients", "4", "--rounds", "20", "--local-steps", "1", "--lr", "0.01",
+            "--seed", "1", *dp_args, "--interval", "900", str(data)]
+    plain = _fed_train_mse(argv, capsys)
+    secure = _fed_train_mse(["--secure-agg", *argv], capsys)
+    assert len(plain) == len(secure) == 20
+    # Only fixed-point quantization (1e-6) separates the two.
+    np.testing.assert_allclose(secure, plain, rtol=1e-6, atol=0)
+
+
+def test_fed_train_secure_agg_refuses_a_sum_that_would_wrap(tmp_path, capsys):
+    # lr 0.9 diverges: by round 10 the sample-weighted updates pass 2^63 / 3 fixed-point units.
+    data = tmp_path / "data.csv"
+    data.write_text(serialize_csv(make_uniform_dataset(6, 1500, 192, interval_s=900)))
+    argv = ["--clients", "3", "--rounds", "12", "--local-steps", "1", "--lr", "0.9",
+            "--seed", "1", "--interval", "900", str(data)]
+    assert len(_fed_train_mse(argv, capsys)) == 12  # the plain run prints its huge MSEs
+    assert cli.fed_train_main(["--secure-agg", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error=FixedPointOverflow ")
 
 
 def test_smpc_sum_cli(tmp_path, capsys):

@@ -9,19 +9,18 @@ from amiprivacy.fedlearn import (
     ClientUpdate,
     DimensionMismatch,
     EmptyUpdateList,
+    FixedPointOverflow,
     MASK_MODULUS,
-    MissingPeerSeed,
     ModelParams,
     NoTrainingData,
     RoundConfig,
-    aggregate_masked,
     decode_fixed,
     dp_noise_update,
     encode_fixed,
     extract_examples,
     fed_avg,
     local_train,
-    mask_update,
+    masked_uploads,
     round_robin_shards,
     run_federation,
 )
@@ -131,70 +130,57 @@ class TestFedAvg:
             fed_avg([_update([1.0], 1), _update([1.0, 2.0], 1)])
 
 
+def _column_sums(uploads):
+    return uploads.sum(axis=0, dtype=np.uint64)
+
+
 class TestMasking:
     def test_two_client_masks_cancel(self):
         w_a, w_b = np.array([0.5, -1.25, 2.0, 0.0]), np.array([1.0, 1.0, -3.5, 0.125])
-        a = ClientUpdate("alice", ModelParams(w_a), 3)
-        b = ClientUpdate("bob", ModelParams(w_b), 5)
-        seed = 12345
-        masked = [
-            mask_update(a, {"bob": seed}),
-            mask_update(b, {"alice": seed}),
-        ]
+        uploads = masked_uploads(np.stack([w_a, w_b]), {(0, 1): 12345})
+        assert uploads.dtype == np.uint64 and uploads.shape == (2, 4)
         plain = [
             (x + y) % MASK_MODULUS
             for x, y in zip(encode_fixed(w_a), encode_fixed(w_b))
         ]
-        np.testing.assert_array_equal(aggregate_masked(masked), decode_fixed(plain))
+        assert _column_sums(uploads).tolist() == plain
+        np.testing.assert_array_equal(decode_fixed(_column_sums(uploads)), w_a + w_b)
 
     def test_masked_payload_differs_from_plain(self):
-        w = np.array([0.5, 1.5, -2.5, 0.0])
-        u = ClientUpdate("a", ModelParams(w), 1)
-        masked = mask_update(u, {"b": 99})
-        assert masked.masked
-        assert masked.fixed_values != encode_fixed(w)
-
-    def test_masked_update_drops_the_plaintext_weights(self):
-        u = ClientUpdate("a", ModelParams(np.array([0.5, -1.5])), 7)
-        masked = mask_update(u, {"b": 99})
-        assert masked.weights is None
-        assert (masked.client_id, masked.n_samples) == ("a", 7)
-        with pytest.raises(ValueError):
-            ClientUpdate("a", ModelParams(np.zeros(2)), 1, fixed_values=(0, 0))
-        with pytest.raises(ValueError):
-            ClientUpdate("a", None, 1)
+        vectors = np.array([[0.5, 1.5, -2.5, 0.0], [1.0, -1.0, 0.25, 3.0]])
+        uploads = masked_uploads(vectors, {(0, 1): 99})
+        for row, vec in zip(uploads.tolist(), vectors):
+            assert all(u != e for u, e in zip(row, encode_fixed(vec)))
 
     def test_single_client_mask_is_empty_sum(self):
         w = np.array([0.25, -0.75])
-        u = ClientUpdate("solo", ModelParams(w), 1)
-        masked = mask_update(u, {})
-        assert masked.fixed_values == encode_fixed(w)
+        uploads = masked_uploads(w[None, :], {})
+        assert tuple(uploads[0].tolist()) == encode_fixed(w)
 
     def test_five_clients_random_seeds(self):
         rng = random.Random(8)
-        ids = [f"p{i}" for i in range(5)]
-        weights = [np.array([rng.uniform(-5, 5) for _ in range(4)]) for _ in ids]
-        pair_seed = {
-            frozenset((a, b)): rng.randrange(2**32)
-            for i, a in enumerate(ids)
-            for b in ids[i + 1 :]
-        }
-        masked = []
-        for cid, w in zip(ids, weights):
-            seeds = {o: pair_seed[frozenset((cid, o))] for o in ids if o != cid}
-            masked.append(mask_update(ClientUpdate(cid, ModelParams(w), 1), seeds))
+        vectors = np.array([[rng.uniform(-5, 5) for _ in range(4)] for _ in range(5)])
+        pair_seeds = {(i, j): rng.randrange(2**32) for i in range(5) for j in range(i + 1, 5)}
+        uploads = masked_uploads(vectors, pair_seeds)
         plain_fixed = [0, 0, 0, 0]
-        for w in weights:
+        for w in vectors:
             for k, v in enumerate(encode_fixed(w)):
                 plain_fixed[k] = (plain_fixed[k] + v) % MASK_MODULUS
-        np.testing.assert_array_equal(aggregate_masked(masked), decode_fixed(plain_fixed))
+        assert _column_sums(uploads).tolist() == plain_fixed
 
-    def test_missing_peer_seed(self):
-        u = ClientUpdate("a", ModelParams(np.zeros(2)), 1)
-        with pytest.raises(MissingPeerSeed):
-            mask_update(u, {"a": 1})
-        with pytest.raises(MissingPeerSeed):
-            mask_update(u, {"b": None})
+    def test_fixed_point_bound_is_two_to_the_63_over_k(self):
+        k = 3
+        limit = 2**63 / k / 1e6  # largest |coordinate| whose k-fold sum decodes
+        under = np.full((k, 2), limit * (1 - 1e-9))
+        under[:, 1] *= -1
+        sums = _column_sums(masked_uploads(under, {(0, 1): 5, (0, 2): 6, (1, 2): 7}))
+        exact = [k * round(v * 1e6) for v in under[0]]
+        assert sums.astype(np.int64).tolist() == exact  # no wrap: the signs survive
+        for sign in (1, -1):
+            over = under.copy()
+            over[2, 0] = sign * limit * (1 + 1e-9)
+            with pytest.raises(FixedPointOverflow):
+                masked_uploads(over, {})
 
     def test_encode_decode_round_trip(self):
         vec = np.array([0.000001, -123.456789, 0.0, 7.25])
