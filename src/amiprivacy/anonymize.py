@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .meterdata import EnergyQuantity
+from .meterdata import MILLI_PER_KWH, EnergyQuantity
 
 
 class AnonymizeError(Exception):
@@ -108,7 +108,7 @@ def _aggregate(count: int, total_milli: int, min_count: int) -> Aggregate | Supp
     if count < min_count:
         return Suppressed()
     return Aggregate(count=count, total=EnergyQuantity(total_milli),
-                     mean_kwh=total_milli / count / 1000.0)
+                     mean_kwh=total_milli / count / MILLI_PER_KWH)
 
 
 def check_k_anonymity(records: Sequence[QuasiIdentifierRecord], k: int) -> KAnonymityReport:

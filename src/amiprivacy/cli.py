@@ -13,6 +13,7 @@ import argparse
 import fcntl
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -205,6 +206,9 @@ def fed_train_main(argv=None) -> int:
         dp_sigma=args.dp_sigma,
     )
     result = fedlearn.run_federation(shards, cfg, seed=args.seed, secure_agg=args.secure_agg)
+    if all(math.isnan(m.mse) for m in result.history):
+        raise fedlearn.FedLearnError("no meter is held out, so no round has an MSE: a client "
+                                     "holds one out only when it holds two or more meters")
     print("round,mse")
     for m in result.history:
         print(f"{m.round_index},{m.mse!r}")

@@ -199,8 +199,6 @@ def laplace_sample(scale: float, u: float) -> float:
     if not 0.0 < u < 1.0:
         raise InvalidUniform(f"uniform draw must lie in (0, 1), got {u}")
     centered = u - 0.5
-    if centered == 0.0:
-        return 0.0
     sign = 1.0 if centered > 0 else -1.0
     return -scale * sign * math.log(1.0 - 2.0 * abs(centered))
 

@@ -10,8 +10,8 @@ Secure aggregation masks one (k, d) uint64 matrix, one row per client
 upload: the fixed-point encoding (scale 1e-6, mod 2^64) of its
 sample-weighted update plus canceling pairwise masks, so the column sums
 are the quantized sums, exact while every quantized coordinate is below
-2^63 / k (past that, FixedPointOverflow). Optional DP noising clips the
-update to a norm bound and adds per-coordinate Gaussian noise before upload.
+2^63 / k (past that, FixedPointOverflow). A set norm bound clips each update,
+then optional per-coordinate Gaussian noise is added, before upload.
 """
 
 from __future__ import annotations
@@ -246,7 +246,8 @@ def run_federation(
     """Execute the round protocol: broadcast, local train, aggregate.
 
     Per round: every client trains from the current global model; updates
-    are optionally DP-noised and optionally masked for secure aggregation;
+    are clipped if cfg.clip_norm is set (and then noised if cfg.dp_sigma > 0)
+    and optionally masked for secure aggregation;
     the coordinator forms the sample-weighted mean and records global MSE
     on the held-out split. Clients raising NoTrainingData are excluded
     from the round and from the weighting denominator. Per-client RNG is
@@ -269,7 +270,7 @@ def run_federation(
                 update = local_train(client_examples, ModelParams(global_w), cfg, client_id)
             except NoTrainingData:
                 continue
-            if cfg.dp_sigma > 0:
+            if cfg.clip_norm is not None:  # dp_sigma > 0 needs a clip_norm
                 rng = random.Random(_derived_seed(seed, client_id, rnd))
                 update = dp_noise_update(update, cfg, rng)
             updates.append(update)

@@ -29,6 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from . import anonymize, dp, fedlearn, he, smpc, synthetic
@@ -176,18 +177,13 @@ class AuditRecord:
 _FIELD_SEP = "|"  # joins the audit payload's fields; no text field may contain it
 
 
-def _record_payload(
-    seq: int,
-    request_id: str,
-    requester: str,
-    decision: str,
-    mechanism: str,
-    epsilon_spent: float,
-    timestamp: float,
-) -> bytes:
-    fields = (str(seq), request_id, requester, decision, mechanism,
-              repr(epsilon_spent), repr(timestamp))
-    return _FIELD_SEP.join(fields).encode("utf-8")
+def _record_payload(values: tuple) -> bytes:
+    """AuditRecord's first seven fields, joined; repr keeps the text "0.1" from hashing as 0.1."""
+    seq, *text, epsilon_spent, timestamp = values
+    return _FIELD_SEP.join((str(seq), *text, repr(epsilon_spent), repr(timestamp))).encode("utf-8")
+
+
+_hashed_values = attrgetter(*(f.name for f in fields(AuditRecord)[:7]))
 
 
 def _record_hash(prev_hash: bytes, payload: bytes) -> bytes:
@@ -222,7 +218,7 @@ class AuditLog:
         seq = len(self._records)
         prev_hash = self._records[-1].hash if self._records else GENESIS_HASH
         fields = (seq, request_id, requester, decision, mechanism, epsilon_spent, time.time())
-        record = AuditRecord(*fields, prev_hash, _record_hash(prev_hash, _record_payload(*fields)))
+        record = AuditRecord(*fields, prev_hash, _record_hash(prev_hash, _record_payload(fields)))
         if self._writer is not None:
             try:
                 self._writer(record)
@@ -247,10 +243,7 @@ def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
     sep = _FIELD_SEP.encode("utf-8")
     prev_hash = GENESIS_HASH
     for i, rec in enumerate(records):
-        payload = _record_payload(
-            rec.seq, rec.request_id, rec.requester, rec.decision,
-            rec.mechanism, rec.epsilon_spent, rec.timestamp,
-        )
+        payload = _record_payload(_hashed_values(rec))
         if (
             rec.seq != i
             or payload.count(sep) != 6  # seven fields; more means one held a separator

@@ -363,19 +363,6 @@ def scalar_mul(c: Ciphertext, k: int, pub: PaillierPublicKey) -> Ciphertext:
     return Ciphertext(value=pow(c.value, k, pub.n_squared), key_id=pub.key_id)
 
 
-def encryption_of_zero(pub: PaillierPublicKey) -> Ciphertext:
-    """Canonical encryption of 0 with r = 1 (the fold identity)."""
-    return Ciphertext(value=1, key_id=pub.key_id)
-
-
-def encrypted_aggregate(cts: Sequence[Ciphertext], pub: PaillierPublicKey) -> Ciphertext:
-    """Fold of homomorphic addition; exact as long as the plaintext sum < n."""
-    result = encryption_of_zero(pub)
-    for c in cts:
-        result = add(result, c, pub)
-    return result
-
-
 def encrypted_bill(
     usage_cts: Sequence[Ciphertext],
     rates: RateSchedule,
@@ -395,5 +382,7 @@ def encrypted_bill(
         )
     if sum(rates.rates) * usage_cap >= pub.n:
         raise BillingOverflow("worst-case bill would wrap the plaintext modulus")
-    terms = [scalar_mul(c, k, pub) for c, k in zip(usage_cts, rates.rates)]
-    return encrypted_aggregate(terms, pub)
+    bill = Ciphertext(value=1, key_id=pub.key_id)  # encrypts 0 with r = 1
+    for c, k in zip(usage_cts, rates.rates):
+        bill = add(bill, scalar_mul(c, k, pub), pub)
+    return bill

@@ -165,7 +165,7 @@ def generate(model: GeneratorModel, n_households: int, n_days: int, seed: int) -
         mean = np.tile(cluster.hourly_mean, n_days)
         std = np.tile(cluster.hourly_std, n_days)
         values = np.maximum(0.0, rng.normal(mean, std))
-        households.append(np.rint(values * 1000).astype(np.int64))
+        households.append(np.rint(values * MILLI_PER_KWH).astype(np.int64))
     milli = np.concatenate(households)
     return FeederDataset.from_columns(
         meter_ids=[f"synth-{h:05d}" for h in range(n_households)],

@@ -137,6 +137,20 @@ def test_fed_train_secure_agg_refuses_a_sum_that_would_wrap(tmp_path, capsys):
     assert captured.err.startswith("error=FixedPointOverflow ")
 
 
+def test_fed_train_refuses_a_run_with_no_meter_held_out(tmp_path, capsys):
+    # Two meters over two clients: each client holds one, so none is held out and no MSE exists.
+    data = tmp_path / "data.csv"
+    data.write_text(serialize_csv(make_uniform_dataset(2, 1500, 200, interval_s=900)))
+    argv = ["--clients", "2", "--rounds", "3", "--local-steps", "1", "--lr", "0.01",
+            "--seed", "1", "--interval", "900", str(data)]
+    for extra in ([], ["--secure-agg"]):
+        assert cli.fed_train_main([*extra, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error=FedLearnError detail=no meter is held out")
+
+
 def test_smpc_sum_cli(tmp_path, capsys):
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("alice,3.000\nbob,5.000\ncarol,9.000\n")

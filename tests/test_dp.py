@@ -32,6 +32,7 @@ LN2_TIMES_10 = 6.931471805599453  # -10 * ln(0.5)
 class TestLaplaceSample:
     def test_median_is_zero(self):
         assert laplace_sample(10.0, 0.5) == 0.0
+        assert math.copysign(1.0, laplace_sample(10.0, 0.5)) == 1.0  # +0.0, not -0.0
 
     def test_upper_quartile(self):
         assert laplace_sample(10.0, 0.75) == pytest.approx(LN2_TIMES_10, abs=1e-12)

@@ -274,6 +274,14 @@ class TestRunFederation:
         np.testing.assert_array_equal(a.final.weights, b.final.weights)
         assert a.history == b.history
 
+    def test_clip_without_noise_bounds_the_weights(self):
+        shards = _shards(2, 2, seed=6)
+        unclipped = run_federation(shards, RoundConfig(rounds=3, learning_rate=0.01), seed=0)
+        cfg = RoundConfig(rounds=3, learning_rate=0.01, clip_norm=1e-3)  # dp_sigma stays 0
+        clipped = run_federation(shards, cfg, seed=0)
+        assert np.linalg.norm(unclipped.final.weights) > 0.1
+        assert np.linalg.norm(clipped.final.weights) <= 1e-3 * (1 + 1e-12)
+
     def test_history_records_every_round(self):
         shards = _shards(2, 2, seed=8)
         cfg = RoundConfig(rounds=5, local_steps=1, learning_rate=0.01)

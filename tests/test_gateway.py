@@ -577,14 +577,18 @@ class TestAuditPayloadSeparator:
         rec = log.append_audit("r1|ops", "x", "allowed", "raw", 0.0)
         edited = dataclasses.replace(rec, request_id="r1", requester="ops|x")
         # The edit keeps the digest, so only the separator check can catch it.
-        assert gateway._record_payload(
-            edited.seq, edited.request_id, edited.requester, edited.decision,
-            edited.mechanism, edited.epsilon_spent, edited.timestamp,
-        ) == gateway._record_payload(
-            rec.seq, rec.request_id, rec.requester, rec.decision,
-            rec.mechanism, rec.epsilon_spent, rec.timestamp,
-        )
+        assert (gateway._record_payload(dataclasses.astuple(edited)[:7])
+                == gateway._record_payload(dataclasses.astuple(rec)[:7]))
         assert verify_chain([edited]) == verify_chain([rec]) == ChainReport(False, 0)
+
+    @pytest.mark.parametrize("field", ["epsilon_spent", "timestamp"])
+    def test_a_float_field_edited_to_its_text_is_detected(self, field):
+        import dataclasses
+
+        rec = AuditLog().append_audit("r1", "ops", "allowed", "laplace", 0.1)
+        edited = dataclasses.replace(rec, **{field: str(getattr(rec, field))})
+        assert verify_chain([rec]).valid
+        assert verify_chain([edited]) == ChainReport(False, 0)
 
     def test_digest_of_a_record_is_unchanged(self):
         rec = AuditLog().append_audit("r1", "ops", "allowed", "laplace", 0.5)

@@ -21,9 +21,7 @@ from amiprivacy.he import (
     decrypt,
     draw_randomizer,
     encrypt,
-    encrypted_aggregate,
     encrypted_bill,
-    encryption_of_zero,
     keygen,
     keypair_from_primes,
     keypair_from_secret,
@@ -158,17 +156,23 @@ class TestHomomorphism:
 
 
 class TestAggregate:
+    """A bill at unit rates is the encrypted sum of the usage."""
+
+    @staticmethod
+    def total(cts):
+        return encrypted_bill(cts, RateSchedule((1,) * len(cts)), SMALL.public, usage_cap=10)
+
     def test_plain_sum_oracle(self):
-        cts = [enc(2), enc(3), enc(5)]
-        assert decrypt(SMALL, encrypted_aggregate(cts, SMALL.public)) == 10
+        assert decrypt(SMALL, self.total([enc(2), enc(3), enc(5)])) == 10
 
     def test_single_ciphertext(self):
         c = enc(7)
-        assert decrypt(SMALL, encrypted_aggregate([c], SMALL.public)) == 7
+        assert decrypt(SMALL, self.total([c])) == 7
+        assert self.total([c]) == c
 
     def test_empty_is_zero(self):
-        assert decrypt(SMALL, encrypted_aggregate([], SMALL.public)) == 0
-        assert encryption_of_zero(SMALL.public).value == 1
+        assert decrypt(SMALL, self.total([])) == 0
+        assert self.total([]) == Ciphertext(value=1, key_id=SMALL.public.key_id)
 
 
 class TestBilling:
@@ -185,8 +189,13 @@ class TestBilling:
     def test_unit_rates_reduce_to_aggregate(self):
         usage = [enc(2), enc(3), enc(4)]
         bill = encrypted_bill(usage, RateSchedule((1, 1, 1)), SMALL.public, usage_cap=4)
-        agg = encrypted_aggregate(usage, SMALL.public)
-        assert decrypt(SMALL, bill) == decrypt(SMALL, agg)
+        assert bill == add(add(usage[0], usage[1], SMALL.public), usage[2], SMALL.public)
+        assert decrypt(SMALL, bill) == 9
+
+    def test_ciphertext_under_another_key_raises_key_mismatch(self):
+        usage = [enc(1), enc(2, keypair_from_primes(17, 19))]
+        with pytest.raises(KeyMismatch):
+            encrypted_bill(usage, RateSchedule((1, 1)), SMALL.public, usage_cap=2)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -215,6 +224,29 @@ class TestCiphertextHygiene:
 # Keys of the CRT tests: tiny ones hit every edge case, keygen ones are real sizes.
 CRT_KEYS = [SMALL, keypair_from_primes(17, 19), keygen(128, random.Random(31)),
             keygen(512, random.Random(32))]
+
+
+def reference_bill(usage_cts, rates, pub):
+    """Every scalar_mul term first, then the terms folded with add from the value 1."""
+    terms = [scalar_mul(c, k, pub) for c, k in zip(usage_cts, rates)]
+    bill = Ciphertext(value=1, key_id=pub.key_id)
+    for term in terms:
+        bill = add(bill, term, pub)
+    return bill
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([SMALL, CRT_KEYS[2]]), st.data())
+def test_bill_is_the_scalar_mul_terms_folded_with_add(keypair, data):
+    pub = keypair.public
+    small = pub.n == 143  # keeps usage_cap * sum(rates) below n = 143
+    usage_cap = data.draw(st.integers(0, 11 if small else 2**40))
+    rates = data.draw(st.lists(st.integers(0, 3 if small else 2**40), max_size=4))
+    randomizers = st.integers(1, pub.n - 1).filter(lambda r: r % keypair.p and r % keypair.q)
+    usage_cts = [encrypt(pub, data.draw(st.integers(0, usage_cap)), data.draw(randomizers))
+                 for _ in rates]
+    bill = encrypted_bill(usage_cts, RateSchedule(tuple(rates)), pub, usage_cap)
+    assert bill == reference_bill(usage_cts, rates, pub)
 
 
 def reference_decrypt(keypair, c):
@@ -334,7 +366,7 @@ class TestBadCiphertext:
                 decrypt(SMALL, Ciphertext(value=value, key_id=SMALL.public.key_id))
 
     def test_fold_identity_and_largest_unit_accepted(self):
-        assert decrypt(SMALL, encryption_of_zero(SMALL.public)) == 0
+        assert decrypt(SMALL, Ciphertext(value=1, key_id=SMALL.public.key_id)) == 0
         c = Ciphertext(value=143 * 143 - 1, key_id=SMALL.public.key_id)
         assert decrypt(SMALL, c) == reference_decrypt(SMALL, c)
 
