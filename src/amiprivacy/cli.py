@@ -447,9 +447,10 @@ def gateway_main(argv=None) -> int:
                 req = envelope_from_json(line)
                 reply = decision_to_json(req, engine.route(req), dataset)
             except Exception as exc:  # a bad line gets an error reply, not a dead server
-                import traceback  # imported here: at the top it adds ~7 ms to every start
-                traceback.print_exc()
-                reply = [(json.dumps({"request_id": _request_id(line),
+                request_id = _request_id(line)
+                print(f"error={type(exc).__name__} request_id={json.dumps(request_id)} "
+                      f"detail={exc}", file=sys.stderr)
+                reply = [(json.dumps({"request_id": request_id,
                                       "error": f"{type(exc).__name__}: {exc}"}) + "\n").encode()]
             out.writelines(reply)
             out.flush()

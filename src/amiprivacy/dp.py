@@ -56,6 +56,10 @@ class EmptyDataset(DpError):
     pass
 
 
+class CapMismatch(DpError):
+    """A ledger file records another epsilon cap than the one it is opened with."""
+
+
 def default_rng() -> random.Random:
     """Cryptographically secure generator seeded from OS entropy."""
     return random.SystemRandom()
@@ -169,17 +173,27 @@ class BudgetLedger:
             return entry
 
     def to_lines(self) -> str:
+        """One line per entry; each ends with the cap, so the file records it."""
+        cap = repr(self.epsilon_cap)
         return "".join(
-            f"{e.query_id},{e.epsilon!r},{e.delta!r},{e.timestamp!r}\n" for e in self._entries
+            f"{e.query_id},{e.epsilon!r},{e.delta!r},{e.timestamp!r},{cap}\n"
+            for e in self._entries
         )
 
     @classmethod
     def from_lines(cls, text: str, epsilon_cap: float) -> "BudgetLedger":
+        """Inverse of to_lines; another recorded cap than epsilon_cap raises CapMismatch.
+
+        A line with none, written before lines recorded it, adopts epsilon_cap.
+        """
         entries = []
         for line in text.splitlines():
             if not line.strip():
                 continue
-            qid, eps, delta, ts = line.split(",")
+            fields = line.split(",")
+            if len(fields) == 5 and (recorded := float(fields.pop())) != epsilon_cap:
+                raise CapMismatch(f"ledger records epsilon cap {recorded!r}, not {epsilon_cap!r}")
+            qid, eps, delta, ts = fields
             entries.append(LedgerEntry(qid, float(eps), float(delta), float(ts)))
         return cls(epsilon_cap=epsilon_cap, entries=entries)
 

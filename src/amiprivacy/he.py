@@ -10,11 +10,15 @@ Whoever holds the secret factors p and q of n = pq works mod p^2 and q^2
 and recombines by the Chinese remainder theorem (Paillier, EUROCRYPT 1999,
 section 7):
 
-- encrypt: because p divides n, r^n mod p^2 depends only on r mod p and
-  equals (r^q mod p)^p mod p^2; likewise r^n mod q^2 = (r^p mod q)^q mod q^2.
-  Each half is two half-size exponents to a half-size modulus instead of
-  one full-size exponent to n^2, and the ciphertext is the same integer as
-  the public-key path gives for the same r.
+- encrypt: x^p mod p^2 depends only on x mod p, so the key holder takes
+  r^p mod p^2 and r^q mod q^2, one half-size exponent to a half-size
+  modulus each, and recombines them. The result is encrypt(pub, m, rho(r))
+  with rho(r) = r^(q^-1 mod (p-1)) mod p and r^(p^-1 mod (q-1)) mod q,
+  because rho(r)^n = (rho(r)^q)^p = r^p mod p^2 (likewise mod q^2). Since
+  gcd(q, p-1) = gcd(p, q-1) = 1 (every keypair has gcd(n, (p-1)(q-1)) = 1),
+  x -> x^q permutes the units mod p and x -> x^p those mod q, so rho
+  permutes Z_n^*: a uniform r still gives a uniformly distributed
+  ciphertext, but not the integer the public-key path gives for the same r.
 - decrypt: m = L_p(c^(p-1) mod p^2) * h_p mod p, likewise mod q, then CRT
   to mod n, with L_p(u) = (u - 1) / p and
   h_p = L_p(g^(p-1) mod p^2)^-1 mod p.
@@ -309,8 +313,12 @@ def draw_randomizer(pub: PaillierPublicKey, rng: random.Random) -> int:
 def encrypt(key: PaillierPublicKey | PaillierKeypair, m: int, r: int) -> Ciphertext:
     """c = g^m * r^n mod n^2 for m in [0, n) and r coprime to n.
 
-    Given the keypair, r^n is computed mod p^2 and q^2 and recombined; the
-    ciphertext is the same integer either way.
+    Given the keypair, c = encrypt(pub, m, rho(r)) instead, with rho(r) the
+    unit that is r^(q^-1 mod (p-1)) mod p and r^(p^-1 mod (q-1)) mod q:
+    r^p mod p^2 and r^q mod q^2 are recombined by CRT. rho permutes Z_n^*
+    because gcd(q, p-1) = gcd(p, q-1) = 1, so a uniform r gives the same
+    ciphertext distribution as the public path, whose integer for the same
+    r differs.
     """
     pub = key.public if isinstance(key, PaillierKeypair) else key
     if not 0 <= m < pub.n:
@@ -319,8 +327,8 @@ def encrypt(key: PaillierPublicKey | PaillierKeypair, m: int, r: int) -> Ciphert
         raise BadRandomizer("randomizer must lie in [1, n) and be coprime to n")
     n_sq = pub.n_squared
     if isinstance(key, PaillierKeypair):
-        r_p = pow(pow(r, key.q, key.p), key.p, key.p_sq)  # r^n mod p^2
-        r_q = pow(pow(r, key.p, key.q), key.q, key.q_sq)  # r^n mod q^2
+        r_p = pow(r % key.p, key.p, key.p_sq)  # rho(r)^n mod p^2
+        r_q = pow(r % key.q, key.q, key.q_sq)  # rho(r)^n mod q^2
         r_to_n = r_p + (r_q - r_p) * key.p_sq_inv_q_sq % key.q_sq * key.p_sq
     else:
         r_to_n = pow(r, pub.n, n_sq)

@@ -321,6 +321,45 @@ def test_concurrent_dp_queries_take_the_ledger_lock_in_turn(tmp_path, readings_c
     assert len(ledger.read_text().splitlines()) == 1
 
 
+def test_dp_query_refuses_a_cap_other_than_the_ledger_records(tmp_path, readings_csv, capsys):
+    ledger = tmp_path / "ledger.csv"
+
+    def count(cap):
+        return cli.dp_query_main(["--op", "count", "--epsilon", "0.6", "--epsilon-cap", cap,
+                                  "--ledger", str(ledger), "--seed", "7", str(readings_csv)])
+
+    assert count("1.0") == 0
+    assert ledger.read_text().endswith(",1.0\n")
+    before = ledger.read_bytes()
+    capsys.readouterr()
+    assert count("1.0") == 1
+    assert capsys.readouterr().err.startswith("error=BudgetExhausted detail=")
+    # A larger cap does not lift the one the ledger was written under.
+    assert count("5.0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error=CapMismatch detail=ledger records epsilon cap 1.0, not 5.0\n"
+    assert ledger.read_bytes() == before
+
+
+def test_dp_query_records_its_cap_in_a_ledger_that_has_none(tmp_path, readings_csv, capsys):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text("q0,0.5,0.0,0.0\n")  # an entry written before lines carried the cap
+
+    def count(cap):
+        return cli.dp_query_main(["--op", "count", "--epsilon", "0.6", "--epsilon-cap", cap,
+                                  "--ledger", str(ledger), "--seed", "7", str(readings_csv)])
+
+    assert count("2.0") == 0
+    lines = ledger.read_text().splitlines()
+    assert lines[0] == "q0,0.5,0.0,0.0,2.0"
+    assert len(lines) == 2
+    _, epsilon, delta, _, cap = lines[1].split(",")
+    assert (epsilon, delta, cap) == ("0.6", "0.0", "2.0")
+    assert count("1.0") == 1
+    assert "error=CapMismatch" in capsys.readouterr().err
+
+
 def test_dp_query_histogram_prints_one_line_per_bin(tmp_path, readings_csv, capsys):
     ledger = tmp_path / "ledger.csv"
     rc = cli.dp_query_main([
@@ -576,6 +615,20 @@ def test_gateway_serve_answers_a_wrapping_bill_with_an_error_and_keeps_serving(
     records = [json.loads(line) for line in audit_path.read_text().splitlines()]
     assert [(r["request_id"], r["decision"], r["epsilon_spent"]) for r in records] == [
         ("w1", "error:BillingOverflow", 0.0), ("w2", "allowed", 0.0)]
+
+
+def test_gateway_serve_writes_one_stderr_line_per_bad_request(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    lines = ['{"request_id": "b1", "requester": ',  # malformed JSON
+             _request("w1", {"kind": "he_bill", "usage_milli": [2**510], "rates": [4]}),
+             _request("w2", {"kind": "he_bill", "usage_milli": [2, 3], "rates": [10, 20]})]
+    _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n", readings_csv.read_text(), lines)
+    captured = capsys.readouterr()
+    malformed, failed = captured.err.splitlines()
+    assert malformed.startswith("error=JSONDecodeError request_id=null detail=Expecting value")
+    assert failed.startswith('error=RequestFailed request_id="w1" detail=BillingOverflow: ')
+    assert json.loads(captured.out.splitlines()[2])["result"] == 80
 
 
 def test_gateway_serve_refuses_a_string_timestamp_before_any_charge(
