@@ -104,9 +104,7 @@ def dp_query_main(argv=None) -> int:
 
     ledger_path = Path(args.ledger)
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
-    dp_op = gw.DP_OPS[args.op]
     dataset = _read_dataset(args.infile, args.interval, args.delta_max)
-    params = dp.PrivacyParams(epsilon=args.epsilon, delta=args.delta)
     query = gw.DpQuery(
         op=args.op, epsilon=args.epsilon, delta=args.delta,
         timestamp=None if args.timestamp is None else iso_to_epoch(args.timestamp),
@@ -119,7 +117,7 @@ def dp_query_main(argv=None) -> int:
         ledger = dp.BudgetLedger.from_lines(
             ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
         )
-        summary = dp_op.summarize(dp_op.release(dataset, query, params, ledger, rng))
+        summary = gw._dp_json(gw._dp_release(dataset, query, ledger, rng))
         # The spend is recorded before the answer leaves: a failed write releases nothing.
         tmp = f"{ledger_path}.tmp"
         with open(tmp, "w") as fh:
@@ -297,8 +295,10 @@ def he_bill_main(argv=None) -> int:
         EnergyQuantity.from_kwh_text(line).milli_kwh
         for line in Path(args.usage_csv).read_text().split() if line.strip()
     ]
+    usage_cap = max(usage_milli, default=0)
+    rates.check_bill(len(usage_milli), usage_cap, pub)  # before the first encryption
     cts = [he.encrypt(pub, m, he.draw_randomizer(pub, rng)) for m in usage_milli]
-    bill = he.encrypted_bill(cts, rates, pub, usage_cap=max(usage_milli, default=0))
+    bill = he.encrypted_bill(cts, rates, pub, usage_cap)
     print(format(bill.value, "x"))
     return 0
 
@@ -348,21 +348,15 @@ def _parse_policy_file(path: str) -> dict:
 
 def envelope_from_json(line: str) -> gw.RequestEnvelope:
     data = json.loads(line)
-    if not all(isinstance(data[key], str) for key in ("request_id", "requester")):
-        raise TypeError("request_id and requester must be strings")
-    if not isinstance(data["consent"], bool):  # the string "false" would count as consent
-        raise TypeError("consent must be true or false")
+    request_id = gw._field(data["request_id"], str, "request_id")
+    requester = gw._field(data["requester"], str, "requester")
+    consent = gw._field(data["consent"], bool, "consent")  # "false" would count as consent
     op = data["operation"]
     kind = gw.KINDS.get(op["kind"])
     if kind is None:
         raise ValueError(f"unknown operation kind {op['kind']!r}")
-    return gw.RequestEnvelope(
-        request_id=data["request_id"],
-        requester=data["requester"],
-        purpose=gw.Purpose(data["purpose"]),
-        consent=data["consent"],
-        operation=kind.parse(op),
-    )
+    return gw.RequestEnvelope(request_id, requester, gw.Purpose(data["purpose"]), consent,
+                              kind.parse(op))
 
 
 def decision_to_json(req: gw.RequestEnvelope, decision: gw.Decision,
@@ -414,10 +408,8 @@ def gateway_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     config = _parse_policy_file(args.policy)
-    try:  # 3600.5 or true is refused, not truncated to 3600 or read as 1
-        interval_s = gw._number(config.pop("interval_s", 3600), int)
-    except TypeError as exc:
-        raise TypeError(f"interval_s: {exc}") from None
+    # 3600.5 or true is refused, not truncated to 3600 or read as 1.
+    interval_s = gw._field(config.pop("interval_s", 3600), int, "interval_s")
     delta_max = config.pop("delta_max_kwh", 5.0)
     # The other keys are PolicyConfig's fields, k standing for k_anonymity_k;
     # an unknown key or a value of the wrong type raises TypeError.

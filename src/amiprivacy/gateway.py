@@ -5,7 +5,8 @@ decision in a hash-chained audit log.
 Decision matrix
     RawExport        Primary: allowed iff allow_raw_primary.
                      Secondary: allowed iff consent, else ConsentRequired.
-    DpQuery          allowed iff the budget ledger has headroom.
+    DpQuery (and any operation that charges the budget ledger)
+                     denied BudgetExhausted iff its charge would pass the cap.
     SynthGenerate    allowed once the memorization check passes.
     AggregateReport  allowed iff every group has at least
                      max(min_aggregation_count, k_anonymity_k) members.
@@ -15,11 +16,12 @@ Decision matrix
 
 Each operation class has one OPERATIONS entry: wire name, audit mechanism,
 parse, run and summarize. Every route call appends exactly one audit
-record, "allowed", "denied:<Reason>" or, when the run raised,
-"error:<ExceptionType>" (route then raises RequestFailed), carrying the
-epsilon of the ledger entries the request appended. The gateway fails
-closed: if the record cannot be persisted, route raises AuditWriteFailure
-and releases nothing (a DP charge may already have landed, erring safe).
+record, "allowed", "denied:<Reason>" or, when the run raised anything but
+dp.BudgetExhausted, "error:<ExceptionType>" (route then raises
+RequestFailed), carrying the epsilon of the ledger entries the request
+appended. The gateway fails closed: if the record cannot be persisted,
+route raises AuditWriteFailure and releases nothing (a DP charge may
+already have landed, erring safe).
 """
 
 from __future__ import annotations
@@ -142,11 +144,9 @@ class PolicyConfig:
     memorization_threshold: float = 0.01
 
     def __post_init__(self):
-        for f in fields(self):  # an int may stand for a float; a bool is an int but no number
-            value = getattr(self, f.name)
-            kinds = {"float": (int, float), "int": int, "bool": bool}[f.type]
-            if not isinstance(value, kinds) or isinstance(value, bool) != (f.type == "bool"):
-                raise TypeError(f"{f.name} must be of type {f.type}, not {value!r}")
+        for f in fields(self):  # f.type is the annotation's text
+            kind = {"float": float, "int": int, "bool": bool}[f.type]
+            _field(getattr(self, f.name), kind, f.name)
         if not (self.epsilon_cap > 0 and self.min_aggregation_count >= 1
                 and self.k_anonymity_k >= 1):
             raise ValueError("policy thresholds must be positive")
@@ -285,9 +285,12 @@ class Gateway:
             failure = None
             try:
                 decision = entry.run(self, req)
-                outcome = "allowed" if decision.allowed else f"denied:{decision.reason.value}"
+            except dp.BudgetExhausted:  # whichever operation's ledger charge would pass the cap
+                decision = Decision(allowed=False, reason=DenialReason.BUDGET_EXHAUSTED)
             except Exception as exc:
                 failure, outcome = exc, f"error:{type(exc).__name__}"
+            if failure is None:
+                outcome = "allowed" if decision.allowed else f"denied:{decision.reason.value}"
             self.audit_log.append_audit(
                 req.request_id, req.requester, outcome, entry.mechanism,
                 self.ledger.epsilon_since(entries_before),
@@ -305,15 +308,8 @@ class Gateway:
         return Decision(allowed=True, result=serialize_csv(self.dataset))
 
     def _dp_query(self, req: RequestEnvelope) -> Decision:
-        q = req.operation
-        if q.op not in DP_OPS:
-            raise ValueError(f"unknown dp op {q.op!r}")
-        params = dp.PrivacyParams(epsilon=q.epsilon, delta=q.delta)
-        try:
-            result = DP_OPS[q.op].release(self.dataset, q, params, self.ledger, self.rng)
-        except dp.BudgetExhausted:
-            return Decision(allowed=False, reason=DenialReason.BUDGET_EXHAUSTED)
-        return Decision(allowed=True, result=result)
+        return Decision(allowed=True,
+                        result=_dp_release(self.dataset, req.operation, self.ledger, self.rng))
 
     def _synth_generate(self, req: RequestEnvelope) -> Decision:
         op = req.operation
@@ -340,11 +336,11 @@ class Gateway:
 
     def _he_bill(self, req: RequestEnvelope) -> Decision:
         op, keypair = req.operation, self._keypair()
-        pub = keypair.public
+        pub, rates = keypair.public, he.RateSchedule(op.rates)
+        usage_cap = max(op.usage_milli, default=0)
+        rates.check_bill(len(op.usage_milli), usage_cap, pub)  # before the first encryption
         cts = [he.encrypt(keypair, m, he.draw_randomizer(pub, self.rng)) for m in op.usage_milli]
-        # Bounds the bill by max(usage) * sum(rates) < n, or raises BillingOverflow.
-        bill_ct = he.encrypted_bill(cts, he.RateSchedule(op.rates), pub,
-                                    usage_cap=max(op.usage_milli, default=0))
+        bill_ct = he.encrypted_bill(cts, rates, pub, usage_cap)
         return Decision(allowed=True, result=he.decrypt(keypair, bill_ct))
 
     def _aggregate_report(self, req: RequestEnvelope) -> Decision:
@@ -371,36 +367,43 @@ def _given(value, message: str):
     return value
 
 
-def _number(value, kind: type):
-    """value as kind, if it is a JSON number of that kind; an int also passes as a float.
+def _field(value, kind: type, name: str = ""):
+    """value, if it is JSON of kind; an int also passes as a float, and is returned as one.
 
-    bool is an int subclass, but a JSON true or false is no number.
+    bool is an int subclass, but only a JSON true or false is a bool, and neither
+    is a number. A name, when given, prefixes the TypeError's message.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        raise TypeError(f"expected {kind.__name__}, not {value!r}")
-    return kind(value)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        prefix = f"{name}: " if name else ""
+        raise TypeError(f"{prefix}expected {kind.__name__}, not {value!r}")
+    return float(value) if kind is float else value
 
 
-def _answer_json(a: dp.DpAnswer) -> dict:
-    return {"value": a.value, "mechanism": a.mechanism,
-            "epsilon": a.params.epsilon, "query_id": a.query_id}
-
-
-@dataclass(frozen=True)
-class DpOp:
-    release: Callable  # (dataset, DpQuery, PrivacyParams, ledger, rng) -> answer(s)
-    summarize: Callable[[object], object]  # the answer(s), to JSON
-
-
-DP_OPS: dict[str, DpOp] = {
-    "sum": DpOp(lambda d, q, p, ledger, rng: dp.dp_sum(
-        d, _given(q.timestamp, "sum query needs a timestamp"), p, ledger, rng), _answer_json),
-    "count": DpOp(lambda d, q, p, ledger, rng: dp.dp_count(d, p, ledger, rng), _answer_json),
-    "mean": DpOp(lambda d, q, p, ledger, rng: dp.dp_mean(d, p, ledger, rng), _answer_json),
-    "histogram": DpOp(lambda d, q, p, ledger, rng: dp.dp_histogram(
+# Each op's release; the lambdas look the dp_* functions up when they run.
+DP_OPS: dict[str, Callable] = {
+    "sum": lambda d, q, p, ledger, rng: dp.dp_sum(
+        d, _given(q.timestamp, "sum query needs a timestamp"), p, ledger, rng),
+    "count": lambda d, q, p, ledger, rng: dp.dp_count(d, p, ledger, rng),
+    "mean": lambda d, q, p, ledger, rng: dp.dp_mean(d, p, ledger, rng),
+    "histogram": lambda d, q, p, ledger, rng: dp.dp_histogram(
         d, _given(q.edges, "histogram query needs bin edges"), p, ledger, rng),
-        lambda answers: [a.value for a in answers]),
 }
+
+
+def _dp_release(dataset: FeederDataset, q: DpQuery, ledger: dp.BudgetLedger, rng):
+    """q answered on dataset and charged to ledger: one DpAnswer, or a list for a histogram."""
+    if q.op not in DP_OPS:
+        raise ValueError(f"unknown dp op {q.op!r}")
+    return DP_OPS[q.op](dataset, q, dp.PrivacyParams(q.epsilon, q.delta), ledger, rng)
+
+
+def _dp_json(answer: dp.DpAnswer | list[dp.DpAnswer]):
+    """A DP release to JSON: a histogram's bin values, or one answer's fields."""
+    if isinstance(answer, list):
+        return [a.value for a in answer]
+    return {"value": answer.value, "mechanism": answer.mechanism,
+            "epsilon": answer.params.epsilon, "query_id": answer.query_id}
 
 
 @dataclass(frozen=True)
@@ -418,43 +421,45 @@ OPERATIONS: dict[type, OperationKind] = {
         "raw_export", "raw", lambda d: RawExport(), Gateway._raw_export, lambda op, csv: csv),
     DpQuery: OperationKind(
         "dp_query", "laplace",
-        lambda d: DpQuery(d["op"], _number(d["epsilon"], float),
-                          _number(d.get("delta", 0.0), float),
-                          None if d.get("timestamp") is None else _number(d["timestamp"], int),
-                          tuple(_number(e, float) for e in d["edges"])
+        lambda d: DpQuery(_field(d["op"], str), _field(d["epsilon"], float),
+                          _field(d.get("delta", 0.0), float),
+                          None if d.get("timestamp") is None else _field(d["timestamp"], int),
+                          tuple(_field(e, float) for e in d["edges"])
                           if d.get("edges") else None),
-        Gateway._dp_query, lambda op, answer: DP_OPS[op.op].summarize(answer)),
+        Gateway._dp_query, lambda op, answer: _dp_json(answer)),
     SynthGenerate: OperationKind(
         "synth_generate", "synthetic",
-        lambda d: SynthGenerate(_number(d["n_clusters"], int), _number(d["n_households"], int),
-                                _number(d["n_days"], int), _number(d.get("seed", 0), int)),
+        lambda d: SynthGenerate(_field(d["n_clusters"], int), _field(d["n_households"], int),
+                                _field(d["n_days"], int), _field(d.get("seed", 0), int)),
         Gateway._synth_generate,
         lambda op, r: {"n_households": len(r[0].meter_ids),
                        "min_nn_distance": r[1].min_nn_distance,
                        "distinguisher_auc": r[1].distinguisher_auc}),
     FedTrain: OperationKind(
         "fed_train", "fedavg",
-        lambda d: FedTrain(_number(d["n_clients"], int), _number(d["rounds"], int),
-                           _number(d["local_steps"], int), _number(d["learning_rate"], float),
-                           _number(d.get("seed", 0), int)),
+        lambda d: FedTrain(_field(d["n_clients"], int), _field(d["rounds"], int),
+                           _field(d["local_steps"], int), _field(d["learning_rate"], float),
+                           _field(d.get("seed", 0), int)),
         Gateway._fed_train,
         lambda op, r: {"final_weights": [float(w) for w in r.final.weights],
                        "rounds": len(r.history)}),
     SmpcSum: OperationKind(
         "smpc_sum", "smpc-sum",
-        lambda d: SmpcSum(tuple((p, _number(v, int)) for p, v in d["values"]),
-                          _number(d["min_participants"], int)),
+        lambda d: SmpcSum(tuple((_field(p, str), _field(v, int)) for p, v in d["values"]),
+                          _field(d["min_participants"], int)),
         Gateway._smpc_sum,
         lambda op, r: {"total_milli": r.total, "aborted": r.aborted,
                        "messages": len(r.transcript.messages)}),
     HeBill: OperationKind(
         "he_bill", "paillier",
-        lambda d: HeBill(tuple(_number(m, int) for m in d["usage_milli"]),
-                         tuple(_number(r, int) for r in d["rates"])),
+        lambda d: HeBill(tuple(_field(m, int) for m in d["usage_milli"]),
+                         tuple(_field(r, int) for r in d["rates"])),
         Gateway._he_bill, lambda op, bill: bill),
     AggregateReport: OperationKind(
         "aggregate_report", "aggregate-threshold",
-        lambda d: AggregateReport(tuple((k, tuple(v)) for k, v in d["groups"].items())),
+        # A member that is not a string matches no meter id, so only each list is checked.
+        lambda d: AggregateReport(tuple((k, tuple(_field(v, list)))
+                                        for k, v in _field(d["groups"], dict).items())),
         Gateway._aggregate_report,
         lambda op, report: {str(k): {"count": v.count, "sum_kwh": v.total.kwh,
                                      "mean_kwh": v.mean_kwh} for k, v in report.items()}),

@@ -146,6 +146,13 @@ class RateSchedule:
         if any(r < 0 for r in self.rates):
             raise ValueError("rates must be non-negative")
 
+    def check_bill(self, n_usage: int, usage_cap: int, pub: PaillierPublicKey) -> None:
+        """Refuse a bill of n_usage intervals of at most usage_cap each: see encrypted_bill."""
+        if n_usage != len(self.rates):
+            raise LengthMismatch(f"{n_usage} usage intervals vs {len(self.rates)} rates")
+        if sum(self.rates) * usage_cap >= pub.n:
+            raise BillingOverflow("worst-case bill would wrap the plaintext modulus")
+
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 _MILLER_RABIN_ROUNDS = 40
@@ -384,12 +391,7 @@ def encrypted_bill(
     per-interval plaintext bound: the worst-case bill, usage_cap times the
     sum of the rates, must stay below n or BillingOverflow is raised.
     """
-    if len(usage_cts) != len(rates.rates):
-        raise LengthMismatch(
-            f"{len(usage_cts)} usage ciphertexts vs {len(rates.rates)} rates"
-        )
-    if sum(rates.rates) * usage_cap >= pub.n:
-        raise BillingOverflow("worst-case bill would wrap the plaintext modulus")
+    rates.check_bill(len(usage_cts), usage_cap, pub)
     bill = Ciphertext(value=1, key_id=pub.key_id)  # encrypts 0 with r = 1
     for c, k in zip(usage_cts, rates.rates):
         bill = add(bill, scalar_mul(c, k, pub), pub)

@@ -595,6 +595,25 @@ def test_he_bill_refuses_a_bill_that_could_wrap(tmp_path, capsys):
     assert captured.err.startswith("error=BillingOverflow detail=")
 
 
+@pytest.mark.parametrize("n_rates, error", [(3, "LengthMismatch"), (2, "BillingOverflow")])
+def test_he_bill_refuses_a_bill_before_encrypting_anything(
+    tmp_path, capsys, monkeypatch, n_rates, error
+):
+    pub = tmp_path / "keypair.json"
+    assert cli.he_keygen_main(["--bits", "128", "--out", str(pub)]) == 0
+    n = int(json.loads(pub.read_text())["n"])
+    rates = tmp_path / "rates.csv"
+    rates.write_text("2\n" * n_rates)
+    usage = tmp_path / "usage.csv"
+    usage.write_text(f"0.002\n{EnergyQuantity(n - 1).to_kwh_text()}\n")  # 4 * (n - 1) >= n
+    calls = []
+    monkeypatch.setattr(he, "encrypt", lambda *args: calls.append(args))
+    assert cli.he_bill_main(["--pub", str(pub), "--rates", str(rates), str(usage)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error={error} detail=")
+    assert calls == []
+
+
 def _request(rid, operation):
     return json.dumps({"request_id": rid, "requester": "ops", "purpose": "primary",
                        "consent": False, "operation": operation})
@@ -629,6 +648,19 @@ def test_gateway_serve_writes_one_stderr_line_per_bad_request(
     assert malformed.startswith("error=JSONDecodeError request_id=null detail=Expecting value")
     assert failed.startswith('error=RequestFailed request_id="w1" detail=BillingOverflow: ')
     assert json.loads(captured.out.splitlines()[2])["result"] == 80
+
+
+def test_dp_query_and_gateway_serve_release_the_same_count(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    assert cli.dp_query_main(["--op", "count", "--epsilon", "0.5", "--ledger",
+                              str(tmp_path / "ledger.csv"), "--seed", "7",
+                              str(readings_csv)]) == 0
+    [printed] = capsys.readouterr().out.splitlines()
+    _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n", readings_csv.read_text(),
+           [_request("q1", {"kind": "dp_query", "op": "count", "epsilon": 0.5})], seed="7")
+    [reply] = capsys.readouterr().out.splitlines()
+    assert printed == f"value={json.loads(reply)['result']['value']!r}"
 
 
 def test_gateway_serve_refuses_a_string_timestamp_before_any_charge(

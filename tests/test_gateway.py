@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amiprivacy import dp, gateway
+from amiprivacy import dp, gateway, he
 from amiprivacy.gateway import (
     AggregateReport,
     AuditLog,
@@ -454,10 +454,16 @@ class TestOperationTable:
         (lambda v: {**_SMPC, "min_participants": v}, 2, [True, 2.0, "2"]),
         *[(lambda v, key=key: {**_SYNTH, key: v}, 1, [True, 1.0, "1"]) for key in _SYNTH_INTS],
         *[(lambda v, key=key: {**_FED, key: v}, 1, [True, 1.0, "1"]) for key in _FED_INTS],
+        (lambda v: {"kind": "aggregate_report", "groups": {"g": v}}, ["m0001"], ["m0001"]),
+        (lambda v: {"kind": "aggregate_report", "groups": v}, {"g": ["m0001"]},
+         [[["g", ["m0001"]]]]),
+        (lambda v: {**_SMPC, "values": [["p0", 1], [v, 2]]}, "p1", [1]),
+        (lambda v: {"kind": "dp_query", "op": v, "epsilon": 0.5}, "count", [5]),
     ], ids=["smpc_sum.values", "he_bill.usage_milli", "he_bill.rates", "dp_query.epsilon",
             "dp_query.delta", "fed_train.learning_rate", "dp_query.timestamp", "dp_query.edges",
             "smpc_sum.min_participants", *(f"synth_generate.{key}" for key in _SYNTH_INTS),
-            *(f"fed_train.{key}" for key in _FED_INTS)])
+            *(f"fed_train.{key}" for key in _FED_INTS), "aggregate_report.members",
+            "aggregate_report.groups", "smpc_sum.party_id", "dp_query.op"])
     def test_protocol_numbers_are_checked_not_coerced(self, build, good, bad_values):
         KINDS[build(good)["kind"]].parse(build(good))
         for value in bad_values:
@@ -500,6 +506,27 @@ class TestRouteFailures:
         denied = g.route(_req("r2", DpQuery(op="count", epsilon=0.5)))
         assert denied.reason is DenialReason.BUDGET_EXHAUSTED
         assert len(g.audit_log.records) == 2
+        assert verify_chain(g.audit_log.records).valid
+
+    # A charge past the cap alone, or after one that landed: the record carries what landed.
+    @pytest.mark.parametrize("charges, landed", [((1.5,), 0.0), ((0.6, 0.6), 0.6)],
+                             ids=["refused", "landed_then_refused"])
+    def test_a_charge_past_the_cap_by_any_operation_is_a_budget_denial(
+        self, monkeypatch, charges, landed
+    ):
+        g = _gateway(cap=1.0)
+
+        def run_federation(shards, cfg, seed):
+            for i, epsilon in enumerate(charges):
+                g.ledger.charge(f"fed{i}", epsilon, 0.0)
+
+        monkeypatch.setattr(fedlearn, "run_federation", run_federation)
+        op = FedTrain(n_clients=2, rounds=1, local_steps=1, learning_rate=0.1)
+        decision = g.route(_req("r1", op))
+        assert decision == Decision(allowed=False, reason=DenialReason.BUDGET_EXHAUSTED)
+        [rec] = g.audit_log.records
+        assert (rec.decision, rec.mechanism, rec.epsilon_spent) == (
+            "denied:BudgetExhausted", "fedavg", landed)
         assert verify_chain(g.audit_log.records).valid
 
     @pytest.mark.parametrize("op, cause", [
@@ -606,8 +633,6 @@ def test_audited_epsilon_is_the_ledger_entry():
 
 
 def test_he_bill_encrypts_with_the_gateway_keypair(monkeypatch):
-    from amiprivacy import he
-
     keys = []
     real_encrypt = he.encrypt
 
@@ -619,6 +644,22 @@ def test_he_bill_encrypts_with_the_gateway_keypair(monkeypatch):
     g = _gateway()
     assert g.route(_req("r1", HeBill(usage_milli=(2, 3, 4), rates=(10, 20, 30)))).result == 200
     assert len(keys) == 3 and all(isinstance(k, he.PaillierKeypair) for k in keys)
+
+
+# The gateway's 512-bit n lies in (2^510, 2^512), so 4 * 2^510 >= n.
+@pytest.mark.parametrize("usage, rates, error", [
+    ((1,) * 2000, (1,) * 2001, "LengthMismatch"),
+    ((1,) * 1999 + (2**510,), (4,) * 2000, "BillingOverflow"),
+])
+def test_he_bill_is_refused_before_anything_is_encrypted(monkeypatch, usage, rates, error):
+    calls = []
+    monkeypatch.setattr(he, "encrypt", lambda *args: calls.append(args))
+    g = _gateway()
+    with pytest.raises(RequestFailed, match=error):
+        g.route(_req("r1", HeBill(usage_milli=usage, rates=rates)))
+    assert calls == []
+    [rec] = g.audit_log.records
+    assert (rec.decision, rec.mechanism, rec.epsilon_spent) == (f"error:{error}", "paillier", 0.0)
 
 
 def test_he_bill_that_could_wrap_the_modulus_is_an_audited_error():
