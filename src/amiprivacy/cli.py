@@ -90,7 +90,7 @@ def dp_query_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dp-query", description="Answer one query under differential privacy."
     )
-    parser.add_argument("--op", required=True, choices=list(gw.DP_OPS))
+    parser.add_argument("--op", required=True, choices=dp.OPS)
     parser.add_argument("--epsilon", type=float, required=True)
     parser.add_argument("--delta", type=float, default=0.0)
     parser.add_argument("--ledger", required=True, help="append-only budget ledger file")
@@ -105,11 +105,8 @@ def dp_query_main(argv=None) -> int:
     ledger_path = Path(args.ledger)
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
     dataset = _read_dataset(args.infile, args.interval, args.delta_max)
-    query = gw.DpQuery(
-        op=args.op, epsilon=args.epsilon, delta=args.delta,
-        timestamp=None if args.timestamp is None else iso_to_epoch(args.timestamp),
-        edges=None if args.edges is None else tuple(float(e) for e in args.edges.split(",")),
-    )
+    timestamp = None if args.timestamp is None else iso_to_epoch(args.timestamp)
+    edges = None if args.edges is None else tuple(float(e) for e in args.edges.split(","))
     # One run at a time from the read to the replace, so concurrent runs cannot both
     # pass the cap; the ledger is replaced whole, so a crash leaves the old one.
     with open(f"{ledger_path}.lock", "a") as lock:
@@ -117,7 +114,8 @@ def dp_query_main(argv=None) -> int:
         ledger = dp.BudgetLedger.from_lines(
             ledger_path.read_text() if ledger_path.exists() else "", args.epsilon_cap
         )
-        summary = gw._dp_json(gw._dp_release(dataset, query, ledger, rng))
+        answer = dp.release(dataset, args.op, args.epsilon, args.delta, ledger, rng,
+                            timestamp, edges)
         # The spend is recorded before the answer leaves: a failed write releases nothing.
         tmp = f"{ledger_path}.tmp"
         with open(tmp, "w") as fh:
@@ -125,8 +123,8 @@ def dp_query_main(argv=None) -> int:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, ledger_path)
-    lines = ([f"bin{i}={v!r}" for i, v in enumerate(summary)] if isinstance(summary, list)
-             else [f"value={summary['value']!r}"])
+    lines = ([f"bin{i}={a.value!r}" for i, a in enumerate(answer)] if isinstance(answer, list)
+             else [f"value={answer.value!r}"])
     print("\n".join(lines))
     return 0
 
@@ -286,7 +284,6 @@ def he_bill_main(argv=None) -> int:
     parser.add_argument("usage_csv", help="CSV of per-interval kWh decimals")
     args = parser.parse_args(argv)
 
-    rng = dp.default_rng()
     pub = _load_public(args.pub)
     rates = he.RateSchedule(tuple(
         int(line) for line in Path(args.rates).read_text().split() if line.strip()
@@ -295,11 +292,7 @@ def he_bill_main(argv=None) -> int:
         EnergyQuantity.from_kwh_text(line).milli_kwh
         for line in Path(args.usage_csv).read_text().split() if line.strip()
     ]
-    usage_cap = max(usage_milli, default=0)
-    rates.check_bill(len(usage_milli), usage_cap, pub)  # before the first encryption
-    cts = [he.encrypt(pub, m, he.draw_randomizer(pub, rng)) for m in usage_milli]
-    bill = he.encrypted_bill(cts, rates, pub, usage_cap)
-    print(format(bill.value, "x"))
+    print(format(he.bill(pub, usage_milli, rates, dp.default_rng()).value, "x"))
     return 0
 
 
@@ -373,7 +366,7 @@ def decision_to_json(req: gw.RequestEnvelope, decision: gw.Decision,
         return [head.encode(), serialize_csv_json(dataset), b"}\n"]
     result = decision.result
     if result is not None:
-        result = gw.OPERATIONS[type(req.operation)].summarize(req.operation, result)
+        result = gw.OPERATIONS[type(req.operation)].summarize(result)
     return [(json.dumps({**reply, "result": result}) + "\n").encode()]
 
 

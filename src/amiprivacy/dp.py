@@ -15,6 +15,8 @@ Budget accounting
     of (query_id, eps, delta) charges, and an append that would push the
     cumulative eps over the cap fails atomically. Only the dp_* query
     operations may append; post-processing a released answer is free.
+    `release` runs the one of them that a query names (see OPS) for both
+    the gateway's dp_query and the dp-query command.
 
 All randomness flows through an injectable generator with the
 ``random.Random`` interface; the production default is an OS-entropy
@@ -350,3 +352,28 @@ def _first_milli_at_or_above(edge: float, cap: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+OPS = ("sum", "count", "mean", "histogram")
+
+
+def release(d: FeederDataset, op: str, epsilon: float, delta: float, ledger: BudgetLedger,
+            rng: random.Random, timestamp: int | None = None,
+            edges: Sequence[float] | None = None) -> DpAnswer | list[DpAnswer]:
+    """Query op answered on d and charged to ledger: a DpAnswer, or a histogram's list.
+
+    An unknown op, bad privacy parameters, a sum without a timestamp and a
+    histogram without edges are refused, in that order, before any charge.
+    """
+    if op not in OPS:
+        raise ValueError(f"unknown dp op {op!r}")
+    p = PrivacyParams(epsilon, delta)
+    if op == "sum" and timestamp is None:
+        raise ValueError("sum query needs a timestamp")
+    if op == "histogram" and edges is None:
+        raise ValueError("histogram query needs bin edges")
+    if op == "sum":
+        return dp_sum(d, timestamp, p, ledger, rng)
+    if op == "histogram":
+        return dp_histogram(d, edges, p, ledger, rng)
+    return dp_count(d, p, ledger, rng) if op == "count" else dp_mean(d, p, ledger, rng)

@@ -15,9 +15,10 @@ Decision matrix
                      (model parameters, protocol sums, a total bill) leave.
 
 Each operation class has one OPERATIONS entry: wire name, audit mechanism,
-parse, run and summarize. Every route call appends exactly one audit
-record, "allowed", "denied:<Reason>" or, when the run raised anything but
-dp.BudgetExhausted, "error:<ExceptionType>" (route then raises
+parse, run and summarize; dp_query runs dp.release and he_bill runs he.bill,
+as the dp-query and he-bill commands do. Every route call appends exactly
+one audit record, "allowed", "denied:<Reason>" or, when the run raised
+anything but dp.BudgetExhausted, "error:<ExceptionType>" (route then raises
 RequestFailed), carrying the epsilon of the ledger entries the request
 appended. The gateway fails closed: if the record cannot be persisted,
 route raises AuditWriteFailure and releases nothing (a DP charge may
@@ -97,7 +98,6 @@ class FedTrain:
     rounds: int
     local_steps: int
     learning_rate: float
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,10 @@ class HeBill:
 @dataclass(frozen=True)
 class AggregateReport:
     groups: tuple[tuple[str, tuple[str, ...]], ...]  # (group key, meter ids)
+
+    def __post_init__(self):  # each id once; an unhashable id raises TypeError at parse
+        object.__setattr__(self, "groups", tuple(
+            (key, tuple(dict.fromkeys(ids))) for key, ids in self.groups))
 
 
 Operation = (
@@ -308,8 +312,9 @@ class Gateway:
         return Decision(allowed=True, result=serialize_csv(self.dataset))
 
     def _dp_query(self, req: RequestEnvelope) -> Decision:
-        return Decision(allowed=True,
-                        result=_dp_release(self.dataset, req.operation, self.ledger, self.rng))
+        q = req.operation
+        return Decision(allowed=True, result=dp.release(
+            self.dataset, q.op, q.epsilon, q.delta, self.ledger, self.rng, q.timestamp, q.edges))
 
     def _synth_generate(self, req: RequestEnvelope) -> Decision:
         op = req.operation
@@ -326,7 +331,7 @@ class Gateway:
         cfg = fedlearn.RoundConfig(
             rounds=op.rounds, local_steps=op.local_steps, learning_rate=op.learning_rate
         )
-        return Decision(allowed=True, result=fedlearn.run_federation(shards, cfg, seed=op.seed))
+        return Decision(allowed=True, result=fedlearn.run_federation(shards, cfg, seed=0))
 
     def _smpc_sum(self, req: RequestEnvelope) -> Decision:
         op = req.operation
@@ -336,20 +341,15 @@ class Gateway:
 
     def _he_bill(self, req: RequestEnvelope) -> Decision:
         op, keypair = req.operation, self._keypair()
-        pub, rates = keypair.public, he.RateSchedule(op.rates)
-        usage_cap = max(op.usage_milli, default=0)
-        rates.check_bill(len(op.usage_milli), usage_cap, pub)  # before the first encryption
-        cts = [he.encrypt(keypair, m, he.draw_randomizer(pub, self.rng)) for m in op.usage_milli]
-        bill_ct = he.encrypted_bill(cts, rates, pub, usage_cap)
-        return Decision(allowed=True, result=he.decrypt(keypair, bill_ct))
+        bill = he.bill(keypair, op.usage_milli, he.RateSchedule(op.rates), self.rng)
+        return Decision(allowed=True, result=he.decrypt(keypair, bill))
 
     def _aggregate_report(self, req: RequestEnvelope) -> Decision:
         totals = self.dataset.meter_milli
         min_count = max(self.policy.min_aggregation_count, self.policy.k_anonymity_k)
         report = {}
-        for key, meters in req.operation.groups:
-            # dict.fromkeys drops a repeated id, so each meter counts once toward the threshold.
-            members = [t for t in map(totals.get, dict.fromkeys(meters)) if t is not None]
+        for key, meters in req.operation.groups:  # each id once: see AggregateReport
+            members = [t for t in map(totals.get, meters) if t is not None]
             report[key] = anonymize._aggregate(len(members), sum(members), min_count)
         if any(isinstance(v, anonymize.Suppressed) for v in report.values()):
             return Decision(allowed=False, reason=DenialReason.BELOW_AGGREGATION_THRESHOLD)
@@ -359,12 +359,6 @@ class Gateway:
         if self._he_keypair is None:
             self._he_keypair = he.keygen(512, self.rng)  # billing key, made on first use
         return self._he_keypair
-
-
-def _given(value, message: str):
-    if value is None:
-        raise ValueError(message)
-    return value
 
 
 def _field(value, kind: type, name: str = ""):
@@ -380,45 +374,19 @@ def _field(value, kind: type, name: str = ""):
     return float(value) if kind is float else value
 
 
-# Each op's release; the lambdas look the dp_* functions up when they run.
-DP_OPS: dict[str, Callable] = {
-    "sum": lambda d, q, p, ledger, rng: dp.dp_sum(
-        d, _given(q.timestamp, "sum query needs a timestamp"), p, ledger, rng),
-    "count": lambda d, q, p, ledger, rng: dp.dp_count(d, p, ledger, rng),
-    "mean": lambda d, q, p, ledger, rng: dp.dp_mean(d, p, ledger, rng),
-    "histogram": lambda d, q, p, ledger, rng: dp.dp_histogram(
-        d, _given(q.edges, "histogram query needs bin edges"), p, ledger, rng),
-}
-
-
-def _dp_release(dataset: FeederDataset, q: DpQuery, ledger: dp.BudgetLedger, rng):
-    """q answered on dataset and charged to ledger: one DpAnswer, or a list for a histogram."""
-    if q.op not in DP_OPS:
-        raise ValueError(f"unknown dp op {q.op!r}")
-    return DP_OPS[q.op](dataset, q, dp.PrivacyParams(q.epsilon, q.delta), ledger, rng)
-
-
-def _dp_json(answer: dp.DpAnswer | list[dp.DpAnswer]):
-    """A DP release to JSON: a histogram's bin values, or one answer's fields."""
-    if isinstance(answer, list):
-        return [a.value for a in answer]
-    return {"value": answer.value, "mechanism": answer.mechanism,
-            "epsilon": answer.params.epsilon, "query_id": answer.query_id}
-
-
 @dataclass(frozen=True)
 class OperationKind:
     kind: str  # the "kind" field of the JSON protocol
     mechanism: str  # the audit record's mechanism
     parse: Callable[[dict], Operation]  # from the JSON "operation" object
     run: Callable[[Gateway, RequestEnvelope], Decision]
-    summarize: Callable[[Operation, object], object]  # an allowed result, to JSON
+    summarize: Callable[[object], object]  # an allowed result, to JSON
 
 
 # One entry per operation class; a new kind is one more entry.
 OPERATIONS: dict[type, OperationKind] = {
     RawExport: OperationKind(
-        "raw_export", "raw", lambda d: RawExport(), Gateway._raw_export, lambda op, csv: csv),
+        "raw_export", "raw", lambda d: RawExport(), Gateway._raw_export, lambda csv: csv),
     DpQuery: OperationKind(
         "dp_query", "laplace",
         lambda d: DpQuery(_field(d["op"], str), _field(d["epsilon"], float),
@@ -426,43 +394,44 @@ OPERATIONS: dict[type, OperationKind] = {
                           None if d.get("timestamp") is None else _field(d["timestamp"], int),
                           tuple(_field(e, float) for e in d["edges"])
                           if d.get("edges") else None),
-        Gateway._dp_query, lambda op, answer: _dp_json(answer)),
+        Gateway._dp_query, lambda a: [b.value for b in a] if isinstance(a, list) else {
+            "value": a.value, "mechanism": a.mechanism, "epsilon": a.params.epsilon,
+            "query_id": a.query_id}),
     SynthGenerate: OperationKind(
         "synth_generate", "synthetic",
         lambda d: SynthGenerate(_field(d["n_clusters"], int), _field(d["n_households"], int),
                                 _field(d["n_days"], int), _field(d.get("seed", 0), int)),
         Gateway._synth_generate,
-        lambda op, r: {"n_households": len(r[0].meter_ids),
-                       "min_nn_distance": r[1].min_nn_distance,
-                       "distinguisher_auc": r[1].distinguisher_auc}),
+        lambda r: {"n_households": len(r[0].meter_ids),
+                   "min_nn_distance": r[1].min_nn_distance,
+                   "distinguisher_auc": r[1].distinguisher_auc}),
     FedTrain: OperationKind(
         "fed_train", "fedavg",
         lambda d: FedTrain(_field(d["n_clients"], int), _field(d["rounds"], int),
-                           _field(d["local_steps"], int), _field(d["learning_rate"], float),
-                           _field(d.get("seed", 0), int)),
+                           _field(d["local_steps"], int), _field(d["learning_rate"], float)),
         Gateway._fed_train,
-        lambda op, r: {"final_weights": [float(w) for w in r.final.weights],
-                       "rounds": len(r.history)}),
+        lambda r: {"final_weights": [float(w) for w in r.final.weights],
+                   "rounds": len(r.history)}),
     SmpcSum: OperationKind(
         "smpc_sum", "smpc-sum",
         lambda d: SmpcSum(tuple((_field(p, str), _field(v, int)) for p, v in d["values"]),
                           _field(d["min_participants"], int)),
         Gateway._smpc_sum,
-        lambda op, r: {"total_milli": r.total, "aborted": r.aborted,
-                       "messages": len(r.transcript.messages)}),
+        lambda r: {"total_milli": r.total, "aborted": r.aborted,
+                   "messages": len(r.transcript.messages)}),
     HeBill: OperationKind(
         "he_bill", "paillier",
         lambda d: HeBill(tuple(_field(m, int) for m in d["usage_milli"]),
                          tuple(_field(r, int) for r in d["rates"])),
-        Gateway._he_bill, lambda op, bill: bill),
+        Gateway._he_bill, lambda bill: bill),
     AggregateReport: OperationKind(
         "aggregate_report", "aggregate-threshold",
-        # A member that is not a string matches no meter id, so only each list is checked.
-        lambda d: AggregateReport(tuple((k, tuple(_field(v, list)))
+        # A non-string member matches no meter id; AggregateReport refuses an unhashable one.
+        lambda d: AggregateReport(tuple((k, _field(v, list))
                                         for k, v in _field(d["groups"], dict).items())),
         Gateway._aggregate_report,
-        lambda op, report: {str(k): {"count": v.count, "sum_kwh": v.total.kwh,
-                                     "mean_kwh": v.mean_kwh} for k, v in report.items()}),
+        lambda report: {str(k): {"count": v.count, "sum_kwh": v.total.kwh,
+                                 "mean_kwh": v.mean_kwh} for k, v in report.items()}),
 }
 KINDS: dict[str, OperationKind] = {e.kind: e for e in OPERATIONS.values()}
 

@@ -23,13 +23,13 @@ section 7):
   to mod n, with L_p(u) = (u - 1) / p and
   h_p = L_p(g^(p-1) mod p^2)^-1 mod p.
 
-`encrypt` takes the faster path when given a `PaillierKeypair` and the
-public one when given a `PaillierPublicKey`, so the gateway (which makes
-and holds its own keypair) uses the former and a meter-side encrypter such
-as the `he-bill` CLI, which has only the public key, the latter. Every
-decryption uses the CRT. A secret key file stores n, lambda = lcm(p-1, q-1)
-and mu = lambda^-1 mod n; `keypair_from_secret` gets p and q back from n and
-lambda by Miller's method.
+`encrypt` and `bill` take the faster path given a `PaillierKeypair` and the
+public one given a `PaillierPublicKey`, so the gateway (which makes and
+holds its own keypair) bills with the former and a meter-side encrypter
+such as the `he-bill` CLI, which has only the public key, with the latter.
+Every decryption uses the CRT. A secret key file stores n, lambda =
+lcm(p-1, q-1) and mu = lambda^-1 mod n; `keypair_from_secret` gets p and q
+back from n and lambda by Miller's method.
 
 This is an analytics engine, not a hardened crypto product: big-integer
 arithmetic is not constant-time, and key sizes below 2048 bits are for
@@ -396,3 +396,13 @@ def encrypted_bill(
     for c, k in zip(usage_cts, rates.rates):
         bill = add(bill, scalar_mul(c, k, pub), pub)
     return bill
+
+
+def bill(key: PaillierPublicKey | PaillierKeypair, usage_milli: Sequence[int],
+         rates: RateSchedule, rng: random.Random) -> Ciphertext:
+    """encrypted_bill of each interval's usage encrypted under key, in order."""
+    pub = key.public if isinstance(key, PaillierKeypair) else key
+    usage_cap = max(usage_milli, default=0)
+    rates.check_bill(len(usage_milli), usage_cap, pub)  # before the first encryption
+    cts = [encrypt(key, m, draw_randomizer(pub, rng)) for m in usage_milli]
+    return encrypted_bill(cts, rates, pub, usage_cap)

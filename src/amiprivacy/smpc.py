@@ -80,10 +80,9 @@ class TranscriptMessages(Sequence):
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """Append-only record of every transmitted value plus the outcome."""
+    """Append-only record of every transmitted value, and why a run aborted."""
 
     messages: Sequence[TranscriptMessage]
-    result: int | None
     abort_reason: str | None = None
 
 
@@ -106,7 +105,7 @@ def secure_sum(
         raise DuplicateParty("party ids must be distinct")
     n = len(inputs)
     if n < min_participants:
-        return SecureSumResult(None, ProtocolTranscript((), None, ABORT_NOT_ENOUGH_PARTICIPANTS))
+        return SecureSumResult(None, ProtocolTranscript((), ABORT_NOT_ENOUGH_PARTICIPANTS))
     if n < 2:  # a lone party would send its raw secret to itself
         raise InvalidPartyCount("need at least 2 parties")
     if any(p.secret >= MODULUS // (2 * n) for p in inputs):
@@ -119,5 +118,5 @@ def secure_sum(
     total = int(partials.sum(dtype=np.uint64))
     if total >= MODULUS // 2:
         raise SumOverflow("secure sum wrapped the modulus; inputs exceeded headroom")
-    transcript = ProtocolTranscript(TranscriptMessages(ids, shares, partials), result=total)
+    transcript = ProtocolTranscript(TranscriptMessages(ids, shares, partials))
     return SecureSumResult(total=total, transcript=transcript)

@@ -11,6 +11,7 @@ from amiprivacy.dp import (
     EmptyDataset,
     InvalidUniform,
     LedgerEntry,
+    OPS,
     PrivacyParams,
     Sensitivity,
     compose,
@@ -20,6 +21,7 @@ from amiprivacy.dp import (
     dp_sum,
     laplace_mechanism,
     laplace_sample,
+    release,
     seeded_rng,
 )
 from amiprivacy.meterdata import EnergyQuantity, FeederDataset
@@ -332,6 +334,43 @@ def test_nonzero_delta_refused_before_any_charge(query):
         query(make_uniform_dataset(3, 1000, 2), PrivacyParams(0.5, 1e-6), ledger, StubRng())
     assert ledger.entries == ()
     assert ledger.epsilon_spent() == 0.0
+
+
+class TestRelease:
+    @pytest.mark.parametrize("op, delta, timestamp, edges, error, match", [
+        ("median", 0.0, 0, (0.0, 1.0), ValueError, "unknown dp op 'median'"),
+        ("sum", 0.0, None, None, ValueError, "sum query needs a timestamp"),
+        ("histogram", 0.0, None, None, ValueError, "histogram query needs bin edges"),
+        *[(op, 1e-6, 0, (0.0, 1.0), DeltaNotZero, "delta = 0") for op in OPS],
+    ], ids=["unknown_op", "sum_without_timestamp", "histogram_without_edges",
+            *(f"{op}_with_delta" for op in OPS)])
+    def test_refused_before_any_charge(self, op, delta, timestamp, edges, error, match):
+        ledger = _ledger(cap=1.0)
+        with pytest.raises(error, match=match):
+            release(make_uniform_dataset(3, 1000, 2), op, 0.5, delta, ledger, StubRng(),
+                    timestamp, edges)
+        assert ledger.entries == ()
+
+    def test_the_op_is_checked_before_the_params_and_the_params_before_the_arguments(self):
+        d, ledger = make_uniform_dataset(3, 1000, 2), _ledger()
+        with pytest.raises(ValueError, match="unknown dp op"):
+            release(d, "median", -1.0, 0.0, ledger, StubRng())
+        with pytest.raises(ValueError, match="epsilon must be"):
+            release(d, "sum", -1.0, 0.0, ledger, StubRng())
+        assert ledger.entries == ()
+
+    @pytest.mark.parametrize("op, query, args", [
+        ("sum", dp_sum, (0,)), ("count", dp_count, ()), ("mean", dp_mean, ()),
+        ("histogram", dp_histogram, ((0.0, 1.0, 2.0),)),
+    ])
+    def test_release_is_the_named_query(self, op, query, args):
+        d = make_uniform_dataset(3, 1000, 2)
+        ledger, direct_ledger = _ledger(), _ledger()
+        got = release(d, op, 0.5, 0.0, ledger, seeded_rng(5), 0, (0.0, 1.0, 2.0))
+        want = query(d, *args, PrivacyParams(0.5), direct_ledger, seeded_rng(5))
+        values = [a.value for a in (got if op == "histogram" else [got])]
+        assert values == [a.value for a in (want if op == "histogram" else [want])]
+        assert [e.epsilon for e in ledger.entries] == [0.5]
 
 
 _COLLAPSING_EDGES = [0.0001, 0.0002, 1.0001, 1.0002, 1.0009]  # pairs share a first milli-kWh

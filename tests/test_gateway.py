@@ -343,6 +343,11 @@ def test_aggregate_report_counts_each_meter_once():
     assert decision.result["g"].total.milli_kwh == sum(d.meter_milli[m] for m in meters[:3])
 
 
+def test_aggregate_report_keeps_each_member_once_in_first_seen_order():
+    op = AggregateReport(groups=(("g", ["m2", "m1", "m2", "m1"]), ("h", ())))
+    assert op.groups == (("g", ("m2", "m1")), ("h", ()))
+
+
 def test_aggregate_report_needs_k_members_when_k_exceeds_the_minimum():
     policy = PolicyConfig(epsilon_cap=10.0, min_aggregation_count=3, k_anonymity_k=4)
     g = _gateway(policy=policy)
@@ -423,7 +428,7 @@ _SYNTH = {"kind": "synth_generate", "n_clusters": 2, "n_households": 3, "n_days"
 _SYNTH_INTS = ("n_clusters", "n_households", "n_days", "seed")
 _FED = {"kind": "fed_train", "n_clients": 2, "rounds": 1, "local_steps": 1,
         "learning_rate": 0.1, "seed": 0}
-_FED_INTS = ("n_clients", "rounds", "local_steps", "seed")
+_FED_INTS = ("n_clients", "rounds", "local_steps")
 
 
 class TestOperationTable:
@@ -459,11 +464,14 @@ class TestOperationTable:
          [[["g", ["m0001"]]]]),
         (lambda v: {**_SMPC, "values": [["p0", 1], [v, 2]]}, "p1", [1]),
         (lambda v: {"kind": "dp_query", "op": v, "epsilon": 0.5}, "count", [5]),
+        (lambda v: {"kind": "aggregate_report", "groups": {"g": [v]}}, "m0001",
+         [["m0001"], {"m0001": 1}]),
     ], ids=["smpc_sum.values", "he_bill.usage_milli", "he_bill.rates", "dp_query.epsilon",
             "dp_query.delta", "fed_train.learning_rate", "dp_query.timestamp", "dp_query.edges",
             "smpc_sum.min_participants", *(f"synth_generate.{key}" for key in _SYNTH_INTS),
             *(f"fed_train.{key}" for key in _FED_INTS), "aggregate_report.members",
-            "aggregate_report.groups", "smpc_sum.party_id", "dp_query.op"])
+            "aggregate_report.groups", "smpc_sum.party_id", "dp_query.op",
+            "aggregate_report.unhashable_member"])
     def test_protocol_numbers_are_checked_not_coerced(self, build, good, bad_values):
         KINDS[build(good)["kind"]].parse(build(good))
         for value in bad_values:

@@ -18,6 +18,7 @@ from amiprivacy.he import (
     RateSchedule,
     WrongKey,
     add,
+    bill,
     decrypt,
     draw_randomizer,
     encrypt,
@@ -247,6 +248,38 @@ def test_bill_is_the_scalar_mul_terms_folded_with_add(keypair, data):
                  for _ in rates]
     bill = encrypted_bill(usage_cts, RateSchedule(tuple(rates)), pub, usage_cap)
     assert bill == reference_bill(usage_cts, rates, pub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([SMALL, CRT_KEYS[2]]), st.booleans(), st.integers(0, 2**32), st.data())
+def test_bill_checks_then_encrypts_each_interval_in_order_then_folds(keypair, public, seed, data):
+    pub = keypair.public
+    key = pub if public else keypair  # the public-key path and the CRT path
+    small = pub.n == 143  # keeps usage_cap * sum(rates) below n = 143
+    rates = RateSchedule(tuple(data.draw(st.lists(st.integers(0, 3 if small else 2**40),
+                                                  max_size=4))))
+    usage = data.draw(st.lists(st.integers(0, 11 if small else 2**40),
+                               min_size=len(rates.rates), max_size=len(rates.rates)))
+    rng = random.Random(seed)
+    usage_cap = max(usage, default=0)
+    rates.check_bill(len(usage), usage_cap, pub)
+    cts = [encrypt(key, m, draw_randomizer(pub, rng)) for m in usage]
+    expected = encrypted_bill(cts, rates, pub, usage_cap)
+    assert bill(key, usage, rates, random.Random(seed)) == expected
+    assert decrypt(keypair, expected) == sum(m * k for m, k in zip(usage, rates.rates))
+
+
+class NoDraws(random.Random):
+    def randrange(self, *args):
+        raise AssertionError("a refused bill drew a randomizer")
+
+
+@pytest.mark.parametrize("usage, rates, error", [
+    ((1, 1), (1,), LengthMismatch), ((1, 1), (70, 80), BillingOverflow),
+])
+def test_bill_is_refused_before_any_randomizer_is_drawn(usage, rates, error):
+    with pytest.raises(error):
+        bill(SMALL, usage, RateSchedule(rates), NoDraws())
 
 
 def reference_decrypt(keypair, c):

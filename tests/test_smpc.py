@@ -68,10 +68,6 @@ class TestSecureSum:
         with pytest.raises(ValueError):
             PartyInput("p", MODULUS // 2)
 
-    def test_result_recorded_in_transcript(self):
-        result = secure_sum(_inputs([1, 2, 3]), 3, random.Random(0))
-        assert result.transcript.result == 6
-
     def test_single_share_is_uniform(self):
         # With two parties, p0's message to p1 is its derived share (the
         # secret minus its draw): chi-square against uniform over 256
