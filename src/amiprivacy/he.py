@@ -31,13 +31,32 @@ Every decryption uses the CRT. A secret key file stores n, lambda =
 lcm(p-1, q-1) and mu = lambda^-1 mod n; `keypair_from_secret` gets p and q
 back from n and lambda by Miller's method.
 
-This is an analytics engine, not a hardened crypto product: big-integer
-arithmetic is not constant-time, and key sizes below 2048 bits are for
-tests only.
+Every exponentiation with a secret or large base or exponent (encryption's
+r^n, or r^p and r^q at the key holder; decryption's c^(p-1) and c^(q-1);
+the Miller-Rabin and Miller's-method powers of key generation and key
+loading) goes through `_powmod`, which calls OpenSSL's
+BN_mod_exp_mont_consttime: a fixed-window Montgomery exponentiation whose
+sequence of multiplications and table reads does not depend on the
+exponent's bits. libcrypto is the OpenSSL library that CPython's `_hashlib`
+module (behind `hashlib`) links; `_powmod` looks the BIGNUM calls up
+through that module's shared object on its first call, so importing this
+module loads nothing. Without it (a Python built without OpenSSL) `_powmod`
+is builtin `pow`: the same integers, 5 to 10 times slower. Modular
+inverses, the bill's public rate powers and other small public exponents
+stay on builtin ints.
+
+This is an analytics engine, not a hardened crypto product. Only the
+modular exponentiation inside OpenSSL is constant-time. The conversions
+between Python ints and BIGNUMs, the CRT recombination, the bill's fold and
+every Python-side range, gcd and key check run on Python ints, whose
+arithmetic is not constant-time. Key sizes below 2048 bits are for tests
+only.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
 import random
@@ -154,6 +173,57 @@ class RateSchedule:
             raise BillingOverflow("worst-case bill would wrap the plaintext modulus")
 
 
+@functools.cache
+def _libcrypto():
+    """OpenSSL's libcrypto with the calls `_powmod` makes declared, or None.
+
+    The symbols are looked up through `_hashlib`'s shared object, whose
+    dependencies include the libcrypto that `hashlib` already uses.
+    """
+    ptr, num = ctypes.c_void_p, ctypes.c_int
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        for name, restype, argtypes in (
+            ("BN_CTX_new", ptr, []),
+            ("BN_CTX_free", None, [ptr]),
+            ("BN_new", ptr, []),
+            ("BN_clear_free", None, [ptr]),
+            ("BN_bin2bn", ptr, [ctypes.c_char_p, num, ptr]),
+            ("BN_bn2binpad", num, [ptr, ctypes.c_char_p, num]),
+            ("BN_mod_exp_mont_consttime", num, [ptr, ptr, ptr, ptr, ptr, ptr]),
+        ):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
+
+
+def _powmod(base: int, exp: int, mod: int) -> int:
+    """pow(base, exp, mod) for an odd mod > 1 and exp >= 0, in OpenSSL's
+    constant-time Montgomery exponentiation when libcrypto loads."""
+    lib = _libcrypto()
+    if lib is None:
+        return pow(base, exp, mod)
+    ctx = lib.BN_CTX_new()
+    nums = [lib.BN_new()]  # the result, then base, exponent and modulus
+    try:
+        for x in (base % mod, exp, mod):
+            raw = x.to_bytes((x.bit_length() + 7) // 8, "big")
+            nums.append(lib.BN_bin2bn(raw, len(raw), None))
+        out = ctypes.create_string_buffer((mod.bit_length() + 7) // 8)
+        if not (ctx and all(nums) and lib.BN_mod_exp_mont_consttime(*nums, ctx, None)
+                and lib.BN_bn2binpad(nums[0], out, len(out)) == len(out)):
+            raise HeError("OpenSSL modular exponentiation failed")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        for bn in nums:
+            lib.BN_clear_free(bn)
+        lib.BN_CTX_free(ctx)
+
+
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 _MILLER_RABIN_ROUNDS = 40
 _PRIME_TRIES = 100_000
@@ -175,7 +245,7 @@ def _is_probable_prime(n: int, rng: random.Random) -> bool:
         s += 1
     for _ in range(_MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = _powmod(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -278,7 +348,7 @@ def _split(n: int, lam: int) -> int:
         d = math.gcd(a, n)
         if d != 1:
             return d
-        x = pow(a, t, n)
+        x = _powmod(a, t, n)
         if x == 1:
             continue
         for _ in range(s):
@@ -334,11 +404,11 @@ def encrypt(key: PaillierPublicKey | PaillierKeypair, m: int, r: int) -> Ciphert
         raise BadRandomizer("randomizer must lie in [1, n) and be coprime to n")
     n_sq = pub.n_squared
     if isinstance(key, PaillierKeypair):
-        r_p = pow(r % key.p, key.p, key.p_sq)  # rho(r)^n mod p^2
-        r_q = pow(r % key.q, key.q, key.q_sq)  # rho(r)^n mod q^2
+        r_p = _powmod(r % key.p, key.p, key.p_sq)  # rho(r)^n mod p^2
+        r_q = _powmod(r % key.q, key.q, key.q_sq)  # rho(r)^n mod q^2
         r_to_n = r_p + (r_q - r_p) * key.p_sq_inv_q_sq % key.q_sq * key.p_sq
     else:
-        r_to_n = pow(r, pub.n, n_sq)
+        r_to_n = _powmod(r, pub.n, n_sq)
     # g = n + 1 always, so g^m = 1 + m*n (mod n^2).
     g_to_m = (1 + m * pub.n) % n_sq
     return Ciphertext(value=g_to_m * r_to_n % n_sq, key_id=pub.key_id)
@@ -357,8 +427,8 @@ def decrypt(keypair: PaillierKeypair, c: Ciphertext) -> int:
     if not 1 <= c.value < n * n or math.gcd(c.value, n) != 1:
         raise BadCiphertext("ciphertext must lie in [1, n^2) and be coprime to n")
     p, q = keypair.p, keypair.q
-    m_p = _l_function(pow(c.value, p - 1, keypair.p_sq), p) * keypair.hp % p
-    m_q = _l_function(pow(c.value, q - 1, keypair.q_sq), q) * keypair.hq % q
+    m_p = _l_function(_powmod(c.value, p - 1, keypair.p_sq), p) * keypair.hp % p
+    m_q = _l_function(_powmod(c.value, q - 1, keypair.q_sq), q) * keypair.hq % q
     return m_p + (m_q - m_p) * keypair.p_inv_q % q * p
 
 
@@ -390,12 +460,28 @@ def encrypted_bill(
     the total bill and never the per-interval breakdown. usage_cap is the
     per-interval plaintext bound: the worst-case bill, usage_cap times the
     sum of the rates, must stay below n or BillingOverflow is raised.
+
+    The value is the product of scalar_mul(c_i, k_i) from 1 (the encryption
+    of 0 with r = 1), folded by rate buckets (Pippenger, SIAM J. Comput.
+    1980): b_k is the product of the ciphertexts at rate k, and with the
+    distinct rates k_1 > ... > k_j and k_(j+1) = 0, the product of b_k^k is
+    the product of B_i^(k_i - k_(i+1)), where B_i = b_(k_1) * ... * b_(k_i)
+    is a running product. So there is one pow per gap between rates, not
+    one per interval.
     """
     rates.check_bill(len(usage_cts), usage_cap, pub)
-    bill = Ciphertext(value=1, key_id=pub.key_id)  # encrypts 0 with r = 1
+    n_sq = pub.n_squared
+    buckets: dict[int, int] = {}
     for c, k in zip(usage_cts, rates.rates):
-        bill = add(bill, scalar_mul(c, k, pub), pub)
-    return bill
+        if c.key_id != pub.key_id:
+            raise KeyMismatch("ciphertext was produced under a different key")
+        buckets[k] = buckets.get(k, 1) * c.value % n_sq
+    bill = running = 1  # 1 encrypts 0 with r = 1
+    descending = sorted(buckets, reverse=True)
+    for k, next_k in zip(descending, descending[1:] + [0]):
+        running = running * buckets[k] % n_sq
+        bill = bill * pow(running, k - next_k, n_sq) % n_sq
+    return Ciphertext(value=bill, key_id=pub.key_id)
 
 
 def bill(key: PaillierPublicKey | PaillierKeypair, usage_milli: Sequence[int],

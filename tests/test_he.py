@@ -1,8 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from amiprivacy import he
 from amiprivacy.he import (
     BadCiphertext,
     BadRandomizer,
@@ -17,6 +24,7 @@ from amiprivacy.he import (
     PlaintextOutOfRange,
     RateSchedule,
     WrongKey,
+    _powmod,
     add,
     bill,
     decrypt,
@@ -429,3 +437,131 @@ def test_public_key_needs_g_n_plus_1_and_the_key_id_of_n(g, key_id):
     assert PaillierPublicKey(n=pub.n, g=pub.g, key_id=pub.key_id) == pub
     with pytest.raises(InvalidPublicKey):
         PaillierPublicKey(n=pub.n, g=g or pub.g, key_id=key_id or pub.key_id)
+
+
+# --- _powmod: OpenSSL's constant-time exponentiation, or builtin pow ---
+
+def _of_bit_length(low, high):
+    """Integers whose bit length is drawn first, so large sizes are not rare (0 has length 0)."""
+    return st.integers(low, high).flatmap(lambda b: st.integers(2 ** (b - 1) if b else 0, 2**b - 1))
+
+
+_M4096 = 2**4096 - 2**1000 + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_of_bit_length(2, 4096).map(lambda m: m | 1).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.one_of(st.sampled_from([0, 1, m, m + 1]), st.integers(m, 2**4100), st.integers(0, m - 1)),
+    _of_bit_length(0, 4096),
+)))
+@example((3, 0, 0))
+@example((3, 1, 1))
+@example((3, 7, 1))
+@example((_M4096, _M4096 + 5, 1))
+@example((_M4096, 2**4099 + 3, 2**4096 - 1))
+@example((_M4096, 0, 2**4095))
+def test_powmod_is_builtin_pow(args):
+    mod, base, exp = args
+    assert _powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+def test_powmod_from_four_threads_gives_every_result():
+    rng = random.Random(41)
+    jobs = [[(rng.getrandbits(600), rng.getrandbits(256), rng.getrandbits(512) | 1 << 511 | 1)
+             for _ in range(200)] for _ in range(4)]
+    expected = [[pow(*job) for job in thread_jobs] for thread_jobs in jobs]
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [_powmod(*job) for job in jobs[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+
+
+def test_builtin_pow_fallback_gives_the_same_integers(monkeypatch):
+    keypair = CRT_KEYS[3]  # keygen(512, Random(32))
+    rng = random.Random(42)
+    usage = [rng.randrange(5000) for _ in range(168)]
+    rates = RateSchedule(tuple(rng.randrange(1, 300) for _ in range(168)))
+
+    def outputs():
+        return ([bill(key, usage, rates, random.Random(43)) for key in (keypair, keypair.public)],
+                keygen(128, random.Random(31)))
+
+    openssl = outputs()
+    monkeypatch.setattr(he, "_libcrypto", lambda: None)
+    assert outputs() == openssl
+    assert openssl[1].public.n == 139050774322062516671439730761209496673
+
+
+def test_importing_and_serving_without_billing_leaves_libcrypto_unloaded(tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "readings.csv").write_text(
+        "meter_id,timestamp,kwh\nm1,2024-01-01T00:00:00Z,1.500\nm2,2024-01-01T00:00:00Z,0.250\n")
+    (tmp_path / "policy.conf").write_text("epsilon_cap = 1.0\n")
+    requests = "".join(
+        json.dumps({"request_id": rid, "requester": "ops", "purpose": "primary",
+                    "consent": False, "operation": op}) + "\n"
+        for rid, op in [("r1", {"kind": "raw_export"}),
+                        ("r2", {"kind": "dp_query", "op": "count", "epsilon": 0.5})])
+    script = """if True:
+        import sys
+        from amiprivacy import he
+        from amiprivacy.cli import audit_show_main, gateway_main
+        assert gateway_main(["serve", "--policy", "policy.conf", "--data", "data", "--seed", "5",
+                             "--audit-log", "audit.jsonl"]) == 0
+        assert audit_show_main(["--log", "audit.jsonl", "--verify"]) == 0
+        assert "ctypes.util" not in sys.modules
+        assert he._libcrypto.cache_info().misses == 0, "libcrypto was loaded"
+        he._powmod(3, 5, 7)  # the probe sees a load
+        assert he._libcrypto.cache_info().misses == 1
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(he.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], input=requests, cwd=tmp_path, env=env,
+                         text=True, capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "chain=valid"
+
+
+# --- the rate-bucketed fold against reference_bill ---
+
+FOLD_KEY = CRT_KEYS[2]  # keygen(128, Random(31)): with 128 bits, rates near 2**40 cannot wrap
+
+
+@pytest.mark.parametrize("rates", [
+    (5, 5, 5, 2, 2, 9, 5),  # repeated rates share a bucket
+    (0, 3, 0, 0, 7),  # rate-0 buckets contribute the identity
+    (0, 0, 0),
+    (2**40, 1, 2**40 + 7, 0, 3),  # gaps between distinct rates reach 2**40
+    (1, 2**40, 1),
+], ids=["repeated", "rate-0", "all-0", "gaps-2**40", "one-gap-2**40"])
+def test_bucketed_fold_is_the_reference_bill(rates):
+    pub = FOLD_KEY.public
+    rng = random.Random(sum(rates))
+    usage = [rng.randrange(100) for _ in rates]
+    usage_cts = [encrypt(FOLD_KEY, m, draw_randomizer(pub, rng)) for m in usage]
+    folded = encrypted_bill(usage_cts, RateSchedule(rates), pub, usage_cap=99)
+    assert folded == reference_bill(usage_cts, rates, pub)
+    assert decrypt(FOLD_KEY, folded) == sum(m * k for m, k in zip(usage, rates))
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("rates", [(3, 0, 5, 3, 1), (0, 0, 0, 0, 0), (2, 7, 1, 9, 0)])
+def test_bucketed_fold_refuses_a_foreign_ciphertext_at_any_rate(position, rates):
+    pub = FOLD_KEY.public
+    usage_cts = [encrypt(pub, i, 1) for i in range(len(rates))]
+    usage_cts[position] = enc(1, keypair_from_primes(17, 19))
+    with pytest.raises(KeyMismatch):
+        encrypted_bill(usage_cts, RateSchedule(rates), pub, usage_cap=4)
