@@ -13,10 +13,11 @@ Mechanisms
 Budget accounting
     Basic (additive) composition only: the ledger is an append-only log
     of (query_id, eps, delta) charges, and an append that would push the
-    cumulative eps over the cap fails atomically. Only the dp_* query
-    operations may append; post-processing a released answer is free.
-    `release` runs the one of them that a query names (see OPS) for both
-    the gateway's dp_query and the dp-query command.
+    cumulative eps over the cap fails atomically. Only `_laplace_release`
+    appends: it refuses delta != 0 and a noise scale that overflows, then
+    charges once and noises the true values a dp_* query hands it. Post-
+    processing a released answer is free. `release` runs the query that a
+    request names (see OPS), for the gateway's dp_query and dp-query alike.
 
 All randomness flows through an injectable generator with the
 ``random.Random`` interface; the production default is an OS-entropy
@@ -131,8 +132,8 @@ class BudgetLedger:
     """
 
     def __init__(self, epsilon_cap: float, entries: Sequence[LedgerEntry] = ()):
-        if not epsilon_cap > 0:
-            raise ValueError("epsilon_cap must be positive")
+        if not 0 < epsilon_cap < math.inf:  # an infinite cap would bound nothing
+            raise ValueError(f"epsilon_cap must be positive and finite, not {epsilon_cap}")
         self.epsilon_cap = epsilon_cap
         self._entries: list[LedgerEntry] = list(entries)
         self._spent = 0.0  # running left-to-right total: a charge is O(1), not O(#entries)
@@ -231,15 +232,6 @@ def _new_query_id() -> str:
     return secrets.token_hex(8)
 
 
-def _charge(ledger: BudgetLedger, p: PrivacyParams) -> str:
-    """Charge a Laplace release to the ledger; a nonzero delta is refused first."""
-    if p.delta != 0.0:
-        raise DeltaNotZero("the Laplace mechanism requires delta = 0")
-    query_id = _new_query_id()
-    ledger.charge(query_id, p.epsilon, 0.0)
-    return query_id
-
-
 def laplace_mechanism(
     true_value: float,
     sens: Sensitivity,
@@ -261,6 +253,25 @@ def laplace_mechanism(
     )
 
 
+def _laplace_release(ledger: BudgetLedger, p: PrivacyParams, rng: random.Random,
+                     true_values: Sequence[float], delta_f: float) -> list[DpAnswer]:
+    """Charge p once, then release each true value + Laplace(0, delta_f/epsilon).
+
+    delta != 0 and a scale that is not positive and finite (1.0 / 1e-320 overflows
+    to inf) are refused before the charge.
+    """
+    if p.delta != 0.0:
+        raise DeltaNotZero("the Laplace mechanism requires delta = 0")
+    if not 0.0 < delta_f / p.epsilon < math.inf:
+        raise ValueError(f"noise scale {delta_f}/{p.epsilon} must be positive and finite")
+    query_id = _new_query_id()
+    ledger.charge(query_id, p.epsilon, 0.0)
+    sens, answers = Sensitivity(delta_f), []
+    for v in true_values:  # a comprehension would build a closure per call before Python 3.12
+        answers.append(laplace_mechanism(v, sens, p, rng, query_id=query_id))
+    return answers
+
+
 def dp_sum(
     d: FeederDataset,
     timestamp: int,
@@ -270,22 +281,18 @@ def dp_sum(
 ) -> DpAnswer:
     """Laplace-noised interval total at one timestamp; sensitivity = delta_max.
 
-    The budget is charged before any noise is drawn; on BudgetExhausted
-    nothing is computed and nothing is released.
+    The true total is computed first and the budget charged before any
+    noise is drawn; on BudgetExhausted nothing is charged, drawn or released.
     """
-    query_id = _charge(ledger, p)
     true_kwh = d.interval_milli.get(timestamp, 0) / MILLI_PER_KWH
-    return laplace_mechanism(
-        true_kwh, Sensitivity(d.delta_max.kwh), p, rng, query_id=query_id
-    )
+    return _laplace_release(ledger, p, rng, [true_kwh], d.delta_max.kwh)[0]
 
 
 def dp_count(
     d: FeederDataset, p: PrivacyParams, ledger: BudgetLedger, rng: random.Random
 ) -> DpAnswer:
     """Laplace-noised count of readings; one record moves the count by 1."""
-    query_id = _charge(ledger, p)
-    return laplace_mechanism(float(d.n_readings()), Sensitivity(1.0), p, rng, query_id=query_id)
+    return _laplace_release(ledger, p, rng, [float(d.n_readings())], 1.0)[0]
 
 
 def dp_mean(
@@ -299,11 +306,8 @@ def dp_mean(
     count = d.n_readings()
     if count == 0:
         raise EmptyDataset("cannot take the mean of an empty dataset")
-    query_id = _charge(ledger, p)
     true_sum = d.total_milli / MILLI_PER_KWH
-    noisy_sum = laplace_mechanism(
-        true_sum, Sensitivity(d.delta_max.kwh), p, rng, query_id=query_id
-    )
+    noisy_sum = _laplace_release(ledger, p, rng, [true_sum], d.delta_max.kwh)[0]
     return replace(noisy_sum, value=noisy_sum.value / count)
 
 
@@ -326,16 +330,12 @@ def dp_histogram(
     """
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
-    query_id = _charge(ledger, p)
     cap = d.delta_max.milli_kwh
     firsts = np.array([_first_milli_at_or_above(e, cap) for e in edges], dtype=np.int64)
     values, below = d.value_index()
     # below[searchsorted(values, f)] readings lie under f; bin i is [firsts[i], firsts[i+1]).
     counts = np.diff(below[np.searchsorted(values, firsts)])
-    return [
-        laplace_mechanism(float(c), Sensitivity(1.0), p, rng, query_id=query_id)
-        for c in counts.tolist()
-    ]
+    return _laplace_release(ledger, p, rng, counts.astype(float).tolist(), 1.0)
 
 
 def _first_milli_at_or_above(edge: float, cap: int) -> int:

@@ -6,12 +6,14 @@ features: previous interval, 96 intervals back, hour-of-day scaled to
 squared error, so the weighted average of per-client updates equals one
 centralized full-batch step when local_steps = 1.
 
-Secure aggregation masks one (k, d) uint64 matrix, one row per client
-upload: the fixed-point encoding (scale 1e-6, mod 2^64) of its
-sample-weighted update plus canceling pairwise masks, so the column sums
-are the quantized sums, exact while every quantized coordinate is below
-2^63 / k (past that, FixedPointOverflow). A set norm bound clips each update,
-then optional per-coordinate Gaussian noise is added, before upload.
+Each round stacks the k training clients' sample-weighted updates into
+one (k, d) matrix and divides its column sum by their total sample count.
+In the clear the column sum is taken directly. Secure aggregation takes it
+over one masked uint64 upload per row: the fixed-point encoding (scale
+1e-6, mod 2^64) plus canceling pairwise masks, so the column sums are the
+quantized sums, exact while every quantized coordinate is below 2^63 / k
+(past that, FixedPointOverflow). A set norm bound clips each update, then
+optional per-coordinate Gaussian noise is added, before upload.
 """
 
 from __future__ import annotations
@@ -245,52 +247,44 @@ def run_federation(
 ) -> FederationResult:
     """Execute the round protocol: broadcast, local train, aggregate.
 
-    Per round: every client trains from the current global model; updates
-    are clipped if cfg.clip_norm is set (and then noised if cfg.dp_sigma > 0)
-    and optionally masked for secure aggregation;
-    the coordinator forms the sample-weighted mean and records global MSE
-    on the held-out split. Clients raising NoTrainingData are excluded
-    from the round and from the weighting denominator. Per-client RNG is
-    derived from (seed, client_id, round), so scheduling order is
-    irrelevant.
+    A client holding two or more series holds its last one out, and each
+    round's global MSE is taken on those. A client with no training examples
+    never trains and adds nothing to the denominator; if none has any,
+    NoTrainingData is raised before round 0. Per round, every training
+    client starts from one broadcast model and clips its update if
+    cfg.clip_norm is set (then noises it if cfg.dp_sigma > 0); the
+    coordinator forms the weighted mean as in the module docstring.
+    Per-client RNG is derived from (seed, client_id, round), so scheduling
+    order is irrelevant.
     """
     if not clients:
         raise FedLearnError("need at least one client")
-    # Clients with more than one series hold their last one out for eval.
-    X_hold, y_hold = extract_examples([shard[-1] for shard in clients if len(shard) > 1])
-    examples = [extract_examples(shard[:-1] if len(shard) > 1 else shard) for shard in clients]
+    splits = [(shard[:-1], shard[-1:]) if len(shard) > 1 else (shard, ()) for shard in clients]
+    X_hold, y_hold = extract_examples([s for _, held in splits for s in held])
+    examples = [extract_examples(train) for train, _ in splits]
+    trainers = [(f"client-{i:03d}", ex) for i, ex in enumerate(examples) if len(ex[1])]
+    if not trainers:
+        raise NoTrainingData("no client produced a training update")
+    total_n = sum(len(y) for _, (_, y) in trainers)
 
     global_w = np.zeros(N_FEATURES)
     history: list[RoundMetrics] = []
     for rnd in range(cfg.rounds):
-        updates: list[ClientUpdate] = []
-        for i, client_examples in enumerate(examples):
-            client_id = f"client-{i:03d}"
-            try:
-                update = local_train(client_examples, ModelParams(global_w), cfg, client_id)
-            except NoTrainingData:
-                continue
-            if cfg.clip_norm is not None:  # dp_sigma > 0 needs a clip_norm
-                rng = random.Random(_derived_seed(seed, client_id, rnd))
-                update = dp_noise_update(update, cfg, rng)
-            updates.append(update)
-        if not updates:
-            raise NoTrainingData("no client produced a training update")
-
+        params = ModelParams(global_w)
+        updates = [local_train(ex, params, cfg, client_id) for client_id, ex in trainers]
+        if cfg.clip_norm is not None:  # dp_sigma > 0 needs a clip_norm
+            updates = [dp_noise_update(
+                u, cfg, random.Random(_derived_seed(seed, u.client_id, rnd))) for u in updates]
+        vectors = np.stack([u.weights.weights * u.n_samples for u in updates])
         if secure_agg:
             pair_seeds = {(i, j): _derived_seed(seed, rnd, *sorted((a.client_id, b.client_id)))
                           for (i, a), (j, b) in itertools.combinations(enumerate(updates), 2)}
-            vectors = np.stack([u.weights.weights * u.n_samples for u in updates])
             uploads = masked_uploads(vectors, pair_seeds)
-            total_n = sum(u.n_samples for u in updates)
-            global_w = decode_fixed(uploads.sum(axis=0, dtype=np.uint64)) / total_n
+            column_sum = decode_fixed(uploads.sum(axis=0, dtype=np.uint64))
         else:
-            global_w = np.array(fed_avg(updates).weights)
-
-        if len(y_hold):
-            mse = float(np.mean((X_hold @ global_w - y_hold) ** 2))
-        else:
-            mse = math.nan
+            column_sum = vectors.sum(axis=0)
+        global_w = column_sum / total_n
+        mse = float(np.mean((X_hold @ global_w - y_hold) ** 2)) if len(y_hold) else math.nan
         history.append(RoundMetrics(round_index=rnd, mse=mse))
 
     return FederationResult(final=ModelParams(global_w), history=tuple(history))

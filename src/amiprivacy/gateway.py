@@ -137,6 +137,7 @@ class RequestEnvelope:
     def __post_init__(self):
         if _FIELD_SEP in self.request_id or _FIELD_SEP in self.requester:
             raise ValueError(f"request_id and requester must not contain {_FIELD_SEP!r}")
+        (self.request_id + self.requester).encode("utf-8")  # fails here, not after a charge
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,9 @@ class TranscriptMessages(Sequence):
     def __len__(self) -> int:
         return 2 * self._shares.size - len(self._ids)
 
-    def __getitem__(self, k: int) -> TranscriptMessage:
+    def __getitem__(self, k: int | slice) -> TranscriptMessage | tuple[TranscriptMessage, ...]:
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
         k, n, ids = range(len(self))[k], len(self._ids), self._ids  # IndexError past the end
         if k < n * n:
             return TranscriptMessage(ids[k // n], ids[k % n], int(self._shares.flat[k]))

@@ -1014,3 +1014,73 @@ def test_gateway_serve_encodes_the_csv_for_the_first_raw_export_only(
     _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n", csv_text, lines)
     assert len(encoded) == 1
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_gateway_serve_refuses_text_utf8_cannot_encode_before_any_charge(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    ledgers = []
+
+    class RecordingLedger(dp.BudgetLedger):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            ledgers.append(self)
+
+    monkeypatch.setattr(dp, "BudgetLedger", RecordingLedger)
+    count = {"kind": "dp_query", "op": "count", "epsilon": 0.5}
+    lines = [
+        # A pure-ASCII line whose requester is a lone surrogate, written as a JSON escape.
+        json.dumps({"request_id": "u1", "requester": "x\ud800", "purpose": "primary",
+                    "consent": False, "operation": count}),
+        # A raw 0xFF byte, as stdin delivers it under UTF-8 mode (surrogateescape).
+        (b'{"request_id": "u2\xff", "requester": "ops", "purpose": "primary", '
+         b'"consent": false, "operation": {"kind": "dp_query", "op": "count", "epsilon": 0.5}}'
+         ).decode("utf-8", "surrogateescape"),
+        _request("u3", {"kind": "dp_query", "op": "count", "epsilon": 0.6}),
+    ]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r.get("error", "").split(":")[0] for r in replies] == [
+        "UnicodeEncodeError", "UnicodeEncodeError", ""]
+    assert (replies[2]["allowed"], replies[2]["reason"]) == (True, None)
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert [(r["request_id"], r["decision"]) for r in records] == [("u3", "allowed")]
+    [ledger] = ledgers
+    assert [r["epsilon_spent"] for r in records] == [e.epsilon for e in ledger.entries] == [0.6]
+
+
+def test_gateway_serve_refuses_an_infinite_epsilon_cap_before_reading_stdin(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    lines = [_request(f"i{k}", {"kind": "dp_query", "op": "count", "epsilon": 1e300})
+             for k in (1, 2)]
+    rc, stdin, audit_path = _serve_status(tmp_path, monkeypatch, "epsilon_cap = inf\n",
+                                          readings_csv.read_text(), lines)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error=ValueError detail=epsilon_cap must be positive and finite")
+    assert stdin.tell() == 0
+    assert not audit_path.exists()
+
+
+def test_dp_query_refuses_an_infinite_epsilon_cap(tmp_path, readings_csv, capsys):
+    ledger = tmp_path / "ledger.csv"
+    args = ["--op", "count", "--epsilon", "1e300", "--epsilon-cap", "inf", "--ledger",
+            str(ledger), "--seed", "7", str(readings_csv)]
+    assert cli.dp_query_main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error=ValueError detail=epsilon_cap must be positive and finite")
+    assert not ledger.exists()
+    # A ledger line that records an infinite cap is refused, and the file is left as it was.
+    ledger.write_text("q0,1e+300,0.0,0.0,inf\n")
+    before = ledger.read_bytes()
+    assert cli.dp_query_main(args) == 1
+    assert capsys.readouterr().err.startswith("error=ValueError detail=epsilon_cap")
+    assert cli.dp_query_main([*args[:5], "1.0", *args[6:]]) == 1
+    assert capsys.readouterr().err.startswith("error=CapMismatch")
+    assert ledger.read_bytes() == before

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, strategies as st
 from amiprivacy.dp import (
     BudgetExhausted,
     BudgetLedger,
+    CapMismatch,
     DeltaNotZero,
     EmptyDataset,
     InvalidUniform,
@@ -401,3 +402,28 @@ def test_histogram_from_value_index_matches_float_rule_cold_and_warm(milli, edge
         rng = StubRng(uniforms=[0.5] * len(expected))
         answers = dp_histogram(d, edges, EPS1, _ledger(), rng)
         assert [a.value for a in answers] == [float(c) for c in expected]
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_a_noise_scale_that_overflows_is_refused_before_any_charge(op):
+    # 1.0 / 1e-320 is inf: the answer would be +-inf or nan, which JSON cannot carry.
+    ledger = _ledger(cap=1.0)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        release(make_uniform_dataset(3, 1000, 2), op, 1e-320, 0.0, ledger, seeded_rng(5),
+                0, (0.0, 1.0, 2.0))
+    assert ledger.entries == ()
+    assert ledger.epsilon_spent() == 0.0
+
+
+@pytest.mark.parametrize("cap", [math.inf, 0.0, -1.0, math.nan])
+def test_ledger_cap_must_be_positive_and_finite(cap):
+    with pytest.raises(ValueError, match="epsilon_cap"):
+        BudgetLedger(epsilon_cap=cap)
+
+
+def test_a_ledger_that_records_an_infinite_cap_is_refused():
+    text = "q0,1e+300,0.0,0.0,inf\n"
+    with pytest.raises(ValueError, match="epsilon_cap"):
+        BudgetLedger.from_lines(text, math.inf)
+    with pytest.raises(CapMismatch):
+        BudgetLedger.from_lines(text, 1.0)

@@ -327,6 +327,72 @@ def test_examples_extracted_once_per_client_and_weights_unchanged(monkeypatch):
     np.testing.assert_array_equal(result.final.weights, w)
 
 
+def _reference_federation(shards, cfg, seed, secure_agg):
+    """The round loop as it was first written: every client tries to train each round."""
+    X_hold, y_hold = extract_examples([shard[-1] for shard in shards if len(shard) > 1])
+    examples = [extract_examples(shard[:-1] if len(shard) > 1 else shard) for shard in shards]
+    w, mses = np.zeros(4), []
+    for rnd in range(cfg.rounds):
+        updates = []
+        for i, client_examples in enumerate(examples):
+            client_id = f"client-{i:03d}"
+            try:
+                update = local_train(client_examples, ModelParams(w), cfg, client_id)
+            except NoTrainingData:
+                continue
+            if cfg.clip_norm is not None:
+                rng = random.Random(fedlearn._derived_seed(seed, client_id, rnd))
+                update = dp_noise_update(update, cfg, rng)
+            updates.append(update)
+        if secure_agg:
+            ids = [u.client_id for u in updates]
+            pair_seeds = {(i, j): fedlearn._derived_seed(seed, rnd, *sorted((ids[i], ids[j])))
+                          for i in range(len(ids)) for j in range(i + 1, len(ids))}
+            vectors = np.stack([u.weights.weights * u.n_samples for u in updates])
+            uploads = masked_uploads(vectors, pair_seeds)
+            w = decode_fixed(uploads.sum(axis=0, dtype=np.uint64)) / sum(
+                u.n_samples for u in updates)
+        else:
+            w = np.array(fed_avg(updates).weights)
+        mses.append(float(np.mean((X_hold @ w - y_hold) ** 2)))
+    return w, mses
+
+
+@pytest.mark.parametrize("secure_agg", [False, True], ids=["plain", "secure"])
+@pytest.mark.parametrize("dp_keys", [{}, {"clip_norm": 0.2}, {"clip_norm": 0.2, "dp_sigma": 0.01}],
+                         ids=["no_clip", "clip", "clip_and_noise"])
+def test_training_clients_fixed_once_give_the_reference_weights_and_mses(
+    monkeypatch, secure_agg, dp_keys
+):
+    shards = _shards(3, 3, seed=12)
+    # Client 1's series are all shorter than 97 readings, so it has no examples and never trains.
+    shards.insert(1, [_random_series("s0", 90, 40), _random_series("s1", 96, 41)])
+    cfg = RoundConfig(rounds=4, local_steps=2, learning_rate=0.01, **dp_keys)
+    w, mses = _reference_federation(shards, cfg, 4, secure_agg)
+
+    trained = []
+    real = fedlearn.local_train
+
+    def spy(examples, params, cfg, client_id=""):
+        trained.append(client_id)
+        return real(examples, params, cfg, client_id)
+
+    monkeypatch.setattr(fedlearn, "local_train", spy)
+    result = run_federation(shards, cfg, seed=4, secure_agg=secure_agg)
+    np.testing.assert_array_equal(result.final.weights, w)
+    assert [m.mse for m in result.history] == mses
+    assert trained == ["client-000", "client-002", "client-003"] * cfg.rounds
+
+
+def test_no_client_with_examples_is_refused_before_any_training(monkeypatch):
+    # The lone series is too short; the pair's long one is held out, its short one is not.
+    shards = [[_random_series("a", 96, 1)],
+              [_random_series("b", 50, 2), _random_series("c", 200, 3)]]
+    monkeypatch.setattr(fedlearn, "local_train", lambda *args: pytest.fail("a client trained"))
+    with pytest.raises(NoTrainingData, match="^no client produced a training update$"):
+        run_federation(shards, RoundConfig(rounds=3, learning_rate=0.01), seed=0)
+
+
 def test_round_robin_shards_deal_meters_in_turn():
     dataset = make_uniform_dataset(7, 1000, 2)
     shards = round_robin_shards(dataset, 3)

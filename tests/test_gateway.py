@@ -684,3 +684,24 @@ def test_he_bill_that_could_wrap_the_modulus_is_an_audited_error():
         ("r3", "allowed", "paillier", 0.0),
     ]
     assert verify_chain(g.audit_log.records).valid
+
+
+def test_a_noise_scale_that_overflows_is_audited_once_as_an_error_at_zero_epsilon():
+    g = _gateway(cap=1.0, dataset=make_uniform_dataset(2, 1500, 1))
+    with pytest.raises(RequestFailed) as err:
+        g.route(_req("r1", DpQuery(op="count", epsilon=1e-320)))
+    assert type(err.value.__cause__) is ValueError
+    assert g.ledger.entries == ()
+    [rec] = g.audit_log.records
+    assert (rec.request_id, rec.decision, rec.mechanism, rec.epsilon_spent) == (
+        "r1", "error:ValueError", "laplace", 0.0)
+    assert verify_chain(g.audit_log.records).valid
+
+
+@pytest.mark.parametrize("field", ["request_id", "requester"])
+@pytest.mark.parametrize("text", ["x\ud800", "r\udcff"])  # a JSON escape; a raw 0xFF byte
+def test_envelope_refuses_text_that_utf8_cannot_encode(field, text):
+    fields = {"request_id": "r1", "requester": "ops", field: text}
+    with pytest.raises(UnicodeEncodeError):
+        RequestEnvelope(purpose=Purpose.PRIMARY, consent=False,
+                        operation=DpQuery(op="count", epsilon=0.5), **fields)

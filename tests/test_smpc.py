@@ -151,3 +151,15 @@ class TestColumnarTranscript:
         secrets = [3000, 5000, 9000, 12_345, 0]
         result = secure_sum(_inputs(secrets), 5, dp.default_rng())
         _check_columnar_transcript(secrets, result)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_transcript_slice_is_a_tuple_of_the_messages(n):
+    messages = secure_sum(_inputs(range(100, 100 + n)), n, random.Random(n)).transcript.messages
+    listed = tuple(messages)
+    m = len(listed)
+    for s in (slice(1, 3), slice(None), slice(-4, None), slice(None, -2), slice(-5, -1),
+              slice(None, None, 3), slice(1, m, 2), slice(-1, None, -2), slice(m - 2, 0, -3),
+              slice(2, 10 * m), slice(3, 3), slice(-10 * m, 2)):
+        assert messages[s] == listed[s]
+        assert type(messages[s]) is tuple
