@@ -424,6 +424,10 @@ def gateway_main(argv=None) -> int:
     engine = gw.Gateway(dataset, policy, ledger, audit_log, rng=rng)
 
     out = sys.stdout.buffer
+    # The loop decodes outside the per-line try, so a strict decoder would end
+    # the session on one bad byte; escaped, it fails that line's envelope check.
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     try:
         for line in sys.stdin:
             if not line.strip():

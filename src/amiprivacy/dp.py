@@ -137,9 +137,14 @@ class BudgetLedger:
         self.epsilon_cap = epsilon_cap
         self._entries: list[LedgerEntry] = list(entries)
         self._spent = 0.0  # running left-to-right total: a charge is O(1), not O(#entries)
-        for e in self._entries:
+        for i, e in enumerate(self._entries):
             _check_loss(e.epsilon, e.delta)
             self._spent += e.epsilon
+            # charge never lets the total pass the cap, so such entries (an
+            # infinite epsilon among them) are damage, not a spent budget.
+            if self._spent > epsilon_cap + 1e-12:
+                raise ValueError(f"ledger entry {i} ({e.query_id!r}) brings the total to "
+                                 f"{self._spent!r}, past cap {epsilon_cap!r}")
         self._lock = threading.Lock()
 
     @property

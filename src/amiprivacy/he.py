@@ -31,6 +31,24 @@ Every decryption uses the CRT. A secret key file stores n, lambda =
 lcm(p-1, q-1) and mu = lambda^-1 mod n; `keypair_from_secret` gets p and q
 back from n and lambda by Miller's method.
 
+`bill` makes one encryption per bill. The product of encrypt(key, m_i,
+r_i)^k_i over the intervals is encrypt(key, M, S), with M = sum of k_i * m_i
+and S = product of r_i^k_i mod n, for either kind of key:
+
+- the g part: (1 + m*n)^k * (1 + m'*n) = 1 + (k*m + m')*n (mod n^2), and
+  M < n because check_bill bounds it by the sum of the rates times the
+  largest usage;
+- the public randomizer part: x^n mod n^2 depends only on x mod n, so the
+  product of (r_i^n)^k_i is S^n mod n^2;
+- the key holder's randomizer part: x^p mod p^2 depends only on x mod p
+  (likewise x^q mod q^2 on x mod q), so the product of (r_i^p)^k_i is
+  S^p mod p^2; put another way, rho is a power map mod each prime, so
+  rho(S) = product of rho(r_i)^k_i.
+
+So `bill` returns the integer that encrypting each interval and folding
+with `encrypted_bill` gives, and draws the same randomizers in the same
+order; it just skips all but one of the exponentiations.
+
 Every exponentiation with a secret or large base or exponent (encryption's
 r^n, or r^p and r^q at the key holder; decryption's c^(p-1) and c^(q-1);
 the Miller-Rabin and Miller's-method powers of key generation and key
@@ -42,15 +60,15 @@ module (behind `hashlib`) links; `_powmod` looks the BIGNUM calls up
 through that module's shared object on its first call, so importing this
 module loads nothing. Without it (a Python built without OpenSSL) `_powmod`
 is builtin `pow`: the same integers, 5 to 10 times slower. Modular
-inverses, the bill's public rate powers and other small public exponents
-stay on builtin ints.
+inverses, the fold's powers (public rate gaps as exponents) and other small
+public exponents stay on builtin ints.
 
 This is an analytics engine, not a hardened crypto product. Only the
 modular exponentiation inside OpenSSL is constant-time. The conversions
-between Python ints and BIGNUMs, the CRT recombination, the bill's fold and
-every Python-side range, gcd and key check run on Python ints, whose
-arithmetic is not constant-time. Key sizes below 2048 bits are for tests
-only.
+between Python ints and BIGNUMs, the CRT recombination, the bill's fold
+(whose bases in `bill` are the secret randomizers) and every Python-side
+range, gcd and key check run on Python ints, whose arithmetic is not
+constant-time. Key sizes below 2048 bits are for tests only.
 """
 
 from __future__ import annotations
@@ -387,6 +405,11 @@ def draw_randomizer(pub: PaillierPublicKey, rng: random.Random) -> int:
             return r
 
 
+def _check_plaintext(m: int, pub: PaillierPublicKey) -> None:
+    if not 0 <= m < pub.n:
+        raise PlaintextOutOfRange(f"plaintext must lie in [0, n), got {m}")
+
+
 def encrypt(key: PaillierPublicKey | PaillierKeypair, m: int, r: int) -> Ciphertext:
     """c = g^m * r^n mod n^2 for m in [0, n) and r coprime to n.
 
@@ -398,8 +421,7 @@ def encrypt(key: PaillierPublicKey | PaillierKeypair, m: int, r: int) -> Ciphert
     r differs.
     """
     pub = key.public if isinstance(key, PaillierKeypair) else key
-    if not 0 <= m < pub.n:
-        raise PlaintextOutOfRange(f"plaintext must lie in [0, n), got {m}")
+    _check_plaintext(m, pub)
     if not 1 <= r < pub.n or math.gcd(r, pub.n) != 1:
         raise BadRandomizer("randomizer must lie in [1, n) and be coprime to n")
     n_sq = pub.n_squared
@@ -448,6 +470,26 @@ def scalar_mul(c: Ciphertext, k: int, pub: PaillierPublicKey) -> Ciphertext:
     return Ciphertext(value=pow(c.value, k, pub.n_squared), key_id=pub.key_id)
 
 
+def _fold(values: Sequence[int], rates: Sequence[int], modulus: int) -> int:
+    """The product of values[i]^rates[i] mod modulus, folded by rate buckets.
+
+    The buckets follow Pippenger (SIAM J. Comput. 1980): b_k is the product of
+    the values at rate k, and with the distinct rates k_1 > ... > k_j and
+    k_(j+1) = 0, the product of b_k^k is the product of B_i^(k_i - k_(i+1)),
+    where B_i = b_(k_1) * ... * b_(k_i) is a running product. So there is
+    one pow per gap between rates, not one per value.
+    """
+    buckets: dict[int, int] = {}
+    for v, k in zip(values, rates):
+        buckets[k] = buckets.get(k, 1) * v % modulus
+    product = running = 1
+    descending = sorted(buckets, reverse=True)
+    for k, next_k in zip(descending, descending[1:] + [0]):
+        running = running * buckets[k] % modulus
+        product = product * pow(running, k - next_k, modulus) % modulus
+    return product
+
+
 def encrypted_bill(
     usage_cts: Sequence[Ciphertext],
     rates: RateSchedule,
@@ -462,33 +504,31 @@ def encrypted_bill(
     sum of the rates, must stay below n or BillingOverflow is raised.
 
     The value is the product of scalar_mul(c_i, k_i) from 1 (the encryption
-    of 0 with r = 1), folded by rate buckets (Pippenger, SIAM J. Comput.
-    1980): b_k is the product of the ciphertexts at rate k, and with the
-    distinct rates k_1 > ... > k_j and k_(j+1) = 0, the product of b_k^k is
-    the product of B_i^(k_i - k_(i+1)), where B_i = b_(k_1) * ... * b_(k_i)
-    is a running product. So there is one pow per gap between rates, not
-    one per interval.
+    of 0 with r = 1), folded mod n^2 by rate buckets (see _fold).
     """
     rates.check_bill(len(usage_cts), usage_cap, pub)
-    n_sq = pub.n_squared
-    buckets: dict[int, int] = {}
-    for c, k in zip(usage_cts, rates.rates):
-        if c.key_id != pub.key_id:
-            raise KeyMismatch("ciphertext was produced under a different key")
-        buckets[k] = buckets.get(k, 1) * c.value % n_sq
-    bill = running = 1  # 1 encrypts 0 with r = 1
-    descending = sorted(buckets, reverse=True)
-    for k, next_k in zip(descending, descending[1:] + [0]):
-        running = running * buckets[k] % n_sq
-        bill = bill * pow(running, k - next_k, n_sq) % n_sq
-    return Ciphertext(value=bill, key_id=pub.key_id)
+    if any(c.key_id != pub.key_id for c in usage_cts):
+        raise KeyMismatch("ciphertext was produced under a different key")
+    value = _fold([c.value for c in usage_cts], rates.rates, pub.n_squared)
+    return Ciphertext(value=value, key_id=pub.key_id)
 
 
 def bill(key: PaillierPublicKey | PaillierKeypair, usage_milli: Sequence[int],
          rates: RateSchedule, rng: random.Random) -> Ciphertext:
-    """encrypted_bill of each interval's usage encrypted under key, in order."""
+    """encrypted_bill of each interval's usage encrypted under key, in order.
+
+    The integer is the same, made with one encryption: the product of
+    encrypt(key, m_i, r_i)^k_i is encrypt(key, M, S) with M the sum of
+    k_i * m_i and S the product of r_i^k_i mod n (see the module docstring).
+    Each r_i is drawn in interval order, and an m_i outside [0, n) is
+    refused right after its draw, as encrypting it would be.
+    """
     pub = key.public if isinstance(key, PaillierKeypair) else key
     usage_cap = max(usage_milli, default=0)
-    rates.check_bill(len(usage_milli), usage_cap, pub)  # before the first encryption
-    cts = [encrypt(key, m, draw_randomizer(pub, rng)) for m in usage_milli]
-    return encrypted_bill(cts, rates, pub, usage_cap)
+    rates.check_bill(len(usage_milli), usage_cap, pub)  # before the first draw
+    total, randomizers = 0, []
+    for m, k in zip(usage_milli, rates.rates):
+        randomizers.append(draw_randomizer(pub, rng))
+        _check_plaintext(m, pub)
+        total += k * m
+    return encrypt(key, total, _fold(randomizers, rates.rates, pub.n))

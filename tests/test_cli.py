@@ -947,7 +947,8 @@ def test_gateway_serve_refuses_an_interval_that_is_not_an_integer(
     assert not audit_path.exists()
 
 
-@pytest.mark.parametrize("line", ["a,nan,0.0,0\n", "a,-5.0,0.0,0\n"])
+@pytest.mark.parametrize("line", ["a,nan,0.0,0\n", "a,-5.0,0.0,0\n", "q0,inf,0.0,0.0,1.0\n",
+                                  "q0,0.6,0.0,0.0,1.0\nq1,0.6,0.0,0.0,1.0\n"])
 def test_dp_query_refuses_a_ledger_entry_no_cap_bounds(tmp_path, readings_csv, capsys, line):
     ledger = tmp_path / "ledger.csv"
     ledger.write_text(line)
@@ -1048,6 +1049,31 @@ def test_gateway_serve_refuses_text_utf8_cannot_encode_before_any_charge(
     assert [(r["request_id"], r["decision"]) for r in records] == [("u3", "allowed")]
     [ledger] = ledgers
     assert [r["epsilon_spent"] for r in records] == [e.epsilon for e in ledger.entries] == [0.6]
+
+
+def test_gateway_serve_keeps_serving_after_a_bad_byte_on_a_strict_stdin(tmp_path, readings_csv):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "readings.csv").write_bytes(readings_csv.read_bytes())
+    policy = tmp_path / "policy.conf"
+    policy.write_text("epsilon_cap = 1.0\n")
+    stdin = (b'{"request_id": "u1\xff", "requester": "ops", "purpose": "primary", '
+             b'"consent": false, "operation": {"kind": "dp_query", "op": "count", '
+             b'"epsilon": 0.5}}\n'
+             + _request("u2", {"kind": "dp_query", "op": "count", "epsilon": 0.5}).encode()
+             + b"\n")
+    main = "import sys; from amiprivacy.cli import gateway_main; sys.exit(gateway_main())"
+    # Outside UTF-8 mode, this is the stdin decoder a UTF-8 locale such as en_US.UTF-8 gives.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONUTF8": "0",
+           "PYTHONIOENCODING": "utf-8:strict"}
+    run = subprocess.run(
+        [sys.executable, "-c", main, "serve", "--policy", str(policy), "--data", str(data_dir),
+         "--seed", "5"], input=stdin, capture_output=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr.decode()
+    first, second = (json.loads(line) for line in run.stdout.splitlines())
+    assert first["error"].startswith("UnicodeEncodeError")
+    assert (second["request_id"], second["allowed"]) == ("u2", True)
+    assert run.stderr.decode().startswith("error=UnicodeEncodeError ")
 
 
 def test_gateway_serve_refuses_an_infinite_epsilon_cap_before_reading_stdin(

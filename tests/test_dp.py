@@ -415,6 +415,18 @@ def test_a_noise_scale_that_overflows_is_refused_before_any_charge(op):
     assert ledger.epsilon_spent() == 0.0
 
 
+@pytest.mark.parametrize("epsilons, index", [((math.inf,), 0), ((0.5, 0.25, 0.5, 0.1), 2)])
+def test_ledger_refuses_entries_that_pass_the_cap_naming_the_first(epsilons, index):
+    entries = [LedgerEntry(f"q{i}", eps, 0.0, 0.0) for i, eps in enumerate(epsilons)]
+    with pytest.raises(ValueError, match=f"^ledger entry {index} "):
+        BudgetLedger(epsilon_cap=1.0, entries=entries)
+    # Charges that reach the cap exactly load as they were made.
+    ledger = BudgetLedger(epsilon_cap=1.0)
+    for eps in (0.1, 0.2, 0.7):
+        ledger.charge("c", eps, 0.0)
+    assert BudgetLedger(1.0, ledger.entries).epsilon_spent() == ledger.epsilon_spent()
+
+
 @pytest.mark.parametrize("cap", [math.inf, 0.0, -1.0, math.nan])
 def test_ledger_cap_must_be_positive_and_finite(cap):
     with pytest.raises(ValueError, match="epsilon_cap"):

@@ -290,6 +290,47 @@ def test_bill_is_refused_before_any_randomizer_is_drawn(usage, rates, error):
         bill(SMALL, usage, RateSchedule(rates), NoDraws())
 
 
+BILL_KEY = CRT_KEYS[2]  # keygen(128, Random(31)): a dozen rates up to 2**40 cannot wrap
+
+
+# bill makes one encryption of the whole bill; the reference encrypts every
+# interval and folds the ciphertexts.
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32),
+       st.lists(st.tuples(st.integers(0, 2**40), st.sampled_from([0, 1, 2, 7, 2**20, 2**40])),
+                max_size=12))
+@example(public=False, seed=1, intervals=[])
+@example(public=True, seed=1, intervals=[])
+@example(public=False, seed=2, intervals=[(5, 0), (9, 0)])
+@example(public=True, seed=3, intervals=[(5, 3), (9, 3), (2, 0), (4, 3), (6, 1)])
+def test_bill_is_one_encryption_of_the_per_interval_fold(public, seed, intervals):
+    pub = BILL_KEY.public
+    key = pub if public else BILL_KEY
+    usage = [m for m, _ in intervals]
+    rates = RateSchedule(tuple(k for _, k in intervals))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    cts = [encrypt(key, m, draw_randomizer(pub, reference_rng)) for m in usage]
+    expected = encrypted_bill(cts, rates, pub, max(usage, default=0))
+    assert bill(key, usage, rates, rng) == expected
+    assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("public", [False, True], ids=["keypair", "public"])
+@pytest.mark.parametrize("usage, rates, j", [
+    ((3, 4, -1, 5), (1, 2, 3, 4), 2),
+    ((-1,), (1,), 0),
+    ((0, 1, BILL_KEY.public.n, 2), (0, 0, 0, 0), 2),  # passes check_bill: every rate is 0
+], ids=["negative-at-2", "negative-at-0", "n-at-2-all-rates-0"])
+def test_bill_refuses_a_plaintext_out_of_range_right_after_its_draw(public, usage, rates, j):
+    pub = BILL_KEY.public
+    rng, reference_rng = random.Random(8), random.Random(8)
+    with pytest.raises(PlaintextOutOfRange):
+        bill(pub if public else BILL_KEY, usage, RateSchedule(rates), rng)
+    for _ in range(j + 1):
+        draw_randomizer(pub, reference_rng)
+    assert rng.getstate() == reference_rng.getstate()
+
+
 def reference_decrypt(keypair, c):
     """The lambda/mu decryption L(c^lambda mod n^2) * mu mod n, without the CRT."""
     n = keypair.public.n
