@@ -15,14 +15,15 @@ Decision matrix
                      (model parameters, protocol sums, a total bill) leave.
 
 Each operation class has one OPERATIONS entry: wire name, audit mechanism,
-parse, run and summarize; dp_query runs dp.release and he_bill runs he.bill,
-as the dp-query and he-bill commands do. Every route call appends exactly
-one audit record, "allowed", "denied:<Reason>" or, when the run raised
-anything but dp.BudgetExhausted, "error:<ExceptionType>" (route then raises
-RequestFailed), carrying the epsilon of the ledger entries the request
-appended. The gateway fails closed: if the record cannot be persisted,
-route raises AuditWriteFailure and releases nothing (a DP charge may
-already have landed, erring safe).
+run and summarize. Its JSON keys are the class's fields, read as their
+annotations say (OperationKind.parse). dp_query runs dp.release and
+he_bill runs he.bill, as the dp-query and he-bill commands do. Every route
+call appends exactly one audit record, "allowed", "denied:<Reason>" or,
+when the run raised anything but dp.BudgetExhausted,
+"error:<ExceptionType>" (route then raises RequestFailed), carrying the
+epsilon of the ledger entries the request appended. The gateway fails
+closed: if the record cannot be persisted, route raises AuditWriteFailure
+and releases nothing (a DP charge may already have landed, erring safe).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Annotated, Callable, Sequence, get_args, get_origin, get_type_hints
 
 from . import anonymize, dp, fedlearn, he, smpc, synthetic
 from .meterdata import FeederDataset, serialize_csv
@@ -89,7 +90,7 @@ class SynthGenerate:
     n_clusters: int
     n_households: int
     n_days: int
-    seed: int
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,9 @@ class HeBill:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    groups: tuple[tuple[str, tuple[str, ...]], ...]  # (group key, meter ids)
+    # (group key, meter ids); on the wire, a JSON object of arrays whose members go
+    # unchecked, as a non-string one matches no meter id.
+    groups: Annotated[tuple[tuple[str, tuple[str, ...]], ...], _groups_from_json]
 
     def __post_init__(self):  # each id once; an unhashable id raises TypeError at parse
         object.__setattr__(self, "groups", tuple(
@@ -149,9 +152,8 @@ class PolicyConfig:
     memorization_threshold: float = 0.01
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's text
-            kind = {"float": float, "int": int, "bool": bool}[f.type]
-            _field(getattr(self, f.name), kind, f.name)
+        for name, kind in get_type_hints(PolicyConfig).items():
+            _field(getattr(self, name), kind, name)
         if not (self.epsilon_cap > 0 and self.min_aggregation_count >= 1
                 and self.k_anonymity_k >= 1):
             raise ValueError("policy thresholds must be positive")
@@ -212,14 +214,8 @@ class AuditLog:
     def records(self) -> tuple[AuditRecord, ...]:
         return tuple(self._records)
 
-    def append_audit(
-        self,
-        request_id: str,
-        requester: str,
-        decision: str,
-        mechanism: str,
-        epsilon_spent: float,
-    ) -> AuditRecord:
+    def append_audit(self, request_id: str, requester: str, decision: str, mechanism: str,
+                     epsilon_spent: float) -> AuditRecord:
         seq = len(self._records)
         prev_hash = self._records[-1].hash if self._records else GENESIS_HASH
         fields = (seq, request_id, requester, decision, mechanism, epsilon_spent, time.time())
@@ -249,12 +245,9 @@ def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
     prev_hash = GENESIS_HASH
     for i, rec in enumerate(records):
         payload = _record_payload(_hashed_values(rec))
-        if (
-            rec.seq != i
-            or payload.count(sep) != 6  # seven fields; more means one held a separator
-            or rec.prev_hash != prev_hash
-            or rec.hash != _record_hash(prev_hash, payload)
-        ):
+        # Seven fields, so six separators; more means a field held one.
+        if (rec.seq != i or payload.count(sep) != 6 or rec.prev_hash != prev_hash
+                or rec.hash != _record_hash(prev_hash, payload)):
             return ChainReport(valid=False, first_bad_seq=i)
         prev_hash = rec.hash
     return ChainReport(valid=True)
@@ -263,14 +256,8 @@ def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
 class Gateway:
     """Single chokepoint through which every data request must pass."""
 
-    def __init__(
-        self,
-        dataset: FeederDataset,
-        policy: PolicyConfig,
-        ledger: dp.BudgetLedger,
-        audit_log: AuditLog,
-        rng=None,
-    ):
+    def __init__(self, dataset: FeederDataset, policy: PolicyConfig, ledger: dp.BudgetLedger,
+                 audit_log: AuditLog, rng=None):
         self.dataset = dataset
         self.policy = policy
         self.ledger = ledger
@@ -375,65 +362,83 @@ def _field(value, kind: type, name: str = ""):
     return float(value) if kind is float else value
 
 
+def _reader(hint) -> Callable[[object], object]:
+    """The function that reads a JSON value as the field annotation hint says.
+
+    A scalar goes through _field, unless it already has the exact type (the
+    common case, kept to one call); T | None takes null as None; tuple[T, ...]
+    takes a JSON array, tuple[A, B] a two-item one; Annotated carries its reader.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        return hint.__metadata__[0]
+    if type(None) in args:
+        (inner,) = (_reader(a) for a in args if a is not type(None))
+        return lambda v: None if v is None else inner(v)
+    if origin is tuple and args[-1] is Ellipsis:
+        item = _reader(args[0])
+        return lambda v: tuple([item(x) for x in _field(v, list)])
+    if origin is tuple:
+        first, second = map(_reader, args)
+
+        def pair(v):
+            a, b = _field(v, list)
+            return first(a), second(b)
+        return pair
+    return lambda v: v if type(v) is hint else _field(v, hint)
+
+
+def _groups_from_json(groups) -> tuple:  # AggregateReport.groups' one wire rule
+    return tuple((key, _field(ids, list)) for key, ids in _field(groups, dict).items())
+
+
 @dataclass(frozen=True)
 class OperationKind:
     kind: str  # the "kind" field of the JSON protocol
     mechanism: str  # the audit record's mechanism
-    parse: Callable[[dict], Operation]  # from the JSON "operation" object
+    cls: type  # the operation class, whose fields are the JSON object's other keys
     run: Callable[[Gateway, RequestEnvelope], Decision]
     summarize: Callable[[object], object]  # an allowed result, to JSON
+    _readers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # once per class, at import
+        hints = get_type_hints(self.cls, include_extras=True)
+        object.__setattr__(self, "_readers", tuple(
+            (f.name, _reader(hints[f.name]), f.default) for f in fields(self.cls)))
+
+    def parse(self, op: dict) -> Operation:
+        """The operation from its JSON object; an absent key takes the field's default."""
+        return self.cls(*[read(op[name]) if name in op or default is MISSING else default
+                          for name, read, default in self._readers])
 
 
 # One entry per operation class; a new kind is one more entry.
-OPERATIONS: dict[type, OperationKind] = {
-    RawExport: OperationKind(
-        "raw_export", "raw", lambda d: RawExport(), Gateway._raw_export, lambda csv: csv),
-    DpQuery: OperationKind(
-        "dp_query", "laplace",
-        lambda d: DpQuery(_field(d["op"], str), _field(d["epsilon"], float),
-                          _field(d.get("delta", 0.0), float),
-                          None if d.get("timestamp") is None else _field(d["timestamp"], int),
-                          tuple(_field(e, float) for e in d["edges"])
-                          if d.get("edges") else None),
-        Gateway._dp_query, lambda a: [b.value for b in a] if isinstance(a, list) else {
+OPERATIONS: dict[type, OperationKind] = {e.cls: e for e in (
+    OperationKind("raw_export", "raw", RawExport, Gateway._raw_export, lambda csv: csv),
+    OperationKind(
+        "dp_query", "laplace", DpQuery, Gateway._dp_query,
+        lambda a: [b.value for b in a] if isinstance(a, list) else {
             "value": a.value, "mechanism": a.mechanism, "epsilon": a.params.epsilon,
             "query_id": a.query_id}),
-    SynthGenerate: OperationKind(
-        "synth_generate", "synthetic",
-        lambda d: SynthGenerate(_field(d["n_clusters"], int), _field(d["n_households"], int),
-                                _field(d["n_days"], int), _field(d.get("seed", 0), int)),
-        Gateway._synth_generate,
+    OperationKind(
+        "synth_generate", "synthetic", SynthGenerate, Gateway._synth_generate,
         lambda r: {"n_households": len(r[0].meter_ids),
                    "min_nn_distance": r[1].min_nn_distance,
                    "distinguisher_auc": r[1].distinguisher_auc}),
-    FedTrain: OperationKind(
-        "fed_train", "fedavg",
-        lambda d: FedTrain(_field(d["n_clients"], int), _field(d["rounds"], int),
-                           _field(d["local_steps"], int), _field(d["learning_rate"], float)),
-        Gateway._fed_train,
+    OperationKind(
+        "fed_train", "fedavg", FedTrain, Gateway._fed_train,
         lambda r: {"final_weights": [float(w) for w in r.final.weights],
                    "rounds": len(r.history)}),
-    SmpcSum: OperationKind(
-        "smpc_sum", "smpc-sum",
-        lambda d: SmpcSum(tuple((_field(p, str), _field(v, int)) for p, v in d["values"]),
-                          _field(d["min_participants"], int)),
-        Gateway._smpc_sum,
+    OperationKind(
+        "smpc_sum", "smpc-sum", SmpcSum, Gateway._smpc_sum,
         lambda r: {"total_milli": r.total, "aborted": r.aborted,
                    "messages": len(r.transcript.messages)}),
-    HeBill: OperationKind(
-        "he_bill", "paillier",
-        lambda d: HeBill(tuple(_field(m, int) for m in d["usage_milli"]),
-                         tuple(_field(r, int) for r in d["rates"])),
-        Gateway._he_bill, lambda bill: bill),
-    AggregateReport: OperationKind(
-        "aggregate_report", "aggregate-threshold",
-        # A non-string member matches no meter id; AggregateReport refuses an unhashable one.
-        lambda d: AggregateReport(tuple((k, _field(v, list))
-                                        for k, v in _field(d["groups"], dict).items())),
-        Gateway._aggregate_report,
+    OperationKind("he_bill", "paillier", HeBill, Gateway._he_bill, lambda bill: bill),
+    OperationKind(
+        "aggregate_report", "aggregate-threshold", AggregateReport, Gateway._aggregate_report,
         lambda report: {str(k): {"count": v.count, "sum_kwh": v.total.kwh,
                                  "mean_kwh": v.mean_kwh} for k, v in report.items()}),
-}
+)}
 KINDS: dict[str, OperationKind] = {e.kind: e for e in OPERATIONS.values()}
 
 
@@ -450,14 +455,8 @@ def spend_report(ledger: dp.BudgetLedger, log: AuditLog) -> SpendReport:
     denied: dict[str, int] = {}
     for rec in log.records:
         if rec.epsilon_spent > 0:  # allowed, or an error after the charge landed
-            per_requester[rec.requester] = (
-                per_requester.get(rec.requester, 0.0) + rec.epsilon_spent
-            )
+            per_requester[rec.requester] = per_requester.get(rec.requester, 0.0) + rec.epsilon_spent
         elif rec.decision.startswith("denied:"):
             reason = rec.decision.split(":", 1)[1]
             denied[reason] = denied.get(reason, 0) + 1
-    return SpendReport(
-        epsilon_total=dp.compose(ledger).epsilon_total,
-        per_requester=per_requester,
-        denied_counts=denied,
-    )
+    return SpendReport(dp.compose(ledger).epsilon_total, per_requester, denied)

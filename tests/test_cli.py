@@ -678,6 +678,24 @@ def test_gateway_serve_refuses_a_string_timestamp_before_any_charge(
         ("s2", "allowed", 1.0)]
 
 
+def test_gateway_serve_takes_only_a_json_array_where_an_array_is_due(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    lines = [_request("a1", {"kind": "he_bill", "usage_milli": "", "rates": []}),
+             _request("a2", {"kind": "dp_query", "op": "histogram", "epsilon": 0.5,
+                             "edges": []}),
+             _request("a3", {"kind": "dp_query", "op": "count", "epsilon": 1.0})]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert replies[0] == {"request_id": "a1", "error": "TypeError: expected list, not ''"}
+    assert replies[1]["error"].startswith("RequestFailed: ValueError: edges must be")
+    assert replies[2]["allowed"] is True  # the whole cap was still left
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert [(r["request_id"], r["decision"], r["epsilon_spent"]) for r in records] == [
+        ("a2", "error:ValueError", 0.0), ("a3", "allowed", 1.0)]
+
+
 def test_gateway_serve_repeats_raw_export_and_histogram(
     tmp_path, readings_csv, capsys, monkeypatch
 ):

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -431,6 +433,34 @@ _FED = {"kind": "fed_train", "n_clients": 2, "rounds": 1, "local_steps": 1,
 _FED_INTS = ("n_clients", "rounds", "local_steps")
 
 
+_floats = st.floats(allow_nan=False)
+_ints = st.lists(st.integers()).map(tuple)
+# One strategy per operation class, each field drawn from what its JSON can carry.
+_OPERATION_VALUES = {
+    RawExport: st.just(RawExport()),
+    DpQuery: st.builds(DpQuery, st.text(), _floats, _floats, st.none() | st.integers(),
+                       st.none() | st.lists(_floats).map(tuple)),
+    SynthGenerate: st.builds(SynthGenerate, st.integers(), st.integers(), st.integers(),
+                             st.integers()),
+    FedTrain: st.builds(FedTrain, st.integers(), st.integers(), st.integers(), _floats),
+    SmpcSum: st.builds(SmpcSum, st.lists(st.tuples(st.text(), st.integers())).map(tuple),
+                       st.integers()),
+    HeBill: st.builds(HeBill, _ints, _ints),
+    AggregateReport: st.builds(AggregateReport, st.dictionaries(
+        st.text(), st.lists(st.text()).map(tuple)).map(lambda d: tuple(d.items()))),
+}
+
+
+def _to_wire(op):
+    """op as the JSON object the protocol sends: tuples as arrays, groups as an object."""
+    def encode(value):
+        return [encode(v) for v in value] if isinstance(value, tuple) else value
+    wire = {f.name: encode(getattr(op, f.name)) for f in dataclasses.fields(op)}
+    if isinstance(op, AggregateReport):
+        wire["groups"] = {key: list(ids) for key, ids in op.groups}
+    return {"kind": OPERATIONS[type(op)].kind, **wire}
+
+
 class TestOperationTable:
     def test_one_entry_per_operation_class(self):
         assert set(OPERATIONS) == {
@@ -466,12 +496,18 @@ class TestOperationTable:
         (lambda v: {"kind": "dp_query", "op": v, "epsilon": 0.5}, "count", [5]),
         (lambda v: {"kind": "aggregate_report", "groups": {"g": [v]}}, "m0001",
          [["m0001"], {"m0001": 1}]),
+        (lambda v: {"kind": "he_bill", "usage_milli": v, "rates": [1, 1]}, [2, 3], ["", {}]),
+        (lambda v: {"kind": "he_bill", "usage_milli": [2, 3], "rates": v}, [1, 1], ["", {}]),
+        (lambda v: {**_SMPC, "values": v}, [["p0", 1], ["p1", 2]], ["", {}]),
+        (lambda v: {"kind": "dp_query", "op": "histogram", "epsilon": 0.1, "edges": v},
+         [0, 1.5], ["", {}, 0]),
     ], ids=["smpc_sum.values", "he_bill.usage_milli", "he_bill.rates", "dp_query.epsilon",
             "dp_query.delta", "fed_train.learning_rate", "dp_query.timestamp", "dp_query.edges",
             "smpc_sum.min_participants", *(f"synth_generate.{key}" for key in _SYNTH_INTS),
             *(f"fed_train.{key}" for key in _FED_INTS), "aggregate_report.members",
             "aggregate_report.groups", "smpc_sum.party_id", "dp_query.op",
-            "aggregate_report.unhashable_member"])
+            "aggregate_report.unhashable_member", "he_bill.usage_milli.array",
+            "he_bill.rates.array", "smpc_sum.values.array", "dp_query.edges.array"])
     def test_protocol_numbers_are_checked_not_coerced(self, build, good, bad_values):
         KINDS[build(good)["kind"]].parse(build(good))
         for value in bad_values:
@@ -482,6 +518,20 @@ class TestOperationTable:
     def test_an_int_float_field_parses_as_a_float(self):
         op = KINDS["dp_query"].parse({"kind": "dp_query", "op": "count", "epsilon": 1})
         assert op.epsilon == 1.0 and type(op.epsilon) is float
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(*_OPERATION_VALUES.values()))
+    def test_every_operation_round_trips_through_its_json_object(self, op):
+        assert set(_OPERATION_VALUES) == set(OPERATIONS)
+        wire = json.loads(json.dumps(_to_wire(op)))
+        assert KINDS[wire["kind"]].parse(wire) == op
+
+    def test_absent_optional_keys_take_their_defaults(self):
+        synth = KINDS["synth_generate"].parse({k: v for k, v in _SYNTH.items() if k != "seed"})
+        query = KINDS["dp_query"].parse({"kind": "dp_query", "op": "count", "epsilon": 0.5})
+        assert synth.seed == 0
+        assert (query.delta, query.timestamp, query.edges) == (0.0, None, None)
+        assert type(query.delta) is float
 
 
 class TestRouteFailures:
