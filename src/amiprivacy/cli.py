@@ -10,6 +10,7 @@ need no network stack.
 from __future__ import annotations
 
 import argparse
+import csv
 import fcntl
 import functools
 import json
@@ -17,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import dp, fedlearn, gateway as gw, he, smpc, synthetic
 from .anonymize import AnonymizeError, PseudonymKey, pseudonymize
@@ -461,9 +463,11 @@ def audit_show_main(argv=None) -> int:
         for line in Path(args.log).read_text().splitlines()
         if line.strip()
     ]
-    for rec in records:
-        print(f"{rec.seq},{rec.request_id},{rec.requester},{rec.decision},"
-              f"{rec.mechanism},{rec.epsilon_spent},{rec.hash.hex()[:16]}")
+    # csv's default dialect quotes a field holding a comma, a quote, \r or \n;
+    # it writes each row in one call, whose \r\n ending becomes \n.
+    rows = csv.writer(SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\n")))
+    rows.writerows((rec.seq, rec.request_id, rec.requester, rec.decision, rec.mechanism,
+                    rec.epsilon_spent, rec.hash.hex()[:16]) for rec in records)
     if args.verify:
         report = gw.verify_chain(records)
         if report.valid:

@@ -329,7 +329,7 @@ class Gateway:
 
     def _he_bill(self, req: RequestEnvelope) -> Decision:
         op, keypair = req.operation, self._keypair()
-        bill = he.bill(keypair, op.usage_milli, he.RateSchedule(op.rates), self.rng)
+        bill = he.bill(keypair.public, op.usage_milli, he.RateSchedule(op.rates), self.rng)
         return Decision(allowed=True, result=he.decrypt(keypair, bill))
 
     def _aggregate_report(self, req: RequestEnvelope) -> Decision:
@@ -382,8 +382,9 @@ def _reader(hint) -> Callable[[object], object]:
         first, second = map(_reader, args)
 
         def pair(v):
-            a, b = _field(v, list)
-            return first(a), second(b)
+            if len(_field(v, list)) != 2:
+                raise TypeError(f"expected a two-item list, not {v!r}")
+            return first(v[0]), second(v[1])
         return pair
     return lambda v: v if type(v) is hint else _field(v, hint)
 

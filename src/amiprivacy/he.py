@@ -6,62 +6,44 @@ c = g^m * r^n mod n^2. Multiplying ciphertexts adds plaintexts, and
 raising a ciphertext to an integer power multiplies its plaintext, which
 together support encrypted aggregation and encrypted billing.
 
-Whoever holds the secret factors p and q of n = pq works mod p^2 and q^2
-and recombines by the Chinese remainder theorem (Paillier, EUROCRYPT 1999,
-section 7):
+Whoever holds the secret factors p and q of n = pq decrypts mod p^2 and
+q^2 and recombines by the Chinese remainder theorem (Paillier, EUROCRYPT
+1999, section 7): m = L_p(c^(p-1) mod p^2) * h_p mod p, likewise mod q,
+then CRT to mod n, with L_p(u) = (u - 1) / p and
+h_p = L_p(g^(p-1) mod p^2)^-1 mod p.
 
-- encrypt: x^p mod p^2 depends only on x mod p, so the key holder takes
-  r^p mod p^2 and r^q mod q^2, one half-size exponent to a half-size
-  modulus each, and recombines them. The result is encrypt(pub, m, rho(r))
-  with rho(r) = r^(q^-1 mod (p-1)) mod p and r^(p^-1 mod (q-1)) mod q,
-  because rho(r)^n = (rho(r)^q)^p = r^p mod p^2 (likewise mod q^2). Since
-  gcd(q, p-1) = gcd(p, q-1) = 1 (every keypair has gcd(n, (p-1)(q-1)) = 1),
-  x -> x^q permutes the units mod p and x -> x^p those mod q, so rho
-  permutes Z_n^*: a uniform r still gives a uniformly distributed
-  ciphertext, but not the integer the public-key path gives for the same r.
-- decrypt: m = L_p(c^(p-1) mod p^2) * h_p mod p, likewise mod q, then CRT
-  to mod n, with L_p(u) = (u - 1) / p and
-  h_p = L_p(g^(p-1) mod p^2)^-1 mod p.
+`encrypt` and `bill` take the public key only, so the gateway (which makes
+and holds its own keypair) and a meter-side encrypter such as the `he-bill`
+CLI encrypt alike. A secret key file stores n, lambda = lcm(p-1, q-1) and
+mu = lambda^-1 mod n; `keypair_from_secret` gets p and q back from n and
+lambda by Miller's method.
 
-`encrypt` and `bill` take the faster path given a `PaillierKeypair` and the
-public one given a `PaillierPublicKey`, so the gateway (which makes and
-holds its own keypair) bills with the former and a meter-side encrypter
-such as the `he-bill` CLI, which has only the public key, with the latter.
-Every decryption uses the CRT. A secret key file stores n, lambda =
-lcm(p-1, q-1) and mu = lambda^-1 mod n; `keypair_from_secret` gets p and q
-back from n and lambda by Miller's method.
-
-`bill` makes one encryption per bill. The product of encrypt(key, m_i,
-r_i)^k_i over the intervals is encrypt(key, M, S), with M = sum of k_i * m_i
-and S = product of r_i^k_i mod n, for either kind of key:
+`bill` makes one encryption per bill. The product of encrypt(pub, m_i,
+r_i)^k_i over the intervals is encrypt(pub, M, S), with M = sum of k_i * m_i
+and S = product of r_i^k_i mod n:
 
 - the g part: (1 + m*n)^k * (1 + m'*n) = 1 + (k*m + m')*n (mod n^2), and
   M < n because check_bill bounds it by the sum of the rates times the
   largest usage;
-- the public randomizer part: x^n mod n^2 depends only on x mod n, so the
-  product of (r_i^n)^k_i is S^n mod n^2;
-- the key holder's randomizer part: x^p mod p^2 depends only on x mod p
-  (likewise x^q mod q^2 on x mod q), so the product of (r_i^p)^k_i is
-  S^p mod p^2; put another way, rho is a power map mod each prime, so
-  rho(S) = product of rho(r_i)^k_i.
+- the randomizer part: x^n mod n^2 depends only on x mod n, so the product
+  of (r_i^n)^k_i is S^n mod n^2.
 
 So `bill` returns the integer that encrypting each interval and folding
 with `encrypted_bill` gives, and draws the same randomizers in the same
 order; it just skips all but one of the exponentiations.
 
 Every exponentiation with a secret or large base or exponent (encryption's
-r^n, or r^p and r^q at the key holder; decryption's c^(p-1) and c^(q-1);
-the Miller-Rabin and Miller's-method powers of key generation and key
-loading) goes through `_powmod`, which calls OpenSSL's
-BN_mod_exp_mont_consttime: a fixed-window Montgomery exponentiation whose
-sequence of multiplications and table reads does not depend on the
-exponent's bits. libcrypto is the OpenSSL library that CPython's `_hashlib`
-module (behind `hashlib`) links; `_powmod` looks the BIGNUM calls up
-through that module's shared object on its first call, so importing this
-module loads nothing. Without it (a Python built without OpenSSL) `_powmod`
-is builtin `pow`: the same integers, 5 to 10 times slower. Modular
-inverses, the fold's powers (public rate gaps as exponents) and other small
-public exponents stay on builtin ints.
+r^n; decryption's c^(p-1) and c^(q-1); the Miller-Rabin and Miller's-method
+powers of key generation and key loading) goes through `_powmod`, which
+calls OpenSSL's BN_mod_exp_mont_consttime: a fixed-window Montgomery
+exponentiation whose sequence of multiplications and table reads does not
+depend on the exponent's bits. libcrypto is the OpenSSL library that
+CPython's `_hashlib` module (behind `hashlib`) links; `_powmod` looks the
+BIGNUM calls up through that module's shared object on its first call, so
+importing this module loads nothing. Without it (a Python built without
+OpenSSL) `_powmod` is builtin `pow`: the same integers, 5 to 10 times
+slower. Modular inverses, the fold's powers (public rate gaps as exponents)
+and other small public exponents stay on builtin ints.
 
 This is an analytics engine, not a hardened crypto product. Only the
 modular exponentiation inside OpenSSL is constant-time. The conversions
@@ -164,7 +146,6 @@ class PaillierKeypair:
     hp: int = field(repr=False)  # L_p(g^(p-1) mod p^2)^-1 mod p
     hq: int = field(repr=False)  # L_q(g^(q-1) mod q^2)^-1 mod q
     p_inv_q: int = field(repr=False)  # p^-1 mod q: CRT from (mod p, mod q) to mod n
-    p_sq_inv_q_sq: int = field(repr=False)  # p^-2 mod q^2: CRT to mod n^2
 
 
 @dataclass(frozen=True)
@@ -313,7 +294,6 @@ def _assemble(p: int, q: int) -> PaillierKeypair:
         hp=pow(-q, -1, p),
         hq=pow(-p, -1, q),
         p_inv_q=pow(p, -1, q),
-        p_sq_inv_q_sq=pow(p_sq, -1, q_sq),
     )
 
 
@@ -410,30 +390,15 @@ def _check_plaintext(m: int, pub: PaillierPublicKey) -> None:
         raise PlaintextOutOfRange(f"plaintext must lie in [0, n), got {m}")
 
 
-def encrypt(key: PaillierPublicKey | PaillierKeypair, m: int, r: int) -> Ciphertext:
-    """c = g^m * r^n mod n^2 for m in [0, n) and r coprime to n.
-
-    Given the keypair, c = encrypt(pub, m, rho(r)) instead, with rho(r) the
-    unit that is r^(q^-1 mod (p-1)) mod p and r^(p^-1 mod (q-1)) mod q:
-    r^p mod p^2 and r^q mod q^2 are recombined by CRT. rho permutes Z_n^*
-    because gcd(q, p-1) = gcd(p, q-1) = 1, so a uniform r gives the same
-    ciphertext distribution as the public path, whose integer for the same
-    r differs.
-    """
-    pub = key.public if isinstance(key, PaillierKeypair) else key
+def encrypt(pub: PaillierPublicKey, m: int, r: int) -> Ciphertext:
+    """c = g^m * r^n mod n^2 for m in [0, n) and r coprime to n."""
     _check_plaintext(m, pub)
     if not 1 <= r < pub.n or math.gcd(r, pub.n) != 1:
         raise BadRandomizer("randomizer must lie in [1, n) and be coprime to n")
     n_sq = pub.n_squared
-    if isinstance(key, PaillierKeypair):
-        r_p = _powmod(r % key.p, key.p, key.p_sq)  # rho(r)^n mod p^2
-        r_q = _powmod(r % key.q, key.q, key.q_sq)  # rho(r)^n mod q^2
-        r_to_n = r_p + (r_q - r_p) * key.p_sq_inv_q_sq % key.q_sq * key.p_sq
-    else:
-        r_to_n = _powmod(r, pub.n, n_sq)
     # g = n + 1 always, so g^m = 1 + m*n (mod n^2).
     g_to_m = (1 + m * pub.n) % n_sq
-    return Ciphertext(value=g_to_m * r_to_n % n_sq, key_id=pub.key_id)
+    return Ciphertext(value=g_to_m * _powmod(r, pub.n, n_sq) % n_sq, key_id=pub.key_id)
 
 
 def decrypt(keypair: PaillierKeypair, c: Ciphertext) -> int:
@@ -513,17 +478,16 @@ def encrypted_bill(
     return Ciphertext(value=value, key_id=pub.key_id)
 
 
-def bill(key: PaillierPublicKey | PaillierKeypair, usage_milli: Sequence[int],
-         rates: RateSchedule, rng: random.Random) -> Ciphertext:
-    """encrypted_bill of each interval's usage encrypted under key, in order.
+def bill(pub: PaillierPublicKey, usage_milli: Sequence[int], rates: RateSchedule,
+         rng: random.Random) -> Ciphertext:
+    """encrypted_bill of each interval's usage encrypted under pub, in order.
 
     The integer is the same, made with one encryption: the product of
-    encrypt(key, m_i, r_i)^k_i is encrypt(key, M, S) with M the sum of
+    encrypt(pub, m_i, r_i)^k_i is encrypt(pub, M, S) with M the sum of
     k_i * m_i and S the product of r_i^k_i mod n (see the module docstring).
     Each r_i is drawn in interval order, and an m_i outside [0, n) is
     refused right after its draw, as encrypting it would be.
     """
-    pub = key.public if isinstance(key, PaillierKeypair) else key
     usage_cap = max(usage_milli, default=0)
     rates.check_bill(len(usage_milli), usage_cap, pub)  # before the first draw
     total, randomizers = 0, []
@@ -531,4 +495,4 @@ def bill(key: PaillierPublicKey | PaillierKeypair, usage_milli: Sequence[int],
         randomizers.append(draw_randomizer(pub, rng))
         _check_plaintext(m, pub)
         total += k * m
-    return encrypt(key, total, _fold(randomizers, rates.rates, pub.n))
+    return encrypt(pub, total, _fold(randomizers, rates.rates, pub.n))

@@ -1,3 +1,4 @@
+import csv
 import fcntl
 import io
 import json
@@ -634,6 +635,54 @@ def test_gateway_serve_answers_a_wrapping_bill_with_an_error_and_keeps_serving(
     records = [json.loads(line) for line in audit_path.read_text().splitlines()]
     assert [(r["request_id"], r["decision"], r["epsilon_spent"]) for r in records] == [
         ("w1", "error:BillingOverflow", 0.0), ("w2", "allowed", 0.0)]
+
+
+def test_audit_show_keeps_a_comma_quote_or_line_break_inside_one_field(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    lines = [json.dumps({"request_id": rid, "requester": 'o"ps', "purpose": "primary",
+                         "consent": False, "operation": {"kind": "raw_export"}})
+             for rid in ("a,b", "c\rd")]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    capsys.readouterr()
+    assert cli.audit_show_main(["--log", str(audit_path), "--verify"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert [row[:4] for row in rows[:-1]] == [
+        ["0", "a,b", 'o"ps', "allowed"],
+        ["1", "c\rd", 'o"ps', "allowed"]]
+    assert all(len(row) == 7 for row in rows[:-1]) and rows[-1] == ["chain=valid"]
+
+
+def test_audit_show_prints_an_ordinary_row_as_plain_comma_separated_fields(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    lines = [_request("r1", {"kind": "raw_export"}),
+             _request("r2", {"kind": "dp_query", "op": "count", "epsilon": 0.5})]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    capsys.readouterr()
+    assert cli.audit_show_main(["--log", str(audit_path)]) == 0
+    records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert capsys.readouterr().out == "".join(
+        f"{r['seq']},{r['request_id']},{r['requester']},{r['decision']},{r['mechanism']},"
+        f"{r['epsilon_spent']},{r['hash'][:16]}\n" for r in records)
+
+
+def test_gateway_serve_answers_a_pair_of_the_wrong_length_with_a_type_error(
+    tmp_path, readings_csv, capsys, monkeypatch
+):
+    lines = [_request("s1", {"kind": "smpc_sum", "values": [["a", 1000, 5], ["b", 2000]],
+                             "min_participants": 2}),
+             _request("s2", {"kind": "raw_export"})]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    first, second = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert first == {"request_id": "s1",
+                     "error": "TypeError: expected a two-item list, not ['a', 1000, 5]"}
+    assert second["request_id"] == "s2" and second["allowed"] is True
+    assert [json.loads(line)["request_id"] for line in audit_path.read_text().splitlines()] == [
+        "s2"]
 
 
 def test_gateway_serve_writes_one_stderr_line_per_bad_request(

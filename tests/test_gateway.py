@@ -501,19 +501,28 @@ class TestOperationTable:
         (lambda v: {**_SMPC, "values": v}, [["p0", 1], ["p1", 2]], ["", {}]),
         (lambda v: {"kind": "dp_query", "op": "histogram", "epsilon": 0.1, "edges": v},
          [0, 1.5], ["", {}, 0]),
+        (lambda v: {**_SMPC, "values": [v]}, ["p0", 1], [["p0", 1, 2], ["p0"], []]),
     ], ids=["smpc_sum.values", "he_bill.usage_milli", "he_bill.rates", "dp_query.epsilon",
             "dp_query.delta", "fed_train.learning_rate", "dp_query.timestamp", "dp_query.edges",
             "smpc_sum.min_participants", *(f"synth_generate.{key}" for key in _SYNTH_INTS),
             *(f"fed_train.{key}" for key in _FED_INTS), "aggregate_report.members",
             "aggregate_report.groups", "smpc_sum.party_id", "dp_query.op",
             "aggregate_report.unhashable_member", "he_bill.usage_milli.array",
-            "he_bill.rates.array", "smpc_sum.values.array", "dp_query.edges.array"])
+            "he_bill.rates.array", "smpc_sum.values.array", "dp_query.edges.array",
+            "smpc_sum.values.pair"])
     def test_protocol_numbers_are_checked_not_coerced(self, build, good, bad_values):
         KINDS[build(good)["kind"]].parse(build(good))
         for value in bad_values:
             op = build(value)
             with pytest.raises(TypeError):
                 KINDS[op["kind"]].parse(op)
+
+    @pytest.mark.parametrize("pair", [["p0", 1, 2], ["p0"], []],
+                             ids=["three-items", "one-item", "empty"])
+    def test_a_pair_of_the_wrong_length_is_refused_by_name(self, pair):
+        op = {**_SMPC, "values": [["p1", 2], pair]}
+        with pytest.raises(TypeError, match=r"^expected a two-item list, not \["):
+            KINDS["smpc_sum"].parse(op)
 
     def test_an_int_float_field_parses_as_a_float(self):
         op = KINDS["dp_query"].parse({"kind": "dp_query", "op": "count", "epsilon": 1})
@@ -690,7 +699,7 @@ def test_audited_epsilon_is_the_ledger_entry():
     assert [e.epsilon for e in g.ledger.entries] == [0.7, 0.1]
 
 
-def test_he_bill_encrypts_with_the_gateway_keypair(monkeypatch):
+def test_he_bill_encrypts_with_the_gateway_public_key(monkeypatch):
     keys = []
     real_encrypt = he.encrypt
 
@@ -702,7 +711,18 @@ def test_he_bill_encrypts_with_the_gateway_keypair(monkeypatch):
     g = _gateway()
     assert g.route(_req("r1", HeBill(usage_milli=(2, 3, 4), rates=(10, 20, 30)))).result == 200
     [key] = keys  # one encryption per bill, not one per interval
-    assert isinstance(key, he.PaillierKeypair)
+    assert key == g._keypair().public
+
+
+def test_he_bill_draws_one_randomizer_per_interval_from_the_gateway_rng():
+    g = _gateway(rng=random.Random(5))
+    assert g.route(_req("r1", HeBill(usage_milli=(2, 3, 4), rates=(10, 20, 30)))).result == 200
+    reference = random.Random(5)
+    pub = he.keygen(512, reference).public  # the billing key, made on first use
+    assert pub == g._keypair().public
+    for _ in range(3):
+        he.draw_randomizer(pub, reference)
+    assert g.rng.getstate() == reference.getstate()
 
 
 # The gateway's 512-bit n lies in (2^510, 2^512), so 4 * 2^510 >= n.

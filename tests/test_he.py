@@ -259,10 +259,9 @@ def test_bill_is_the_scalar_mul_terms_folded_with_add(keypair, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([SMALL, CRT_KEYS[2]]), st.booleans(), st.integers(0, 2**32), st.data())
-def test_bill_checks_then_encrypts_each_interval_in_order_then_folds(keypair, public, seed, data):
+@given(st.sampled_from([SMALL, CRT_KEYS[2]]), st.integers(0, 2**32), st.data())
+def test_bill_checks_then_encrypts_each_interval_in_order_then_folds(keypair, seed, data):
     pub = keypair.public
-    key = pub if public else keypair  # the public-key path and the CRT path
     small = pub.n == 143  # keeps usage_cap * sum(rates) below n = 143
     rates = RateSchedule(tuple(data.draw(st.lists(st.integers(0, 3 if small else 2**40),
                                                   max_size=4))))
@@ -271,9 +270,9 @@ def test_bill_checks_then_encrypts_each_interval_in_order_then_folds(keypair, pu
     rng = random.Random(seed)
     usage_cap = max(usage, default=0)
     rates.check_bill(len(usage), usage_cap, pub)
-    cts = [encrypt(key, m, draw_randomizer(pub, rng)) for m in usage]
+    cts = [encrypt(pub, m, draw_randomizer(pub, rng)) for m in usage]
     expected = encrypted_bill(cts, rates, pub, usage_cap)
-    assert bill(key, usage, rates, random.Random(seed)) == expected
+    assert bill(pub, usage, rates, random.Random(seed)) == expected
     assert decrypt(keypair, expected) == sum(m * k for m, k in zip(usage, rates.rates))
 
 
@@ -287,7 +286,7 @@ class NoDraws(random.Random):
 ])
 def test_bill_is_refused_before_any_randomizer_is_drawn(usage, rates, error):
     with pytest.raises(error):
-        bill(SMALL, usage, RateSchedule(rates), NoDraws())
+        bill(SMALL.public, usage, RateSchedule(rates), NoDraws())
 
 
 BILL_KEY = CRT_KEYS[2]  # keygen(128, Random(31)): a dozen rates up to 2**40 cannot wrap
@@ -296,36 +295,33 @@ BILL_KEY = CRT_KEYS[2]  # keygen(128, Random(31)): a dozen rates up to 2**40 can
 # bill makes one encryption of the whole bill; the reference encrypts every
 # interval and folds the ciphertexts.
 @settings(max_examples=100, deadline=None)
-@given(st.booleans(), st.integers(0, 2**32),
+@given(st.integers(0, 2**32),
        st.lists(st.tuples(st.integers(0, 2**40), st.sampled_from([0, 1, 2, 7, 2**20, 2**40])),
                 max_size=12))
-@example(public=False, seed=1, intervals=[])
-@example(public=True, seed=1, intervals=[])
-@example(public=False, seed=2, intervals=[(5, 0), (9, 0)])
-@example(public=True, seed=3, intervals=[(5, 3), (9, 3), (2, 0), (4, 3), (6, 1)])
-def test_bill_is_one_encryption_of_the_per_interval_fold(public, seed, intervals):
+@example(seed=1, intervals=[])
+@example(seed=2, intervals=[(5, 0), (9, 0)])
+@example(seed=3, intervals=[(5, 3), (9, 3), (2, 0), (4, 3), (6, 1)])
+def test_bill_is_one_encryption_of_the_per_interval_fold(seed, intervals):
     pub = BILL_KEY.public
-    key = pub if public else BILL_KEY
     usage = [m for m, _ in intervals]
     rates = RateSchedule(tuple(k for _, k in intervals))
     rng, reference_rng = random.Random(seed), random.Random(seed)
-    cts = [encrypt(key, m, draw_randomizer(pub, reference_rng)) for m in usage]
+    cts = [encrypt(pub, m, draw_randomizer(pub, reference_rng)) for m in usage]
     expected = encrypted_bill(cts, rates, pub, max(usage, default=0))
-    assert bill(key, usage, rates, rng) == expected
+    assert bill(pub, usage, rates, rng) == expected
     assert rng.getstate() == reference_rng.getstate()
 
 
-@pytest.mark.parametrize("public", [False, True], ids=["keypair", "public"])
 @pytest.mark.parametrize("usage, rates, j", [
     ((3, 4, -1, 5), (1, 2, 3, 4), 2),
     ((-1,), (1,), 0),
     ((0, 1, BILL_KEY.public.n, 2), (0, 0, 0, 0), 2),  # passes check_bill: every rate is 0
 ], ids=["negative-at-2", "negative-at-0", "n-at-2-all-rates-0"])
-def test_bill_refuses_a_plaintext_out_of_range_right_after_its_draw(public, usage, rates, j):
+def test_bill_refuses_a_plaintext_out_of_range_right_after_its_draw(usage, rates, j):
     pub = BILL_KEY.public
     rng, reference_rng = random.Random(8), random.Random(8)
     with pytest.raises(PlaintextOutOfRange):
-        bill(pub if public else BILL_KEY, usage, RateSchedule(rates), rng)
+        bill(pub, usage, RateSchedule(rates), rng)
     for _ in range(j + 1):
         draw_randomizer(pub, reference_rng)
     assert rng.getstate() == reference_rng.getstate()
@@ -337,41 +333,7 @@ def reference_decrypt(keypair, c):
     return (pow(c.value, keypair.lam, n * n) - 1) // n * keypair.mu % n
 
 
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (PlaintextOutOfRange, BadRandomizer) as exc:
-        return type(exc)
-
-
-def rho(keypair, r):
-    """The unit that is r^(q^-1 mod (p-1)) mod p and r^(p^-1 mod (q-1)) mod q."""
-    p, q = keypair.p, keypair.q
-    r_p = pow(r, pow(q, -1, p - 1), p)
-    r_q = pow(r, pow(p, -1, q - 1), q)
-    return r_p + (r_q - r_p) * pow(p, -1, q) % q * p
-
-
 class TestCrt:
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(CRT_KEYS), st.data())
-    def test_keypair_encrypt_is_the_public_encrypt(self, keypair, data):
-        n = keypair.public.n
-        m = data.draw(st.integers(min_value=0, max_value=n - 1))
-        r = data.draw(st.integers(min_value=1, max_value=n - 1).filter(
-            lambda r: r % keypair.p and r % keypair.q))
-        c = encrypt(keypair, m, r)
-        assert c == encrypt(keypair.public, m, rho(keypair, r))
-        assert decrypt(keypair, c) == m == reference_decrypt(keypair, c)
-
-    @pytest.mark.parametrize("keypair", [k for k in CRT_KEYS if k.public.n < 1000])
-    def test_rho_halves_are_permutations(self, keypair):
-        # x -> x^q mod p and x -> x^p mod q are bijections on the units, so rho
-        # permutes Z_n^* and a uniform r gives a uniform keypair-path ciphertext.
-        p, q = keypair.p, keypair.q
-        assert sorted(pow(x, q, p) for x in range(1, p)) == list(range(1, p))
-        assert sorted(pow(x, p, q) for x in range(1, q)) == list(range(1, q))
-
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(CRT_KEYS), st.data())
     def test_decrypt_is_the_lambda_mu_formula(self, keypair, data):
@@ -381,24 +343,11 @@ class TestCrt:
         c = Ciphertext(value=value, key_id=keypair.public.key_id)
         assert decrypt(keypair, c) == reference_decrypt(keypair, c)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(CRT_KEYS), st.data())
-    def test_keypair_path_rejects_what_the_public_path_rejects(self, keypair, data):
-        n, p, q = keypair.public.n, keypair.p, keypair.q
-        edge = st.sampled_from([-1, 0, 1, p, q, 2 * p, n - 1, n, n + 1])
-        m = data.draw(st.one_of(edge, st.integers(min_value=-2, max_value=n + 2)))
-        r = data.draw(st.one_of(edge, st.integers(min_value=-2, max_value=n + 2)))
-        expected = outcome(encrypt, keypair.public, m, r)
-        if not isinstance(expected, type):  # accepted: the same ciphertext as under rho(r)
-            expected = encrypt(keypair.public, m, rho(keypair, r))
-        assert outcome(encrypt, keypair, m, r) == expected
-
     @pytest.mark.parametrize("keypair", CRT_KEYS)
     def test_randomizer_sharing_a_factor_rejected(self, keypair):
         for r in (keypair.p, keypair.q):
-            for key in (keypair, keypair.public):
-                with pytest.raises(BadRandomizer):
-                    encrypt(key, 1, r)
+            with pytest.raises(BadRandomizer):
+                encrypt(keypair.public, 1, r)
 
     @pytest.mark.parametrize("keypair", CRT_KEYS)
     def test_secret_factors_not_in_repr(self, keypair):
@@ -538,8 +487,7 @@ def test_builtin_pow_fallback_gives_the_same_integers(monkeypatch):
     rates = RateSchedule(tuple(rng.randrange(1, 300) for _ in range(168)))
 
     def outputs():
-        return ([bill(key, usage, rates, random.Random(43)) for key in (keypair, keypair.public)],
-                keygen(128, random.Random(31)))
+        return bill(keypair.public, usage, rates, random.Random(43)), keygen(128, random.Random(31))
 
     openssl = outputs()
     monkeypatch.setattr(he, "_libcrypto", lambda: None)
@@ -592,7 +540,7 @@ def test_bucketed_fold_is_the_reference_bill(rates):
     pub = FOLD_KEY.public
     rng = random.Random(sum(rates))
     usage = [rng.randrange(100) for _ in rates]
-    usage_cts = [encrypt(FOLD_KEY, m, draw_randomizer(pub, rng)) for m in usage]
+    usage_cts = [encrypt(pub, m, draw_randomizer(pub, rng)) for m in usage]
     folded = encrypted_bill(usage_cts, RateSchedule(rates), pub, usage_cap=99)
     assert folded == reference_bill(usage_cts, rates, pub)
     assert decrypt(FOLD_KEY, folded) == sum(m * k for m, k in zip(usage, rates))
