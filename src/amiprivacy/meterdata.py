@@ -8,13 +8,15 @@ accepted on input only.
 A `FeederDataset` keeps its readings as read-only int64 columns (meter
 index, timestamp, milli-kWh) and caches its exact totals, so queries are
 numpy passes over arrays; `MeterReading` objects exist only on request.
-Three views are memoized lazily on the dataset, built on first use and never
+Four views are memoized lazily on the dataset, built on first use and never
 again, since the columns never change: the CSV text of `serialize_csv`, its
 JSON string encoding (`serialize_csv_json`), so a repeated raw export pays
-neither serialization nor JSON encoding, and the value index of
+neither serialization nor JSON encoding; the value index of
 `FeederDataset.value_index` (distinct milli-kWh values and how many
 readings lie below each), which bins a histogram without walking the
-readings.
+readings; and the day profiles `synthetic.fit` clusters (complete-day
+hourly rows, each row's meter and each meter's mean day), so repeated
+fits on one dataset skip the hourly binning.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ class FeederDataset:
     increasing in time within a meter. Exact int64 totals are computed once:
     `interval_milli` (timestamp -> total, ascending), `meter_milli`
     (meter id -> total) and `total_milli`. Views derived from the columns
-    (CSV text, its JSON form, value index) are computed on first use and kept.
+    (CSV text, its JSON form, value index, `synthetic.fit`'s day profiles)
+    are computed on first use and kept.
 
     The cap ``delta_max`` is the sensitivity bound the DP mechanisms rely
     on; ingestion rejects readings above it rather than clipping.

@@ -9,6 +9,7 @@ profile. Neural generators are a non-goal here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,13 @@ class ClusterProfile:
     def __post_init__(self):
         if len(self.hourly_mean) != HOURS_PER_DAY or len(self.hourly_std) != HOURS_PER_DAY:
             raise ValueError("hourly profiles must have 24 entries")
-        if any(s < 0 for s in self.hourly_std):
-            raise ValueError("stds must be non-negative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
+        if not all(math.isfinite(m) for m in self.hourly_mean):
+            raise ValueError("means must be finite")
+        # copysign refuses -0.0 too, as numpy's normal refuses any scale with its sign bit set.
+        if not all(math.isfinite(s) and math.copysign(1.0, s) > 0 for s in self.hourly_std):
+            raise ValueError("stds must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class GeneratorModel:
 
     def __post_init__(self):
         total = sum(c.weight for c in self.clusters)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"cluster weights must sum to 1, got {total}")
 
 
@@ -86,8 +92,11 @@ def _meter_days(dataset: FeederDataset) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(first) - 1, np.flatnonzero(first)
 
 
-def _hourly_day_rows(dataset: FeederDataset) -> list[np.ndarray]:
-    """Per-meter matrices of complete-day hourly kWh, one row per day."""
+def _hourly_day_rows(dataset: FeederDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complete-day hourly kWh, one row per (meter, day) in row order; each
+    row's meter; and each meter's mean day profile. Read-only, since
+    `fit` keeps them as the dataset's "day_profiles" view.
+    """
     per_day_expected = SECONDS_PER_DAY // dataset.interval_s
     if per_day_expected * dataset.interval_s != SECONDS_PER_DAY or dataset.interval_s > 3600:
         raise SyntheticError("interval must divide one hour for hourly profiling")
@@ -95,36 +104,45 @@ def _hourly_day_rows(dataset: FeederDataset) -> list[np.ndarray]:
     hourly = np.zeros((len(starts), HOURS_PER_DAY), dtype=np.int64)
     np.add.at(hourly, (group, dataset.timestamp % SECONDS_PER_DAY // 3600), dataset.milli_kwh)
     complete = np.diff(np.append(starts, len(group))) == per_day_expected
-    meters = dataset.meter_idx[starts[complete]]
-    rows = np.split(hourly[complete] / MILLI_PER_KWH,
-                    np.searchsorted(meters, np.arange(1, len(dataset.meter_ids))))
-    for meter_id, days in zip(dataset.meter_ids, rows):
-        if not len(days):
-            raise EmptySeries(f"series {meter_id!r} has no complete day")
-    return rows
+    days = hourly[complete] / MILLI_PER_KWH
+    day_meter = dataset.meter_idx[starts[complete]]
+    per_meter = np.bincount(day_meter, minlength=len(dataset.meter_ids))
+    if not per_meter.all():
+        raise EmptySeries(f"series {dataset.meter_ids[per_meter.argmin()]!r} has no complete day")
+    # Row by row, as each meter's days.mean(axis=0) sums them.
+    profiles = np.add.reduceat(days, np.cumsum(per_meter) - per_meter, axis=0) / per_meter[:, None]
+    for view in (days, day_meter, profiles):
+        view.setflags(write=False)
+    return days, day_meter, profiles
 
 
 def fit(real: FeederDataset, n_clusters: int, seed: int) -> GeneratorModel:
     """Cluster per-meter average daily profiles and summarize each cluster.
 
-    Seeded centroid clustering with a fixed iteration count; per-cluster
-    hourly mean/std are computed over all member days, and weights are
-    member fractions.
+    Seeded Lloyd (k-means) iteration, stopped at the first assignment that
+    repeats the previous one, and after 25 iterations at most: the same
+    members give the same centroids, so every later iteration would repeat
+    it. Per-cluster hourly mean/std are computed over all member days, and
+    weights are member fractions. A cluster left without members is a
+    ValueError. The day profiles depend on the dataset alone and are
+    computed once per dataset.
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     if len(real.meter_ids) < n_clusters:
         raise TooFewSeries(f"{len(real.meter_ids)} series < {n_clusters} clusters")
-    day_rows = _hourly_day_rows(real)
-    profiles = np.stack([rows.mean(axis=0) for rows in day_rows])
+    days, day_meter, profiles = real._derived("day_profiles", _hourly_day_rows)
 
     rng = np.random.default_rng(seed)
     init = rng.choice(len(profiles), size=n_clusters, replace=False)
     centroids = profiles[init].copy()
-    assignment = np.zeros(len(profiles), dtype=int)
+    assignment = np.full(len(profiles), -1)
     for _ in range(_KMEANS_ITERATIONS):
         dists = ((profiles[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assignment = dists.argmin(axis=1)
+        nearest = dists.argmin(axis=1)
+        if np.array_equal(nearest, assignment):
+            break
+        assignment = nearest
         for c in range(n_clusters):
             members = profiles[assignment == c]
             if len(members):
@@ -132,11 +150,13 @@ def fit(real: FeederDataset, n_clusters: int, seed: int) -> GeneratorModel:
 
     clusters = []
     for c in range(n_clusters):
-        member_idx = np.flatnonzero(assignment == c)
-        member_days = np.concatenate([day_rows[i] for i in member_idx])
+        in_cluster = assignment == c
+        if not in_cluster.any():
+            raise ValueError(f"cluster {c} has no members")
+        member_days = days[in_cluster[day_meter]]
         clusters.append(
             ClusterProfile(
-                weight=len(member_idx) / len(profiles),
+                weight=int(np.count_nonzero(in_cluster)) / len(profiles),
                 hourly_mean=tuple(member_days.mean(axis=0)),
                 hourly_std=tuple(member_days.std(axis=0)),
             )
@@ -150,23 +170,26 @@ def generate(model: GeneratorModel, n_households: int, n_days: int, seed: int) -
     Each household draws a cluster by weight, then every interval is
     max(0, N(mean_h, std_h)) rounded to milli-kWh. Household h derives its
     own generator from (seed, h), so generation is order-independent and
-    repeatable.
+    repeatable. From it, the household takes one `random()`, whose place
+    in the cumulative weights picks its cluster (as `Generator.choice` with
+    `p` does for one draw), then `24 * n_days` standard normals z, and its
+    values are mean + std * z (as `Generator.normal` computes them).
     """
     if n_households < 1 or n_days < 1:
         raise ValueError("n_households and n_days must be >= 1")
     interval_s = 3600
     horizon = n_days * HOURS_PER_DAY
-    weights = np.array([c.weight for c in model.clusters])
+    cdf = np.cumsum([c.weight for c in model.clusters], dtype=float)
+    cdf /= cdf[-1]
+    mean = np.tile([c.hourly_mean for c in model.clusters], n_days)
+    std = np.tile([c.hourly_std for c in model.clusters], n_days)
 
-    households = []
+    values = np.empty((n_households, horizon))
     for h in range(n_households):
         rng = np.random.default_rng([seed, h])
-        cluster = model.clusters[rng.choice(len(weights), p=weights)]
-        mean = np.tile(cluster.hourly_mean, n_days)
-        std = np.tile(cluster.hourly_std, n_days)
-        values = np.maximum(0.0, rng.normal(mean, std))
-        households.append(np.rint(values * MILLI_PER_KWH).astype(np.int64))
-    milli = np.concatenate(households)
+        c = cdf.searchsorted(rng.random(), side="right")
+        values[h] = mean[c] + std[c] * rng.standard_normal(horizon)
+    milli = np.rint(np.maximum(0.0, values) * MILLI_PER_KWH).astype(np.int64).ravel()
     return FeederDataset.from_columns(
         meter_ids=[f"synth-{h:05d}" for h in range(n_households)],
         meter_idx=np.repeat(np.arange(n_households), horizon),

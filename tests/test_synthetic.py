@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amiprivacy.meterdata import EnergyQuantity, FeederDataset, serialize_csv
+from amiprivacy import synthetic
+from amiprivacy.meterdata import MILLI_PER_KWH, EnergyQuantity, FeederDataset, serialize_csv
 from amiprivacy.synthetic import (
+    SECONDS_PER_DAY,
     ClusterProfile,
     EmptyDataset,
     EmptySeries,
     GeneratorModel,
+    SyntheticError,
     TooFewSeries,
+    _meter_days,
     _rank_auc,
     fidelity_report,
     fit,
@@ -120,6 +124,28 @@ class TestGenerate:
         cluster = ClusterProfile(weight=0.5, hourly_mean=(1.0,) * 24, hourly_std=(0.0,) * 24)
         with pytest.raises(ValueError):
             GeneratorModel(clusters=(cluster,))
+
+    # Models numpy's choice and normal used to refuse inside generate, and one (a NaN
+    # weight) that generate sampled from; the model's own checks now refuse them all.
+    @pytest.mark.parametrize("weights, mean, std", [
+        ((1.5, -0.5), 1.0, 0.1),
+        ((float("nan"),), 1.0, 0.1),
+        ((float("inf"), float("-inf")), 1.0, 0.1),
+        ((1.0,), 1.0, -0.5),
+        ((1.0,), 1.0, -0.0),
+        ((1.0,), 1.0, float("nan")),
+        ((1.0,), 1.0, float("inf")),
+        ((1.0,), 1.0, float("-inf")),
+        ((1.0,), float("nan"), 0.1),
+        ((1.0,), float("inf"), 0.1),
+    ], ids=["negative-weight", "nan-weight", "infinite-weights", "negative-std", "minus-zero-std",
+            "nan-std", "infinite-std", "minus-infinite-std", "nan-mean", "infinite-mean"])
+    def test_model_refuses_what_sampling_cannot_use(self, weights, mean, std):
+        with pytest.raises(ValueError):
+            GeneratorModel(clusters=tuple(
+                ClusterProfile(weight=w, hourly_mean=(1.0,) * 23 + (mean,),
+                               hourly_std=(0.2,) * 23 + (std,))
+                for w in weights))
 
 
 class TestFidelityReport:
@@ -258,3 +284,150 @@ def test_rank_auc_matches_the_tie_loop_bit_for_bit(members, others, spread):
     for a, b in ((members, others), (members + spread, others), (spread, others + spread)):
         a, b = np.array(a, dtype=float), np.array(b, dtype=float)
         assert _rank_auc(a, b).hex() == _loop_rank_auc(a, b).hex()
+
+
+def _loop_generate(model, n_households, n_days, seed):
+    """generate as one choice, one normal and one cast per household, kept as the reference."""
+    horizon = n_days * 24
+    weights = np.array([c.weight for c in model.clusters])
+    households = []
+    for h in range(n_households):
+        rng = np.random.default_rng([seed, h])
+        cluster = model.clusters[rng.choice(len(weights), p=weights)]
+        mean = np.tile(cluster.hourly_mean, n_days)
+        std = np.tile(cluster.hourly_std, n_days)
+        values = np.maximum(0.0, rng.normal(mean, std))
+        households.append(np.rint(values * MILLI_PER_KWH).astype(np.int64))
+    milli = np.concatenate(households)
+    return FeederDataset.from_columns(
+        meter_ids=[f"synth-{h:05d}" for h in range(n_households)],
+        meter_idx=np.repeat(np.arange(n_households), horizon),
+        timestamp=np.tile(np.arange(horizon) * 3600, n_households),
+        milli_kwh=milli, interval_s=3600,
+        delta_max=EnergyQuantity(max(1, int(milli.max()))),
+    )
+
+
+@st.composite
+def _models(draw):
+    """1-4 clusters; integer weights, so a cluster may have weight 0; some stds 0.
+
+    Profiles come from a drawn numpy seed, so a failing case shrinks quickly.
+    """
+    counts = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any))
+    clusters = []
+    for n in counts:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        std = rng.uniform(0.0, 2.0, 24) * (rng.random(24) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+        clusters.append(ClusterProfile(weight=n / sum(counts),
+                                       hourly_mean=tuple(rng.uniform(-1.0, 4.0, 24)),
+                                       hourly_std=tuple(std)))
+    return GeneratorModel(clusters=tuple(clusters))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_models(), n_households=st.integers(1, 29), n_days=st.integers(1, 8),
+       seed=st.integers(0, 2**63 - 1))
+def test_generate_matches_the_household_loop_bit_for_bit(model, n_households, n_days, seed):
+    got = generate(model, n_households, n_days, seed)
+    want = _loop_generate(model, n_households, n_days, seed)
+    np.testing.assert_array_equal(got.milli_kwh, want.milli_kwh)
+    assert got.meter_ids == want.meter_ids
+    np.testing.assert_array_equal(got.timestamp, want.timestamp)
+    assert got.delta_max == want.delta_max
+
+
+def _loop_fit(real, n_clusters, seed):
+    """fit with per-meter day lists and a fixed 25 Lloyd iterations, kept as the reference."""
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be >= 1")
+    if len(real.meter_ids) < n_clusters:
+        raise TooFewSeries(f"{len(real.meter_ids)} series < {n_clusters} clusters")
+    per_day_expected = SECONDS_PER_DAY // real.interval_s
+    if per_day_expected * real.interval_s != SECONDS_PER_DAY or real.interval_s > 3600:
+        raise SyntheticError("interval must divide one hour for hourly profiling")
+    group, starts = _meter_days(real)
+    hourly = np.zeros((len(starts), 24), dtype=np.int64)
+    np.add.at(hourly, (group, real.timestamp % SECONDS_PER_DAY // 3600), real.milli_kwh)
+    complete = np.diff(np.append(starts, len(group))) == per_day_expected
+    meters = real.meter_idx[starts[complete]]
+    day_rows = np.split(hourly[complete] / MILLI_PER_KWH,
+                        np.searchsorted(meters, np.arange(1, len(real.meter_ids))))
+    for meter_id, days in zip(real.meter_ids, day_rows):
+        if not len(days):
+            raise EmptySeries(f"series {meter_id!r} has no complete day")
+    profiles = np.stack([rows.mean(axis=0) for rows in day_rows])
+
+    rng = np.random.default_rng(seed)
+    init = rng.choice(len(profiles), size=n_clusters, replace=False)
+    centroids = profiles[init].copy()
+    assignment = np.zeros(len(profiles), dtype=int)
+    for _ in range(25):
+        dists = ((profiles[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assignment = dists.argmin(axis=1)
+        for c in range(n_clusters):
+            members = profiles[assignment == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+
+    clusters = []
+    for c in range(n_clusters):
+        member_idx = np.flatnonzero(assignment == c)
+        member_days = np.concatenate([day_rows[i] for i in member_idx])  # empty: ValueError
+        clusters.append(ClusterProfile(
+            weight=len(member_idx) / len(profiles),
+            hourly_mean=tuple(member_days.mean(axis=0)),
+            hourly_std=tuple(member_days.std(axis=0)),
+        ))
+    return GeneratorModel(clusters=tuple(clusters))
+
+
+def _fit_outcome(fit_fn, real, n_clusters, seed):
+    try:
+        return fit_fn(real, n_clusters, seed)
+    except ValueError:  # a cluster ended without members
+        return ValueError
+
+
+_FIT_DATASETS = [make_two_cluster_dataset(n_meters=n, n_days=d, seed=s)
+                 for n, d, s in ((7, 1, 1), (24, 2, 2), (50, 3, 3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, len(_FIT_DATASETS) - 1), n_clusters=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_the_fixed_iteration_loop(which, n_clusters, seed):
+    real = _FIT_DATASETS[which]
+    got, want = (_fit_outcome(f, real, n_clusters, seed) for f in (fit, _loop_fit))
+    assert got == want
+    assert repr(got) == repr(want)  # and the weights stay Python floats
+
+
+def test_fit_with_a_cluster_left_empty_matches_the_loop():
+    d = _constant_dataset(5, 1000)  # identical meters: every one joins cluster 0
+    for seed in range(5):
+        assert _fit_outcome(fit, d, 3, seed) is _fit_outcome(_loop_fit, d, 3, seed) is ValueError
+        assert fit(d, 1, seed) == _loop_fit(d, 1, seed)
+
+
+def test_day_profiles_are_computed_once_per_dataset(monkeypatch, two_cluster_dataset):
+    calls = []
+    compute = synthetic._hourly_day_rows
+    monkeypatch.setattr(synthetic, "_hourly_day_rows", lambda d: calls.append(d) or compute(d))
+    with pytest.raises(ValueError):
+        fit(two_cluster_dataset, 0, 0)
+    with pytest.raises(TooFewSeries):
+        fit(two_cluster_dataset, 61, 0)
+    assert calls == []  # argument checks come before the view
+    first = fit(two_cluster_dataset, 2, 0)
+    fit(two_cluster_dataset, 3, 1)
+    assert len(calls) == 1
+    assert fit(two_cluster_dataset, 2, 0) == first
+
+    partial = FeederDataset(
+        series=(build_series("full", [1000] * 24), build_series("short", [1000] * 10)),
+        interval_s=3600, delta_max=EnergyQuantity(5000))
+    for _ in range(2):  # a refused dataset stores nothing, so it is refused again
+        with pytest.raises(EmptySeries, match="'short'"):
+            fit(partial, 1, 0)
+    assert len(calls) == 3
