@@ -1,0 +1,83 @@
+"""The audit trail's record format, hash chain and JSONL codec.
+
+Each record hashes its first seven fields, joined by `_FIELD_SEP`, after
+the previous record's hash (Schneier & Kelsey's hash chain); the first
+record follows GENESIS_HASH. `gateway.AuditLog` appends records,
+`verify_chain` recomputes them, and `audit-show --log FILE --verify` runs
+that check on a persisted log. This module needs only the standard library,
+so an auditor's verify loads nothing else of the package.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Sequence
+
+GENESIS_HASH = bytes(32)
+
+
+@dataclass(frozen=True)
+class AuditRecord:
+    seq: int
+    request_id: str
+    requester: str
+    decision: str  # "allowed" or "denied:<Reason>"
+    mechanism: str
+    epsilon_spent: float
+    timestamp: float
+    prev_hash: bytes
+    hash: bytes
+
+
+_FIELD_SEP = "|"  # joins the audit payload's fields; no text field may contain it
+
+
+def _record_payload(values: tuple) -> bytes:
+    """AuditRecord's first seven fields, joined; repr keeps the text "0.1" from hashing as 0.1."""
+    seq, *text, epsilon_spent, timestamp = values
+    return _FIELD_SEP.join((str(seq), *text, repr(epsilon_spent), repr(timestamp))).encode("utf-8")
+
+
+_hashed_values = attrgetter(*(f.name for f in fields(AuditRecord)[:7]))
+
+
+def _record_hash(prev_hash: bytes, payload: bytes) -> bytes:
+    return hashlib.sha256(prev_hash + payload).digest()
+
+
+@dataclass(frozen=True)
+class ChainReport:
+    valid: bool
+    first_bad_seq: int | None = None  # list index of the first bad record
+
+
+def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
+    """Recompute every digest and link; report the first mismatch.
+
+    A record whose text fields contain the payload separator is bad too:
+    moving a separator between adjacent fields would keep its digest.
+    """
+    sep = _FIELD_SEP.encode("utf-8")
+    prev_hash = GENESIS_HASH
+    for i, rec in enumerate(records):
+        payload = _record_payload(_hashed_values(rec))
+        # Seven fields, so six separators; more means a field held one.
+        if (rec.seq != i or payload.count(sep) != 6 or rec.prev_hash != prev_hash
+                or rec.hash != _record_hash(prev_hash, payload)):
+            return ChainReport(valid=False, first_bad_seq=i)
+        prev_hash = rec.hash
+    return ChainReport(valid=True)
+
+
+def audit_record_to_dict(rec: AuditRecord) -> dict:
+    """The record's fields in declaration order, digests as hex."""
+    return {**vars(rec), "prev_hash": rec.prev_hash.hex(), "hash": rec.hash.hex()}
+
+
+def audit_record_from_dict(data: dict) -> AuditRecord:
+    """Inverse of audit_record_to_dict; a missing or unknown field raises TypeError,
+    a missing digest KeyError."""
+    return AuditRecord(**{**data, "prev_hash": bytes.fromhex(data["prev_hash"]),
+                          "hash": bytes.fromhex(data["hash"])})

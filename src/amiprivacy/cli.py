@@ -19,23 +19,32 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from . import dp, fedlearn, gateway as gw, he, smpc, synthetic
-from .anonymize import AnonymizeError, PseudonymKey, pseudonymize
-from .meterdata import (
-    EnergyQuantity,
-    FeederDataset,
-    MeterDataError,
-    iso_to_epoch,
-    parse_csv,
-    serialize_csv,
-    serialize_csv_json,
-)
+from .audit import audit_record_from_dict, audit_record_to_dict, verify_chain
+
+if TYPE_CHECKING:  # annotations only; each command imports what it runs
+    from . import gateway as gw
+    from .meterdata import FeederDataset
+
+# The package, whose subsystems import on first attribute access. The per-request
+# helpers read `gateway` through it: serve runs no import statement per request.
+_package = sys.modules[__package__]
 
 # What bad input files and arguments raise: one error= line and exit 1, no traceback.
-_INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError, MeterDataError, AnonymizeError,
-                 dp.DpError, fedlearn.FedLearnError, he.HeError, smpc.SmpcError,
-                 synthetic.SyntheticError)
+_INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError)
+# Each subsystem's error class, by module. A command loads only the subsystems
+# it uses, and a subsystem that is not loaded has raised nothing.
+_SUBSYSTEM_ERRORS = {"meterdata": "MeterDataError", "anonymize": "AnonymizeError",
+                     "dp": "DpError", "fedlearn": "FedLearnError", "he": "HeError",
+                     "smpc": "SmpcError", "synthetic": "SyntheticError"}
+
+
+def _input_errors() -> tuple[type, ...]:
+    """_INPUT_ERRORS and the error classes of the subsystems loaded so far."""
+    modules = {name: sys.modules.get(f"{__package__}.{name}") for name in _SUBSYSTEM_ERRORS}
+    return _INPUT_ERRORS + tuple(getattr(module, _SUBSYSTEM_ERRORS[name])
+                                 for name, module in modules.items() if module is not None)
 
 
 def _console_script(main):
@@ -44,13 +53,14 @@ def _console_script(main):
     def run(argv=None) -> int:
         try:
             return main(argv)
-        except _INPUT_ERRORS as exc:
+        except _input_errors() as exc:  # evaluated only once main has raised
             print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
             return 1
     return run
 
 
 def _read_dataset(path: str, interval_s: int, delta_max_kwh: str) -> FeederDataset:
+    from .meterdata import EnergyQuantity, parse_csv
     text = Path(path).read_text()
     return parse_csv(text, interval_s, EnergyQuantity.from_kwh_text(delta_max_kwh))
 
@@ -64,6 +74,7 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
 
 @_console_script
 def anonymize_main(argv=None) -> int:
+    from .anonymize import PseudonymKey, pseudonymize
     parser = argparse.ArgumentParser(
         prog="anonymize", description="Replace the meter_id column with keyed pseudonyms."
     )
@@ -89,6 +100,8 @@ def anonymize_main(argv=None) -> int:
 
 @_console_script
 def dp_query_main(argv=None) -> int:
+    from . import dp
+    from .meterdata import iso_to_epoch
     parser = argparse.ArgumentParser(
         prog="dp-query", description="Answer one query under differential privacy."
     )
@@ -133,6 +146,8 @@ def dp_query_main(argv=None) -> int:
 
 @_console_script
 def synth_gen_main(argv=None) -> int:
+    from . import synthetic
+    from .meterdata import serialize_csv
     parser = argparse.ArgumentParser(
         prog="synth-gen", description="Fit the generator on real data and emit synthetic CSV."
     )
@@ -154,6 +169,7 @@ def synth_gen_main(argv=None) -> int:
 
 @_console_script
 def synth_check_main(argv=None) -> int:
+    from . import synthetic
     parser = argparse.ArgumentParser(
         prog="synth-check", description="Fidelity and memorization reports, key=value lines."
     )
@@ -179,6 +195,7 @@ def synth_check_main(argv=None) -> int:
 
 @_console_script
 def fed_train_main(argv=None) -> int:
+    from . import fedlearn
     parser = argparse.ArgumentParser(
         prog="fed-train", description="Federated training over round-robin meter shards."
     )
@@ -215,6 +232,8 @@ def fed_train_main(argv=None) -> int:
 
 @_console_script
 def smpc_sum_main(argv=None) -> int:
+    from . import dp, smpc
+    from .meterdata import EnergyQuantity
     parser = argparse.ArgumentParser(
         prog="smpc-sum", description="n-party secure sum over party_id,kwh rows."
     )
@@ -248,6 +267,7 @@ def smpc_sum_main(argv=None) -> int:
 
 @_console_script
 def he_keygen_main(argv=None) -> int:
+    from . import he
     parser = argparse.ArgumentParser(prog="he-keygen", description="Generate a Paillier keypair.")
     parser.add_argument("--bits", type=int, default=2048)
     parser.add_argument("--out", required=True, help="public key JSON path")
@@ -271,13 +291,10 @@ def he_keygen_main(argv=None) -> int:
     return 0
 
 
-def _load_public(path: str) -> he.PaillierPublicKey:
-    data = json.loads(Path(path).read_text())
-    return he.PaillierPublicKey(n=int(data["n"]), g=int(data["g"]), key_id=data["key_id"])
-
-
 @_console_script
 def he_bill_main(argv=None) -> int:
+    from . import dp, he
+    from .meterdata import EnergyQuantity
     parser = argparse.ArgumentParser(
         prog="he-bill", description="Compute an encrypted bill from usage and rates."
     )
@@ -286,7 +303,8 @@ def he_bill_main(argv=None) -> int:
     parser.add_argument("usage_csv", help="CSV of per-interval kWh decimals")
     args = parser.parse_args(argv)
 
-    pub = _load_public(args.pub)
+    data = json.loads(Path(args.pub).read_text())
+    pub = he.PaillierPublicKey(n=int(data["n"]), g=int(data["g"]), key_id=data["key_id"])
     rates = he.RateSchedule(tuple(
         int(line) for line in Path(args.rates).read_text().split() if line.strip()
     ))
@@ -300,6 +318,7 @@ def he_bill_main(argv=None) -> int:
 
 @_console_script
 def he_decrypt_main(argv=None) -> int:
+    from . import he
     parser = argparse.ArgumentParser(prog="he-decrypt", description="Decrypt a ciphertext.")
     parser.add_argument("--key", required=True, help="secret key JSON path")
     parser.add_argument("ct_hex", help="hex ciphertext, or a path to a file holding it")
@@ -342,6 +361,7 @@ def _parse_policy_file(path: str) -> dict:
 
 
 def envelope_from_json(line: str) -> gw.RequestEnvelope:
+    gw = _package.gateway
     data = json.loads(line)
     request_id = gw._field(data["request_id"], str, "request_id")
     requester = gw._field(data["requester"], str, "requester")
@@ -361,11 +381,12 @@ def decision_to_json(req: gw.RequestEnvelope, decision: gw.Decision,
     An allowed raw export's result is `dataset`'s CSV, whose JSON encoding the
     dataset keeps: the reply carries that memo as a piece of its own.
     """
+    gw = _package.gateway
     reply = {"request_id": req.request_id, "allowed": decision.allowed,
              "reason": decision.reason.value if decision.reason else None}
     if decision.allowed and isinstance(req.operation, gw.RawExport):
         head = json.dumps(reply)[:-1] + ', "result": '
-        return [head.encode(), serialize_csv_json(dataset), b"}\n"]
+        return [head.encode(), _package.meterdata.serialize_csv_json(dataset), b"}\n"]
     result = decision.result
     if result is not None:
         result = gw.OPERATIONS[type(req.operation)].summarize(result)
@@ -380,19 +401,9 @@ def _request_id(line: str) -> object:
         return None
 
 
-def audit_record_to_dict(rec: gw.AuditRecord) -> dict:
-    """The record's fields in declaration order, digests as hex."""
-    return {**vars(rec), "prev_hash": rec.prev_hash.hex(), "hash": rec.hash.hex()}
-
-
-def audit_record_from_dict(data: dict) -> gw.AuditRecord:
-    """Inverse of audit_record_to_dict; a missing or unknown field raises TypeError."""
-    return gw.AuditRecord(**{**data, "prev_hash": bytes.fromhex(data["prev_hash"]),
-                             "hash": bytes.fromhex(data["hash"])})
-
-
 @_console_script
 def gateway_main(argv=None) -> int:
+    from . import dp, gateway as gw  # gateway imports every subsystem before the first reply
     parser = argparse.ArgumentParser(prog="gateway", description="Policy-and-audit gateway.")
     sub = parser.add_subparsers(dest="command", required=True)
     serve = sub.add_parser("serve", help="line-delimited JSON request protocol on stdio")
@@ -469,7 +480,7 @@ def audit_show_main(argv=None) -> int:
     rows.writerows((rec.seq, rec.request_id, rec.requester, rec.decision, rec.mechanism,
                     rec.epsilon_spent, rec.hash.hex()[:16]) for rec in records)
     if args.verify:
-        report = gw.verify_chain(records)
+        report = verify_chain(records)
         if report.valid:
             print("chain=valid")
         else:

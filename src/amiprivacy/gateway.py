@@ -24,22 +24,22 @@ when the run raised anything but dp.BudgetExhausted,
 epsilon of the ledger entries the request appended. The gateway fails
 closed: if the record cannot be persisted, route raises AuditWriteFailure
 and releases nothing (a DP charge may already have landed, erring safe).
+The record format, its hash chain and verify_chain live in `audit`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from operator import attrgetter
-from typing import Annotated, Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
 from . import anonymize, dp, fedlearn, he, smpc, synthetic
+# ChainReport and verify_chain are not used here: they stay importable from gateway.
+from .audit import (_FIELD_SEP, GENESIS_HASH, AuditRecord, ChainReport, _record_hash,
+                    _record_payload, verify_chain)
 from .meterdata import FeederDataset, serialize_csv
-
-GENESIS_HASH = bytes(32)
 
 
 class GatewayError(Exception):
@@ -168,35 +168,6 @@ class Decision:
     result: object | None = None
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    seq: int
-    request_id: str
-    requester: str
-    decision: str  # "allowed" or "denied:<Reason>"
-    mechanism: str
-    epsilon_spent: float
-    timestamp: float
-    prev_hash: bytes
-    hash: bytes
-
-
-_FIELD_SEP = "|"  # joins the audit payload's fields; no text field may contain it
-
-
-def _record_payload(values: tuple) -> bytes:
-    """AuditRecord's first seven fields, joined; repr keeps the text "0.1" from hashing as 0.1."""
-    seq, *text, epsilon_spent, timestamp = values
-    return _FIELD_SEP.join((str(seq), *text, repr(epsilon_spent), repr(timestamp))).encode("utf-8")
-
-
-_hashed_values = attrgetter(*(f.name for f in fields(AuditRecord)[:7]))
-
-
-def _record_hash(prev_hash: bytes, payload: bytes) -> bytes:
-    return hashlib.sha256(prev_hash + payload).digest()
-
-
 class AuditLog:
     """Append-only, hash-chained decision log.
 
@@ -227,30 +198,6 @@ class AuditLog:
                 raise AuditWriteFailure(f"audit storage failed: {exc}") from exc
         self._records.append(record)
         return record
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    valid: bool
-    first_bad_seq: int | None = None  # list index of the first bad record
-
-
-def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
-    """Recompute every digest and link; report the first mismatch.
-
-    A record whose text fields contain the payload separator is bad too:
-    moving a separator between adjacent fields would keep its digest.
-    """
-    sep = _FIELD_SEP.encode("utf-8")
-    prev_hash = GENESIS_HASH
-    for i, rec in enumerate(records):
-        payload = _record_payload(_hashed_values(rec))
-        # Seven fields, so six separators; more means a field held one.
-        if (rec.seq != i or payload.count(sep) != 6 or rec.prev_hash != prev_hash
-                or rec.hash != _record_hash(prev_hash, payload)):
-            return ChainReport(valid=False, first_bad_seq=i)
-        prev_hash = rec.hash
-    return ChainReport(valid=True)
 
 
 class Gateway:

@@ -7,6 +7,7 @@ import random
 import stat
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -1177,3 +1178,138 @@ def test_dp_query_refuses_an_infinite_epsilon_cap(tmp_path, readings_csv, capsys
     assert cli.dp_query_main([*args[:5], "1.0", *args[6:]]) == 1
     assert capsys.readouterr().err.startswith("error=CapMismatch")
     assert ledger.read_bytes() == before
+
+
+def _fresh_python(code, *args):
+    """Run `python -c code args` in a new interpreter that has imported nothing of the package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_audit_show_verifies_a_log_without_numpy(tmp_path, readings_csv, capsys, monkeypatch,
+                                                  tamper):
+    lines = [_request("a1", {"kind": "raw_export"}),
+             *(_request(f"a{i}", {"kind": "dp_query", "op": "count", "epsilon": 0.1})
+               for i in (2, 3, 4))]
+    audit_path = _serve(tmp_path, monkeypatch, "epsilon_cap = 1.0\n",
+                        readings_csv.read_text(), lines)
+    if tamper:
+        records = [json.loads(line) for line in audit_path.read_text().splitlines()]
+        records[2]["epsilon_spent"] = 0.0
+        audit_path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    rc = cli.audit_show_main(["--log", str(audit_path), "--verify"])
+    expected = capsys.readouterr().out
+    assert expected.splitlines()[-1] == (
+        "chain=invalid first_bad_seq=2" if tamper else "chain=valid")
+    # An import of numpy anywhere on the verify path raises ModuleNotFoundError.
+    main = ("import sys; sys.modules['numpy'] = None; "
+            "from amiprivacy.cli import audit_show_main; sys.exit(audit_show_main())")
+    run = _fresh_python(main, "--log", str(audit_path), "--verify")
+    assert (run.returncode, run.stdout, run.stderr) == (rc, expected, "")
+    assert rc == (1 if tamper else 0)
+
+
+@pytest.mark.parametrize("first, second", [("gateway", "cli"), ("cli", "gateway")])
+def test_each_subsystem_is_one_module_object_in_either_import_order(first, second):
+    code = textwrap.dedent(f"""\
+        import gc, json, sys, types
+        import amiprivacy.{first}, amiprivacy.{second}
+        import amiprivacy
+        from amiprivacy import cli, dp, gateway
+        from amiprivacy.meterdata import EnergyQuantity, FeederDataset
+
+        for name in {{*amiprivacy.__all__, "cli"}} - {{"__version__"}}:
+            full = f"amiprivacy.{{name}}"
+            objects = [m for m in gc.get_objects()
+                       if isinstance(m, types.ModuleType) and m.__name__ == full]
+            assert objects == [sys.modules[full]] == [getattr(amiprivacy, name)], full
+        dataset = FeederDataset.from_columns(("m1", "m2"), [0, 1], [0, 0], [1500, 250], 3600,
+                                             EnergyQuantity(5000))
+        engine = gateway.Gateway(dataset, gateway.PolicyConfig(epsilon_cap=1.0),
+                                 dp.BudgetLedger(epsilon_cap=1.0), gateway.AuditLog(),
+                                 rng=dp.seeded_rng(5))
+        line = json.dumps({{"request_id": "over", "requester": "ops", "purpose": "primary",
+                           "consent": False, "operation": {{"kind": "dp_query", "op": "count",
+                                                            "epsilon": 2.0}}}})
+        decision = engine.route(cli.envelope_from_json(line))
+        print(decision.allowed, decision.reason.value, engine.audit_log.records[-1].decision)
+    """)
+    run = _fresh_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False BudgetExhausted denied:BudgetExhausted\n"
+
+
+def _bad_csv(tmp_path, n_meters=3, interval_s=3600, name="readings.csv"):
+    path = tmp_path / name
+    path.write_text(serialize_csv(make_uniform_dataset(n_meters, 1500, 200, interval_s)))
+    return str(path)
+
+
+def _bad_he_decrypt(tmp_path):
+    keypair = he.keygen(128, random.Random(43))
+    secret = _secret_file(tmp_path / "key.secret", keypair, **{"lambda": str(keypair.lam + 2)})
+    return ["--key", str(secret), format(he.encrypt(keypair.public, 5, 7).value, "x")]
+
+
+def _bad_he_bill(tmp_path):
+    pub = tmp_path / "key.json"
+    assert cli.he_keygen_main(["--bits", "128", "--out", str(pub)]) == 0
+    (tmp_path / "rates.csv").write_text("10\n20\n")
+    (tmp_path / "usage.csv").write_text("0.002\n")
+    return ["--pub", str(pub), "--rates", str(tmp_path / "rates.csv"), str(tmp_path / "usage.csv")]
+
+
+def _bad_anonymize(tmp_path):
+    (tmp_path / "key.bin").write_bytes(bytes(32))
+    (tmp_path / "in.csv").write_text("meter_id,timestamp,kwh\n,1970-01-01T00:00:00Z,1.000\n")
+    return ["--epoch", "1", "--key-file", str(tmp_path / "key.bin"), str(tmp_path / "in.csv"),
+            str(tmp_path / "out.csv")]
+
+
+def _bad_smpc_sum(tmp_path):
+    (tmp_path / "in.csv").write_text(f"alice,{2**62 // 1000}.000\nbob,5.000\ncarol,9.000\n")
+    return ["--min-participants", "3", "--transcript", str(tmp_path / "t.csv"),
+            str(tmp_path / "in.csv")]
+
+
+def _bad_audit_show(tmp_path):
+    log = AuditLog()
+    log.append_audit("r1", "ops", "allowed", "laplace", 0.25)
+    fields = cli.audit_record_to_dict(log.records[0])
+    del fields["mechanism"]
+    (tmp_path / "audit.jsonl").write_text(json.dumps(fields) + "\n")
+    return ["--log", str(tmp_path / "audit.jsonl"), "--verify"]
+
+
+@pytest.mark.parametrize("main, bad_argv, error", [
+    ("anonymize_main", _bad_anonymize, "EmptyIdentifier"),
+    ("dp_query_main", lambda tmp: ["--op", "count", "--epsilon", "2.0", "--ledger",
+                                   str(tmp / "ledger.csv"), _bad_csv(tmp)], "BudgetExhausted"),
+    ("synth_gen_main", lambda tmp: ["--fit", _bad_csv(tmp), "--clusters", "4", "--households",
+                                    "2", "--days", "1", "--seed", "1", "--out",
+                                    str(tmp / "synth.csv")], "TooFewSeries"),
+    ("synth_check_main", lambda tmp: [_bad_csv(tmp, interval_s=900, name="real.csv"),
+                                      _bad_csv(tmp, name="synth.csv"), "--threshold", "0.01"],
+     "MisalignedTimestamp"),
+    ("fed_train_main", lambda tmp: ["--clients", "2", "--rounds", "1", "--local-steps", "1",
+                                    "--lr", "0.01", "--seed", "1", "--interval", "900",
+                                    _bad_csv(tmp, n_meters=2, interval_s=900)],
+     "FedLearnError"),
+    ("smpc_sum_main", _bad_smpc_sum, "SumOverflow"),
+    ("he_keygen_main", lambda tmp: ["--bits", "32", "--out", str(tmp / "key.json")],
+     "ValueError"),
+    ("he_bill_main", _bad_he_bill, "LengthMismatch"),
+    ("he_decrypt_main", _bad_he_decrypt, "InvalidSecretKey"),
+    ("audit_show_main", _bad_audit_show, "TypeError"),
+])
+def test_console_scripts_report_bad_input_as_one_error_line_in_a_fresh_interpreter(
+    tmp_path, main, bad_argv, error
+):
+    run = _fresh_python(f"import sys; from amiprivacy.cli import {main}; sys.exit({main}())",
+                        *bad_argv(tmp_path))
+    assert (run.returncode, run.stdout) == (1, "")
+    [line] = run.stderr.splitlines()
+    assert line.startswith(f"error={error} detail=")
