@@ -61,7 +61,7 @@ def _console_script(main):
 
 def _read_dataset(path: str, interval_s: int, delta_max_kwh: str) -> FeederDataset:
     from .meterdata import EnergyQuantity, parse_csv
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return parse_csv(text, interval_s, EnergyQuantity.from_kwh_text(delta_max_kwh))
 
 
@@ -86,7 +86,7 @@ def anonymize_main(argv=None) -> int:
 
     secret = Path(args.key_file).read_bytes()
     key = PseudonymKey(secret=secret, epoch=args.epoch)
-    lines = Path(args.infile).read_text().splitlines()
+    lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
     out = []
     for i, line in enumerate(lines):
         if i == 0 or not line.strip():
@@ -94,7 +94,7 @@ def anonymize_main(argv=None) -> int:
             continue
         meter_id, rest = line.split(",", 1)
         out.append(f"{pseudonymize(meter_id.strip(), key)},{rest}")
-    Path(args.outfile).write_text("\n".join(out) + "\n")
+    Path(args.outfile).write_text("\n".join(out) + "\n", encoding="utf-8")
     return 0
 
 
@@ -163,7 +163,7 @@ def synth_gen_main(argv=None) -> int:
     real = _read_dataset(args.fit, args.interval, args.delta_max)
     model = synthetic.fit(real, args.clusters, args.seed)
     synth = synthetic.generate(model, args.households, args.days, args.seed)
-    Path(args.out).write_text(serialize_csv(synth))
+    Path(args.out).write_text(serialize_csv(synth), encoding="utf-8")
     return 0
 
 

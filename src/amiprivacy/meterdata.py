@@ -17,14 +17,20 @@ readings lie below each), which bins a histogram without walking the
 readings; and the day profiles `synthetic.fit` clusters (complete-day
 hourly rows, each row's meter and each meter's mean day), so repeated
 fits on one dataset skip the hourly binning.
+
+Ingest and export walk a text in slices of about 65,536 characters, and
+build the CSV one meter's block of rows at a time, so their peak memory
+stays near the size of the text and the columns.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -32,7 +38,9 @@ import numpy as np
 
 MILLI_PER_KWH = 1000
 
-_KWH_RE = re.compile(r"^(-?)(\d+)(?:\.(\d{1,3}))?$")
+_KWH_RE = re.compile(r"^(-?)([0-9]+)(?:\.([0-9]{1,3}))?$")
+# parse_csv and serialize_csv_json walk a text this many characters at a time.
+_SLICE_CHARS = 1 << 16
 
 
 class MeterDataError(Exception):
@@ -306,12 +314,15 @@ def parse_csv(text: str, interval_s: int, delta_max: EnergyQuantity) -> FeederDa
     data. A row is checked in full only when one of its field texts has
     not been seen in a valid row before, so each distinct timestamp and
     kWh text is parsed once and the first bad row in the file is reported.
+    Lines are split off one `_line_slices` slice at a time, so only one
+    slice's line strings exist at once.
     """
     empty = FeederDataset.from_columns((), (), (), (), interval_s, delta_max)
-    lines = text.splitlines()
-    if not lines:
+    lines = chain.from_iterable(map(str.splitlines, _line_slices(text)))
+    header = next(lines, None)
+    if header is None:
         return empty
-    if lines[0].strip() != "meter_id,timestamp,kwh":
+    if header.strip() != "meter_id,timestamp,kwh":
         raise MalformedRow(1, "missing or wrong header")
 
     cap = delta_max.milli_kwh
@@ -319,7 +330,7 @@ def parse_csv(text: str, interval_s: int, delta_max: EnergyQuantity) -> FeederDa
     stamps: dict[str, int] = {}
     energies: dict[str, int] = {}
     id_col, ts_col, milli_col = [], [], []
-    for line, raw in enumerate(lines[1:], start=2):
+    for line, raw in enumerate(lines, start=2):
         parts = raw.split(",")
         if len(parts) != 3:
             if not raw.strip():
@@ -340,25 +351,52 @@ def parse_csv(text: str, interval_s: int, delta_max: EnergyQuantity) -> FeederDa
     rank = {m: i for i, m in enumerate(meter_ids)}
     meter = np.fromiter(map(rank.__getitem__, id_col), np.int64, len(id_col))
     ts, milli = np.array(ts_col, dtype=np.int64), np.array(milli_col, dtype=np.int64)
+    del id_col, ts_col, milli_col  # the row lists go before the sort copies the columns
     order = np.lexsort((ts, meter))
     meter, ts, milli = meter[order], ts[order], milli[order]
+    del order  # and the order before from_columns copies them again
     gaps = (np.diff(meter) == 0) & (np.diff(ts) != interval_s)
     if gaps.any():
         raise MixedInterval(meter_ids[meter[np.argmax(gaps)]])
     return FeederDataset.from_columns(meter_ids, meter, ts, milli, interval_s, delta_max)
 
 
+def _line_slices(text: str):
+    """`text` in consecutive slices of about `_SLICE_CHARS` characters.
+
+    Every slice but the last ends just after a "\n", so a "\r\n" is never
+    split and, every other line break being one character, the slices'
+    `splitlines()` concatenated are `text.splitlines()`. A line longer than
+    `_SLICE_CHARS` stays whole in a longer slice.
+    """
+    start, end = 0, len(text)
+    while end - start > _SLICE_CHARS:
+        cut = text.rfind("\n", start, start + _SLICE_CHARS) + 1
+        if not cut:
+            cut = text.find("\n", start + _SLICE_CHARS) + 1 or end
+        yield text[start:cut]
+        start = cut
+    if start < end:
+        yield text[start:]
+
+
 def serialize_csv(dataset: FeederDataset) -> str:
     """Inverse of parse_csv for valid datasets (round-trip identity).
 
-    The text is built on the first call for a dataset and kept on it.
+    The text is built one meter's block of rows at a time on the first call
+    for a dataset, and kept on it.
     """
     return dataset._derived("csv", _serialize_csv)
 
 
 def serialize_csv_json(dataset: FeederDataset) -> bytes:
-    """`json.dumps(serialize_csv(dataset)).encode()`, built on the first call and kept."""
-    return dataset._derived("csv_json", lambda d: json.dumps(serialize_csv(d)).encode())
+    """`json.dumps(serialize_csv(dataset)).encode()`, built on the first call and kept.
+
+    The text is encoded a slice at a time into one buffer, which becomes the
+    result without a copy; JSON escapes each code point on its own, so the
+    slices' encodings concatenate to the whole's.
+    """
+    return dataset._derived("csv_json", _serialize_csv_json)
 
 
 def _serialize_csv(dataset: FeederDataset) -> str:
@@ -369,9 +407,25 @@ def _serialize_csv(dataset: FeederDataset) -> str:
     ], dtype=object)
     values, value_idx = np.unique(dataset.milli_kwh, return_inverse=True)
     kwh = np.array([EnergyQuantity(v).to_kwh_text() for v in values.tolist()], dtype=object)
-    rows = zip(
-        np.array(dataset.meter_ids, dtype=object)[dataset.meter_idx].tolist(),
-        iso[np.searchsorted(stamps, dataset.timestamp)].tolist(),
-        kwh[value_idx].tolist(),
-    )
-    return "meter_id,timestamp,kwh\n" + "".join([f"{m},{t},{k}\n" for m, t, k in rows])
+    row_iso, row_kwh = iso[np.searchsorted(stamps, dataset.timestamp)], kwh[value_idx]
+    bounds = dataset.meter_bounds().tolist()
+    blocks = ["meter_id,timestamp,kwh\n"]
+    for m, a, b in zip(dataset.meter_ids, bounds, bounds[1:]):
+        rows = zip(row_iso[a:b].tolist(), row_kwh[a:b].tolist())
+        blocks.append("".join([f"{m},{t},{k}\n" for t, k in rows]))
+    return "".join(blocks)
+
+
+def _serialize_csv_json(dataset: FeederDataset) -> bytes:
+    text, buffer = serialize_csv(dataset), io.BytesIO()
+    # The buffer is sized before it is filled, since one grown by appends can move
+    # and is then held twice. JSON writes "\n" as two bytes and any character as at
+    # least one, so this size is exact when "\n" is the only character it escapes.
+    buffer.seek(len(text) + text.count("\n") + 1)
+    buffer.write(b'"')
+    buffer.seek(0)
+    buffer.write(b'"')
+    for start in range(0, len(text), _SLICE_CHARS):
+        buffer.write(json.dumps(text[start:start + _SLICE_CHARS])[1:-1].encode())
+    buffer.write(b'"')
+    return buffer.getvalue()

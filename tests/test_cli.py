@@ -1313,3 +1313,38 @@ def test_console_scripts_report_bad_input_as_one_error_line_in_a_fresh_interpret
     assert (run.returncode, run.stdout) == (1, "")
     [line] = run.stderr.splitlines()
     assert line.startswith(f"error={error} detail=")
+
+
+def test_meter_csvs_are_utf8_under_an_ascii_locale(tmp_path):
+    ids = ("Zürich-1", "Zürich-2")  # two complete hourly days each, so synth-gen can fit
+    milli = [(500 + 37 * i) % 2000 for i in range(96)]
+    dataset = FeederDataset.from_columns(ids, [0] * 48 + [1] * 48,
+                                         [1_704_067_200 + 3600 * (i % 48) for i in range(96)],
+                                         milli, 3600, CAP)
+    csv_text = serialize_csv(dataset)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "readings.csv").write_text(csv_text, encoding="utf-8")
+    (tmp_path / "policy.conf").write_text("epsilon_cap = 1.0\n")
+    (tmp_path / "key.bin").write_bytes(bytes(32))
+    # One interpreter runs anonymize and synth-gen, then serves the request on stdin.
+    script = textwrap.dedent("""
+        import sys
+        from amiprivacy import cli
+        data = "data/readings.csv"
+        assert cli.anonymize_main(["--epoch", "1", "--key-file", "key.bin", data, "anon.csv"]) == 0
+        assert cli.synth_gen_main(["--fit", data, "--clusters", "1", "--households", "2",
+                                   "--days", "1", "--seed", "3", "--out", "synth.csv"]) == 0
+        sys.exit(cli.gateway_main(["serve", "--policy", "policy.conf", "--data", "data"]))
+    """)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, timeout=120,
+                         input=_request("r1", {"kind": "raw_export"}) + "\n",
+                         capture_output=True, text=True, encoding="utf-8")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["result"] == csv_text
+    anon = parse_csv((tmp_path / "anon.csv").read_text(encoding="utf-8"), 3600, CAP)
+    assert len(anon.meter_ids) == 2 and not set(anon.meter_ids) & set(ids)
+    assert len(parse_csv((tmp_path / "synth.csv").read_text(encoding="utf-8"), 3600, CAP)
+               .meter_ids) == 2
