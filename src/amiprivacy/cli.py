@@ -31,20 +31,9 @@ if TYPE_CHECKING:  # annotations only; each command imports what it runs
 # helpers read `gateway` through it: serve runs no import statement per request.
 _package = sys.modules[__package__]
 
-# What bad input files and arguments raise: one error= line and exit 1, no traceback.
+# What bad input files and arguments raise, besides any error class this package
+# defines: one error= line and exit 1, no traceback.
 _INPUT_ERRORS = (OSError, ValueError, TypeError, KeyError)
-# Each subsystem's error class, by module. A command loads only the subsystems
-# it uses, and a subsystem that is not loaded has raised nothing.
-_SUBSYSTEM_ERRORS = {"meterdata": "MeterDataError", "anonymize": "AnonymizeError",
-                     "dp": "DpError", "fedlearn": "FedLearnError", "he": "HeError",
-                     "smpc": "SmpcError", "synthetic": "SyntheticError"}
-
-
-def _input_errors() -> tuple[type, ...]:
-    """_INPUT_ERRORS and the error classes of the subsystems loaded so far."""
-    modules = {name: sys.modules.get(f"{__package__}.{name}") for name in _SUBSYSTEM_ERRORS}
-    return _INPUT_ERRORS + tuple(getattr(module, _SUBSYSTEM_ERRORS[name])
-                                 for name, module in modules.items() if module is not None)
 
 
 def _console_script(main):
@@ -53,7 +42,10 @@ def _console_script(main):
     def run(argv=None) -> int:
         try:
             return main(argv)
-        except _input_errors() as exc:  # evaluated only once main has raised
+        except Exception as exc:
+            if not (isinstance(exc, _INPUT_ERRORS)
+                    or f"{type(exc).__module__}.".startswith(f"{__package__}.")):
+                raise  # a fault of the program keeps its traceback
             print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
             return 1
     return run
@@ -75,6 +67,7 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
 @_console_script
 def anonymize_main(argv=None) -> int:
     from .anonymize import PseudonymKey, pseudonymize
+    from .meterdata import MalformedRow, _HEADER, _check_header
     parser = argparse.ArgumentParser(
         prog="anonymize", description="Replace the meter_id column with keyed pseudonyms."
     )
@@ -87,14 +80,14 @@ def anonymize_main(argv=None) -> int:
     secret = Path(args.key_file).read_bytes()
     key = PseudonymKey(secret=secret, epoch=args.epoch)
     lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
-    out = []
-    for i, line in enumerate(lines):
-        if i == 0 or not line.strip():
-            out.append(line)
-            continue
-        meter_id, rest = line.split(",", 1)
-        out.append(f"{pseudonymize(meter_id.strip(), key)},{rest}")
-    Path(args.outfile).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _check_header(lines[0] if lines else _HEADER)  # parse_csv's rule: an empty file has no rows
+    out = lines[:1]
+    for lineno, line in enumerate(lines[1:], start=2):
+        meter_id, comma, rest = line.partition(",")
+        if line.strip() and not comma:
+            raise MalformedRow(lineno, "no comma after the meter_id")
+        out.append(f"{pseudonymize(meter_id.strip(), key)},{rest}" if comma else line)
+    Path(args.outfile).write_text("".join(f"{line}\n" for line in out), encoding="utf-8")
     return 0
 
 

@@ -163,8 +163,6 @@ class BudgetLedger:
         One entry gives its epsilon exactly as charged; a difference of two
         running totals can be off in the last bits.
         """
-        if start == len(self._entries):  # no charge: denials and non-DP requests
-            return 0.0
         return sum((e.epsilon for e in self._entries[start:]), 0.0)
 
     def charge(self, query_id: str, epsilon: float, delta: float) -> LedgerEntry:
@@ -216,8 +214,8 @@ def compose(ledger: BudgetLedger) -> CompositionTotals:
 
 def laplace_sample(scale: float, u: float) -> float:
     """Inverse-CDF Laplace(0, scale) sample from one uniform draw in (0, 1)."""
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:  # an overflowed Δ/ε would release ±inf or nan
+        raise ValueError(f"scale must be positive and finite, not {scale}")
     if not 0.0 < u < 1.0:
         raise InvalidUniform(f"uniform draw must lie in (0, 1), got {u}")
     centered = u - 0.5

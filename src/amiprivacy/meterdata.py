@@ -41,6 +41,7 @@ MILLI_PER_KWH = 1000
 _KWH_RE = re.compile(r"^(-?)([0-9]+)(?:\.([0-9]{1,3}))?$")
 # parse_csv and serialize_csv_json walk a text this many characters at a time.
 _SLICE_CHARS = 1 << 16
+_HEADER = "meter_id,timestamp,kwh"
 
 
 class MeterDataError(Exception):
@@ -317,13 +318,8 @@ def parse_csv(text: str, interval_s: int, delta_max: EnergyQuantity) -> FeederDa
     Lines are split off one `_line_slices` slice at a time, so only one
     slice's line strings exist at once.
     """
-    empty = FeederDataset.from_columns((), (), (), (), interval_s, delta_max)
     lines = chain.from_iterable(map(str.splitlines, _line_slices(text)))
-    header = next(lines, None)
-    if header is None:
-        return empty
-    if header.strip() != "meter_id,timestamp,kwh":
-        raise MalformedRow(1, "missing or wrong header")
+    _check_header(next(lines, _HEADER))  # an empty text is a header with no rows
 
     cap = delta_max.milli_kwh
     meters: dict[str, str] = {}  # field text -> parsed value, for texts of valid rows
@@ -344,8 +340,6 @@ def parse_csv(text: str, interval_s: int, delta_max: EnergyQuantity) -> FeederDa
         id_col.append(meter_id)
         ts_col.append(ts)
         milli_col.append(milli)
-    if not id_col:
-        return empty
 
     meter_ids = sorted(set(meters.values()))
     rank = {m: i for i, m in enumerate(meter_ids)}
@@ -359,6 +353,12 @@ def parse_csv(text: str, interval_s: int, delta_max: EnergyQuantity) -> FeederDa
     if gaps.any():
         raise MixedInterval(meter_ids[meter[np.argmax(gaps)]])
     return FeederDataset.from_columns(meter_ids, meter, ts, milli, interval_s, delta_max)
+
+
+def _check_header(line: str) -> None:
+    """Refuse a CSV whose first line is not the header, as line 1."""
+    if line.strip() != _HEADER:
+        raise MalformedRow(1, "missing or wrong header")
 
 
 def _line_slices(text: str):
@@ -409,7 +409,7 @@ def _serialize_csv(dataset: FeederDataset) -> str:
     kwh = np.array([EnergyQuantity(v).to_kwh_text() for v in values.tolist()], dtype=object)
     row_iso, row_kwh = iso[np.searchsorted(stamps, dataset.timestamp)], kwh[value_idx]
     bounds = dataset.meter_bounds().tolist()
-    blocks = ["meter_id,timestamp,kwh\n"]
+    blocks = [f"{_HEADER}\n"]
     for m, a, b in zip(dataset.meter_ids, bounds, bounds[1:]):
         rows = zip(row_iso[a:b].tolist(), row_kwh[a:b].tolist())
         blocks.append("".join([f"{m},{t},{k}\n" for t, k in rows]))

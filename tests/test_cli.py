@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from amiprivacy import cli, dp, he
-from amiprivacy.gateway import AuditLog, verify_chain
+from amiprivacy.gateway import AuditLog, AuditWriteFailure, verify_chain
 from amiprivacy.meterdata import EnergyQuantity, FeederDataset, parse_csv, serialize_csv
 from conftest import make_uniform_dataset, make_two_cluster_dataset
 
@@ -48,6 +48,43 @@ def test_anonymize_replaces_meter_ids(tmp_path, readings_csv):
         ["--epoch", "2", "--key-file", str(key_file), str(readings_csv), str(out2)]
     )
     assert out.read_text() == out2.read_text()
+
+
+def _anonymize(tmp_path, text):
+    """Run anonymize on `text`; return its exit status and the output file's text or None."""
+    (tmp_path / "key.bin").write_bytes(bytes(32))
+    (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    rc = cli.anonymize_main(["--epoch", "1", "--key-file", str(tmp_path / "key.bin"),
+                             str(tmp_path / "in.csv"), str(out)])
+    return rc, out.read_text(encoding="utf-8") if out.exists() else None
+
+
+@pytest.mark.parametrize("text, line, detail", [
+    ("Alice-Home,2024-01-01T00:00:00Z,1.500\nBob-Home,2024-01-01T00:00:00Z,0.250\n", 1,
+     "missing or wrong header"),
+    ("\nmeter_id,timestamp,kwh\n", 1, "missing or wrong header"),
+    ("meter_id,timestamp,kwh\nm1,2024-01-01T00:00:00Z,1.500\n\nAlice-Home\n", 4,
+     "no comma after the meter_id"),
+])
+def test_anonymize_refuses_a_missing_header_and_a_line_without_a_comma(
+    tmp_path, capsys, text, line, detail
+):
+    assert _anonymize(tmp_path, text) == (1, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error=MalformedRow detail=malformed row at line {line}: {detail}\n"
+
+
+def test_anonymize_accepts_an_empty_file_and_copies_blank_lines(tmp_path):
+    assert _anonymize(tmp_path, "") == (0, "")  # what parse_csv reads as no rows
+    text = "meter_id,timestamp,kwh\n\nm1,2024-01-01T00:00:00Z,1.500\n \t\n"
+    rc, out = _anonymize(tmp_path, text)
+    assert rc == 0
+    header, blank, row, spaces = out.splitlines()
+    assert (header, blank, spaces) == ("meter_id,timestamp,kwh", "", " \t")
+    assert row.endswith(",2024-01-01T00:00:00Z,1.500") and len(row.split(",")[0]) == 32
+    assert parse_csv(out, 3600, CAP).n_readings() == 1
 
 
 def test_dp_query_sum_appends_ledger(tmp_path, readings_csv, capsys):
@@ -1313,6 +1350,49 @@ def test_console_scripts_report_bad_input_as_one_error_line_in_a_fresh_interpret
     assert (run.returncode, run.stdout) == (1, "")
     [line] = run.stderr.splitlines()
     assert line.startswith(f"error={error} detail=")
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_console_scripts_report_any_error_class_the_package_defines(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr(cli, "_parse_policy_file", _raise(AuditWriteFailure("disk full")))
+    assert cli.gateway_main(["serve", "--policy", "p.conf", "--data", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", "error=AuditWriteFailure detail=disk full\n")
+
+
+def test_console_scripts_let_a_fault_of_the_program_raise(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parse_policy_file", _raise(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        cli.gateway_main(["serve", "--policy", "p.conf", "--data", str(tmp_path)])
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("exc, traceback, last_line", [
+    # A package error class from a module without numpy, as audit's will be.
+    ('type("Broken", (Exception,), {"__module__": "amiprivacy.audit"})("seq 2")', False,
+     "error=Broken detail=seq 2"),
+    ('RuntimeError("seq 2")', True, "RuntimeError: seq 2"),
+])
+def test_the_error_rule_holds_without_numpy(tmp_path, exc, traceback, last_line):
+    code = textwrap.dedent(f"""\
+        import sys
+        sys.modules["numpy"] = None
+        from amiprivacy import cli
+        def verify_chain(records):
+            raise {exc}
+        cli.verify_chain = verify_chain
+        sys.exit(cli.audit_show_main())
+    """)
+    (tmp_path / "audit.jsonl").write_text("")
+    run = _fresh_python(code, "--log", str(tmp_path / "audit.jsonl"), "--verify")
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("Traceback") is traceback
+    assert run.stderr.splitlines()[-1] == last_line
 
 
 def test_meter_csvs_are_utf8_under_an_ascii_locale(tmp_path):

@@ -60,6 +60,12 @@ class TestLaplaceSample:
 
 
 class TestLaplaceMechanism:
+    @pytest.mark.parametrize("u", [0.3, 0.5, 0.7])
+    def test_a_scale_that_overflows_is_refused(self, u):
+        # 1.0 / 1e-320 is inf: the sample would be -inf, nan or inf.
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            laplace_mechanism(5.0, Sensitivity(1.0), PrivacyParams(1e-320), StubRng(uniforms=[u]))
+
     def test_scale_is_sensitivity_over_epsilon(self):
         # Delta=5, eps=0.5 must give scale 10 exactly: the injected-uniform
         # noise matches the closed form at scale 10 bit for bit.

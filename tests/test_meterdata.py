@@ -53,8 +53,11 @@ class TestParseCsv:
         assert [r.energy.milli_kwh for r in d.series[0].readings] == [1500, 2000]
 
     def test_empty_input(self):
-        d = parse_csv("", interval_s=900, delta_max=CAP)
-        assert d.series == ()
+        for text in ("", HEADER, HEADER + "\n \r\n\t\n"):  # each a header with no rows
+            d = parse_csv(text, interval_s=900, delta_max=CAP)
+            assert d.series == ()
+            assert d == FeederDataset.from_columns((), (), (), (), 900, CAP)
+            assert d._memo == {}
 
     def test_negative_energy(self):
         text = HEADER + "m1,2021-07-01T00:00:00Z,-0.5"
