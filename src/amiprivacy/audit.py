@@ -4,14 +4,18 @@ Each record hashes its first seven fields, joined by `_FIELD_SEP`, after
 the previous record's hash (Schneier & Kelsey's hash chain); the first
 record follows GENESIS_HASH. `gateway.AuditLog` appends records,
 `verify_chain` recomputes them, and `audit-show --log FILE --verify` runs
-that check on a persisted log. This module needs only the standard library,
-so an auditor's verify loads nothing else of the package.
+that check on a persisted log. A log line is `audit_record_to_json`, a direct
+encoder that writes exactly `json.dumps(audit_record_to_dict(rec))` without
+building the dict. This module needs only the standard library, so an
+auditor's verify loads nothing else of the package.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from typing import Sequence
 
@@ -74,6 +78,26 @@ def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
 def audit_record_to_dict(rec: AuditRecord) -> dict:
     """The record's fields in declaration order, digests as hex."""
     return {**vars(rec), "prev_hash": rec.prev_hash.hex(), "hash": rec.hash.hex()}
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes it: repr when finite, else NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def audit_record_to_json(rec: AuditRecord) -> str:
+    """json.dumps(audit_record_to_dict(rec)), written over the nine keys directly.
+
+    The text fields go through json's own ASCII escaper, so the bytes are the same.
+    """
+    return (f'{{"seq": {rec.seq!r}, "request_id": {_json_str(rec.request_id)}, '
+            f'"requester": {_json_str(rec.requester)}, "decision": {_json_str(rec.decision)}, '
+            f'"mechanism": {_json_str(rec.mechanism)}, '
+            f'"epsilon_spent": {_json_float(rec.epsilon_spent)}, '
+            f'"timestamp": {_json_float(rec.timestamp)}, '
+            f'"prev_hash": "{rec.prev_hash.hex()}", "hash": "{rec.hash.hex()}"}}')
 
 
 def audit_record_from_dict(data: dict) -> AuditRecord:

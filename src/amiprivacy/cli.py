@@ -4,7 +4,9 @@ Each console script maps to one subsystem: `anonymize`, `dp-query`,
 `synth-gen`, `synth-check`, `fed-train`, `smpc-sum`, `he-keygen`,
 `he-bill`, `he-decrypt`, `gateway serve`, and `audit-show`. The gateway
 speaks a line-delimited JSON protocol on stdin/stdout so end-to-end runs
-need no network stack.
+need no network stack. Its replies (`decision_to_json`) and audit lines
+(`audit.audit_record_to_json`) are direct encoders: each writes the bytes of
+`json.dumps` of its object without building the dict.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .audit import audit_record_from_dict, audit_record_to_dict, verify_chain
+from .audit import audit_record_from_dict, audit_record_to_json, verify_chain
 
 if TYPE_CHECKING:  # annotations only; each command imports what it runs
     from . import gateway as gw
@@ -226,7 +229,7 @@ def fed_train_main(argv=None) -> int:
 @_console_script
 def smpc_sum_main(argv=None) -> int:
     from . import dp, smpc
-    from .meterdata import EnergyQuantity
+    from .meterdata import EnergyQuantity, MalformedRow
     parser = argparse.ArgumentParser(
         prog="smpc-sum", description="n-party secure sum over party_id,kwh rows."
     )
@@ -238,10 +241,13 @@ def smpc_sum_main(argv=None) -> int:
 
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
     inputs = []
-    for line in Path(args.infile).read_text().splitlines():
+    for lineno, line in enumerate(Path(args.infile).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        party_id, kwh = line.split(",")
+        row = line.split(",")
+        if len(row) != 2:
+            raise MalformedRow(lineno, f"expected party_id,kwh, got {len(row)} fields")
+        party_id, kwh = row
         inputs.append(
             smpc.PartyInput(
                 party_id=party_id.strip(),
@@ -359,31 +365,37 @@ def envelope_from_json(line: str) -> gw.RequestEnvelope:
     request_id = gw._field(data["request_id"], str, "request_id")
     requester = gw._field(data["requester"], str, "requester")
     consent = gw._field(data["consent"], bool, "consent")  # "false" would count as consent
+    purpose = data["purpose"]
+    # Found by value; anything else goes on to raise Purpose's own ValueError.
+    purpose = (type(purpose) is str and gw.Purpose._value2member_map_.get(purpose)
+               or gw.Purpose(purpose))
     op = data["operation"]
     kind = gw.KINDS.get(op["kind"])
     if kind is None:
         raise ValueError(f"unknown operation kind {op['kind']!r}")
-    return gw.RequestEnvelope(request_id, requester, gw.Purpose(data["purpose"]), consent,
-                              kind.parse(op))
+    return gw.RequestEnvelope(request_id, requester, purpose, consent, kind.parse(op))
 
 
 def decision_to_json(req: gw.RequestEnvelope, decision: gw.Decision,
                      dataset: FeederDataset) -> list[bytes]:
     """The reply line as bytes pieces, to be written in order.
 
-    An allowed raw export's result is `dataset`'s CSV, whose JSON encoding the
+    The line is json.dumps of {"request_id", "allowed", "reason", "result"}
+    plus a newline, written directly: one head, then the result's JSON. An
+    allowed raw export's result is `dataset`'s CSV, whose JSON encoding the
     dataset keeps: the reply carries that memo as a piece of its own.
     """
     gw = _package.gateway
-    reply = {"request_id": req.request_id, "allowed": decision.allowed,
-             "reason": decision.reason.value if decision.reason else None}
+    reason = "null" if decision.reason is None else _json_str(decision.reason.value)
+    head = (f'{{"request_id": {_json_str(req.request_id)}, '
+            f'"allowed": {"true" if decision.allowed else "false"}, '
+            f'"reason": {reason}, "result": ')
     if decision.allowed and isinstance(req.operation, gw.RawExport):
-        head = json.dumps(reply)[:-1] + ', "result": '
         return [head.encode(), _package.meterdata.serialize_csv_json(dataset), b"}\n"]
     result = decision.result
-    if result is not None:
-        result = gw.OPERATIONS[type(req.operation)].summarize(result)
-    return [(json.dumps({**reply, "result": result}) + "\n").encode()]
+    body = "null" if result is None else json.dumps(
+        gw.OPERATIONS[type(req.operation)].summarize(result))
+    return [f"{head}{body}}}\n".encode()]
 
 
 def _request_id(line: str) -> object:
@@ -423,7 +435,7 @@ def gateway_main(argv=None) -> int:
     writer = None
     if log_file is not None:
         def writer(rec: gw.AuditRecord) -> None:
-            log_file.write(json.dumps(audit_record_to_dict(rec)) + "\n")
+            log_file.write(audit_record_to_json(rec) + "\n")
 
     audit_log = gw.AuditLog(writer=writer)
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()

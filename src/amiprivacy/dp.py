@@ -212,10 +212,15 @@ def compose(ledger: BudgetLedger) -> CompositionTotals:
     )
 
 
-def laplace_sample(scale: float, u: float) -> float:
-    """Inverse-CDF Laplace(0, scale) sample from one uniform draw in (0, 1)."""
+def _checked_scale(scale: float) -> float:
     if not 0.0 < scale < math.inf:  # an overflowed Δ/ε would release ±inf or nan
         raise ValueError(f"scale must be positive and finite, not {scale}")
+    return scale
+
+
+def laplace_sample(scale: float, u: float) -> float:
+    """Inverse-CDF Laplace(0, scale) sample from one uniform draw in (0, 1)."""
+    _checked_scale(scale)
     if not 0.0 < u < 1.0:
         raise InvalidUniform(f"uniform draw must lie in (0, 1), got {u}")
     centered = u - 0.5
@@ -245,7 +250,7 @@ def laplace_mechanism(
     """Release true_value + Laplace(0, delta_f/epsilon); requires delta = 0."""
     if p.delta != 0.0:
         raise DeltaNotZero("the Laplace mechanism requires delta = 0")
-    scale = sens.delta_f / p.epsilon
+    scale = _checked_scale(sens.delta_f / p.epsilon)  # before the draw: a refusal keeps rng
     noise = laplace_sample(scale, _uniform_open(rng))
     return DpAnswer(
         value=true_value + noise,

@@ -302,6 +302,8 @@ def _field(value, kind: type, name: str = ""):
     bool is an int subclass, but only a JSON true or false is a bool, and neither
     is a number. A name, when given, prefixes the TypeError's message.
     """
+    if type(value) is kind:  # the common case, returned at once
+        return value
     if isinstance(value, bool) != (kind is bool) or not isinstance(
             value, (int, float) if kind is float else kind):
         prefix = f"{name}: " if name else ""
@@ -312,8 +314,7 @@ def _field(value, kind: type, name: str = ""):
 def _reader(hint) -> Callable[[object], object]:
     """The function that reads a JSON value as the field annotation hint says.
 
-    A scalar goes through _field, unless it already has the exact type (the
-    common case, kept to one call); T | None takes null as None; tuple[T, ...]
+    A scalar goes through _field; T | None takes null as None; tuple[T, ...]
     takes a JSON array, tuple[A, B] a two-item one; Annotated carries its reader.
     """
     origin, args = get_origin(hint), get_args(hint)
@@ -333,7 +334,7 @@ def _reader(hint) -> Callable[[object], object]:
                 raise TypeError(f"expected a two-item list, not {v!r}")
             return first(v[0]), second(v[1])
         return pair
-    return lambda v: v if type(v) is hint else _field(v, hint)
+    return lambda v: _field(v, hint)
 
 
 def _groups_from_json(groups) -> tuple:  # AggregateReport.groups' one wire rule

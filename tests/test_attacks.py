@@ -5,13 +5,18 @@ item that closes the hole: it fails today for the stated reason, and the
 change that closes the hole sees it pass and removes the marker.
 """
 
+import dataclasses
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from amiprivacy import cli, dp, fedlearn, smpc
+from amiprivacy import audit, cli, dp, fedlearn, smpc
 from amiprivacy.gateway import (
     KINDS, AggregateReport, AuditLog, FedTrain, Gateway, PolicyConfig, Purpose, RawExport,
     RequestEnvelope, SmpcSum, SynthGenerate,
@@ -87,27 +92,89 @@ def test_synth_generate_is_charged():
     assert record.epsilon_spent > 0  # today: 0.0
 
 
+def _serve_files(tmp_path):
+    """`gateway serve` arguments over 5 meters x 24 hours under cap 1.0, one audit log."""
+    (tmp_path / "data").mkdir()
+    readings = serialize_csv(make_uniform_dataset(5, 1000, 24))
+    (tmp_path / "data" / "readings.csv").write_text(readings)
+    (tmp_path / "policy.conf").write_text("epsilon_cap = 1.0\n")
+    return ["serve", "--policy", str(tmp_path / "policy.conf"), "--data", str(tmp_path / "data"),
+            "--audit-log", str(tmp_path / "audit.jsonl"), "--seed", "5"]
+
+
+def _count_at_0_6(request_id):
+    return json.dumps({"request_id": request_id, "requester": "ops", "purpose": "primary",
+                       "consent": False,
+                       "operation": {"kind": "dp_query", "op": "count", "epsilon": 0.6}})
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: a restarted serve starts an empty ledger and "
                           "forgets the request ids it routed")
 def test_a_restarted_gateway_refuses_a_replayed_request(tmp_path, monkeypatch, capsys):
-    (tmp_path / "data").mkdir()
-    readings = serialize_csv(make_uniform_dataset(5, 1000, 24))  # 5 meters x 24 hours
-    (tmp_path / "data" / "readings.csv").write_text(readings)
-    (tmp_path / "policy.conf").write_text("epsilon_cap = 1.0\n")
-    q1 = json.dumps({"request_id": "q1", "requester": "ops", "purpose": "primary",
-                     "consent": False,
-                     "operation": {"kind": "dp_query", "op": "count", "epsilon": 0.6}})
+    args, q1 = _serve_files(tmp_path), _count_at_0_6("q1")
     replies = []
     for _ in range(2):  # two sessions, one audit log
         monkeypatch.setattr("sys.stdin", io.StringIO(q1 + "\n"))
-        assert cli.gateway_main(["serve", "--policy", str(tmp_path / "policy.conf"),
-                                 "--data", str(tmp_path / "data"),
-                                 "--audit-log", str(tmp_path / "audit.jsonl"),
-                                 "--seed", "5"]) == 0
+        assert cli.gateway_main(args) == 0
         replies.append(json.loads(capsys.readouterr().out))
     assert replies[0]["allowed"] is True
     assert not replies[1].get("allowed")  # today: allowed again, 120.47017031450741 twice
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: two live serve sessions on one audit log each "
+                          "keep a ledger of their own")
+def test_a_second_live_session_on_one_audit_log_cannot_spend_the_cap_again(tmp_path):
+    main = "import sys; from amiprivacy.cli import gateway_main; sys.exit(gateway_main())"
+    command = [sys.executable, "-c", main, *_serve_files(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    first, second = (subprocess.Popen(command, env=env, text=True, stdin=subprocess.PIPE,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                     for _ in range(2))
+    try:
+        first.stdin.write(_count_at_0_6("a1") + "\n")
+        first.stdin.flush()
+        if json.loads(first.stdout.readline())["allowed"] is not True:
+            pytest.fail("the first session refused its count")
+        # The first session is still live: its stdin stays open until both have answered.
+        out, _ = second.communicate(_count_at_0_6("b1") + "\n", timeout=60)
+    finally:
+        first.communicate(timeout=60)
+        second.kill()
+        second.wait()
+    assert not any(json.loads(line).get("allowed") for line in out.splitlines()), (
+        f"the second live session allowed b1 too, 1.2 ε under cap 1.0: {out!r}")
+
+
+def _audit_log_of_50():
+    log = AuditLog()
+    log.append_audit("r0", "ops", "allowed", "laplace", 0.01)
+    for i in range(1, 50):
+        log.append_audit(f"r{i}", "ops", "denied:BudgetExhausted", "laplace", 0.0)
+    return list(log.records)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 20: no published head says where the audit log ends")
+def test_a_truncated_audit_log_does_not_verify():
+    assert not audit.verify_chain(_audit_log_of_50()[:20]).valid, (
+        "verify_chain accepts the first 20 of 50 records")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 20: the chain is unkeyed, so whoever rewrites a record "
+                          "recomputes every later hash")
+def test_a_rewritten_audit_log_does_not_verify():
+    forged, prev_hash = [], audit.GENESIS_HASH
+    for i, rec in enumerate(_audit_log_of_50()):
+        if i == 0:  # the one allowed charge becomes a denial that spent nothing
+            rec = dataclasses.replace(rec, decision="denied:BudgetExhausted", epsilon_spent=0.0)
+        digest = audit._record_hash(prev_hash, audit._record_payload(audit._hashed_values(rec)))
+        forged.append(dataclasses.replace(rec, prev_hash=prev_hash, hash=digest))
+        prev_hash = digest
+    assert not audit.verify_chain(forged).valid, (
+        "verify_chain accepts record 0 rewritten to a denial at ε 0, later hashes recomputed")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

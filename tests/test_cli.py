@@ -1,5 +1,6 @@
 import csv
 import fcntl
+import functools
 import io
 import json
 import os
@@ -13,9 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from amiprivacy import cli, dp, he
-from amiprivacy.gateway import AuditLog, AuditWriteFailure, verify_chain
+from amiprivacy.audit import AuditRecord, audit_record_to_dict, audit_record_to_json
+from amiprivacy.gateway import (
+    OPERATIONS, AggregateReport, AuditLog, AuditWriteFailure, Decision, DenialReason, DpQuery,
+    FedTrain, Gateway, HeBill, PolicyConfig, Purpose, RawExport, RequestEnvelope, SmpcSum,
+    SynthGenerate, verify_chain,
+)
 from amiprivacy.meterdata import EnergyQuantity, FeederDataset, parse_csv, serialize_csv
 from conftest import make_uniform_dataset, make_two_cluster_dataset
 
@@ -203,6 +210,19 @@ def test_smpc_sum_cli(tmp_path, capsys):
     rows = transcript.read_text().strip().splitlines()
     assert len(rows) == 9 + 6
     assert all(len(r.split(",")) == 3 for r in rows)
+
+
+@pytest.mark.parametrize("rows, lineno, count", [
+    ("alice,1.000,7\nbob,2.000\ncarol,3.000\n", 1, 3),
+    ("alice,1.000\n\nbob\ncarol,3.000\n", 3, 1),
+])
+def test_smpc_sum_names_the_line_that_has_not_two_fields(tmp_path, capsys, rows, lineno, count):
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text(rows)
+    assert cli.smpc_sum_main(["--min-participants", "3", "--seed", "4",
+                              "--transcript", str(tmp_path / "t.csv"), str(inputs)]) == 1
+    assert capsys.readouterr().err == (f"error=MalformedRow detail=malformed row at line {lineno}: "
+                                       f"expected party_id,kwh, got {count} fields\n")
 
 
 def test_smpc_sum_abort(tmp_path, capsys):
@@ -803,7 +823,7 @@ def test_gateway_serve_repeats_raw_export_and_histogram(
 
 @pytest.mark.parametrize("rows, error", [
     ("alice,3.000\nbob,5.000\nalice,9.000\n", "DuplicateParty"),
-    ("alice,3.000\nbob,5.000,extra\ncarol,9.000\n", "ValueError"),
+    ("alice,3.000\nbob,5.000,extra\ncarol,9.000\n", "MalformedRow"),
     ("alice,3.000\nbob,-5.000\ncarol,9.000\n", "ValueError"),
     ("alice,3.0001\nbob,5.000\ncarol,9.000\n", "ValueError"),
     (f"alice,{2**62 // 1000}.000\nbob,5.000\ncarol,9.000\n", "SumOverflow"),
@@ -853,11 +873,75 @@ def test_audit_codec_writes_the_explicit_field_dict_byte_for_byte():
     log.append_audit("r2", "vendor", "denied:ConsentRequired", "raw", 0.0)
     log.append_audit("r3", "ops", "error:ValueError", "laplace", 1e-300)
     for rec in log.records:
-        line = json.dumps(cli.audit_record_to_dict(rec))
+        line = json.dumps(audit_record_to_dict(rec))
         assert line == json.dumps(_explicit_audit_dict(rec))
         assert cli.audit_record_from_dict(json.loads(line)) == rec
     with pytest.raises(TypeError):
         cli.audit_record_from_dict({**_explicit_audit_dict(rec), "note": "x"})
+
+
+# Text that json must escape: quotes, backslashes, control characters, non-ASCII.
+_ESCAPED = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00fc", "\u2028", "\U0001f600"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.integers(min_value=0, max_value=2**200),
+       text=st.lists(st.text(st.one_of(_ESCAPED, st.characters(exclude_categories=()))),
+                     min_size=4, max_size=4),
+       epsilon_spent=st.floats(), timestamp=st.floats(),
+       digests=st.lists(st.binary(min_size=32, max_size=32), min_size=2, max_size=2))
+@example(seq=0, text=["\ud800", '"', "\\", "\x00"], epsilon_spent=-0.0, timestamp=1e-320,
+         digests=[bytes(32)] * 2)
+@example(seq=2**64, text=["ü"] * 4, epsilon_spent=float("nan"), timestamp=float("inf"),
+         digests=[bytes(32)] * 2)
+@example(seq=1, text=["r"] * 4, epsilon_spent=float("-inf"), timestamp=1e300,
+         digests=[bytes(32)] * 2)
+def test_audit_record_to_json_is_json_dumps_of_the_record_dict(
+        seq, text, epsilon_spent, timestamp, digests):
+    rec = AuditRecord(seq, *text, epsilon_spent, timestamp, *digests)
+    assert audit_record_to_json(rec) == json.dumps(audit_record_to_dict(rec))
+
+
+@functools.cache
+def _routed_decisions():
+    """One allowed decision per operation kind (two dp_query shapes) on a small feeder."""
+    dataset = make_two_cluster_dataset(n_meters=6, n_days=5, seed=7)
+    policy = PolicyConfig(epsilon_cap=10.0, min_aggregation_count=2, k_anonymity_k=2)
+    g = Gateway(dataset, policy, dp.BudgetLedger(epsilon_cap=10.0), AuditLog(),
+                rng=random.Random(0))
+    m0, m1 = dataset.meter_ids[:2]
+    operations = [RawExport(), DpQuery("count", 0.5),
+                  DpQuery("histogram", 0.5, edges=(0.0, 1.0, 9.0)), SynthGenerate(2, 5, 2, 3),
+                  FedTrain(2, 2, 1, 0.01),
+                  SmpcSum(values=(("a", 1), ("b", 2), ("c", 3)), min_participants=3),
+                  HeBill(usage_milli=(2, 3), rates=(10, 20)),
+                  AggregateReport(groups=(("g", (m0, m1)),))]
+    routed = []
+    for i, op in enumerate(operations):
+        req = RequestEnvelope(f"r{i}", "ops", Purpose.PRIMARY, False, op)
+        routed.append((req, g.route(req)))
+    if not all(decision.allowed for _, decision in routed):
+        pytest.fail("every kind's request should be allowed")
+    return dataset, routed
+
+
+@settings(max_examples=300, deadline=None)
+@given(request_id=st.text(st.one_of(
+           _ESCAPED, st.characters(exclude_categories=("Cs",), exclude_characters="|"))),
+       index=st.integers(min_value=0, max_value=7),
+       reason=st.sampled_from([None, *DenialReason]))
+def test_decision_to_json_is_json_dumps_of_the_reply(request_id, index, reason):
+    dataset, routed = _routed_decisions()
+    req, decision = routed[index]
+    req = RequestEnvelope(request_id, req.requester, req.purpose, req.consent, req.operation)
+    if reason is not None:  # a denial carries no result
+        decision = Decision(allowed=False, reason=reason)
+    result = decision.result
+    summary = None if result is None else OPERATIONS[type(req.operation)].summarize(result)
+    reply = {"request_id": request_id, "allowed": decision.allowed,
+             "reason": None if reason is None else reason.value, "result": summary}
+    assert b"".join(cli.decision_to_json(req, decision, dataset)) == (
+        json.dumps(reply) + "\n").encode()
 
 
 def _serve_status(tmp_path, monkeypatch, policy_text, csv_text, lines):
@@ -1315,7 +1399,7 @@ def _bad_smpc_sum(tmp_path):
 def _bad_audit_show(tmp_path):
     log = AuditLog()
     log.append_audit("r1", "ops", "allowed", "laplace", 0.25)
-    fields = cli.audit_record_to_dict(log.records[0])
+    fields = audit_record_to_dict(log.records[0])
     del fields["mechanism"]
     (tmp_path / "audit.jsonl").write_text(json.dumps(fields) + "\n")
     return ["--log", str(tmp_path / "audit.jsonl"), "--verify"]

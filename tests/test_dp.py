@@ -1,4 +1,5 @@
 import math
+import random
 import threading
 
 import pytest
@@ -65,6 +66,13 @@ class TestLaplaceMechanism:
         # 1.0 / 1e-320 is inf: the sample would be -inf, nan or inf.
         with pytest.raises(ValueError, match="must be positive and finite"):
             laplace_mechanism(5.0, Sensitivity(1.0), PrivacyParams(1e-320), StubRng(uniforms=[u]))
+
+    def test_a_refused_scale_draws_nothing(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            laplace_mechanism(5.0, Sensitivity(1.0), PrivacyParams(1e-320), rng)
+        assert rng.getstate() == state
 
     def test_scale_is_sensitivity_over_epsilon(self):
         # Delta=5, eps=0.5 must give scale 10 exactly: the injected-uniform
