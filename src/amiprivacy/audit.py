@@ -6,18 +6,21 @@ record follows GENESIS_HASH. `gateway.AuditLog` appends records,
 `verify_chain` recomputes them, and `audit-show --log FILE --verify` runs
 that check on a persisted log. A log line is `audit_record_to_json`, a direct
 encoder that writes exactly `json.dumps(audit_record_to_dict(rec))` without
-building the dict. This module needs only the standard library, so an
+building the dict. `read_log` reads a log back in one pass, each line as a
+plain row of the nine field values, and `verify_chain` checks those rows as
+it checks `AuditRecord`s. This module needs only the standard library, so an
 auditor's verify loads nothing else of the package.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable
 
 GENESIS_HASH = bytes(32)
 
@@ -34,6 +37,13 @@ class AuditRecord:
     prev_hash: bytes
     hash: bytes
 
+    def __iter__(self):
+        """The nine fields in order, so a record unpacks as `read_log`'s rows do."""
+        return iter(_field_values(self))
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(AuditRecord))
+_field_values = attrgetter(*_FIELD_NAMES)
 
 _FIELD_SEP = "|"  # joins the audit payload's fields; no text field may contain it
 
@@ -44,7 +54,7 @@ def _record_payload(values: tuple) -> bytes:
     return _FIELD_SEP.join((str(seq), *text, repr(epsilon_spent), repr(timestamp))).encode("utf-8")
 
 
-_hashed_values = attrgetter(*(f.name for f in fields(AuditRecord)[:7]))
+_hashed_values = attrgetter(*_FIELD_NAMES[:7])
 
 
 def _record_hash(prev_hash: bytes, payload: bytes) -> bytes:
@@ -57,21 +67,24 @@ class ChainReport:
     first_bad_seq: int | None = None  # list index of the first bad record
 
 
-def verify_chain(records: Sequence[AuditRecord]) -> ChainReport:
+def verify_chain(records: Iterable[Iterable]) -> ChainReport:
     """Recompute every digest and link; report the first mismatch.
 
-    A record whose text fields contain the payload separator is bad too:
-    moving a separator between adjacent fields would keep its digest.
+    Each record is an `AuditRecord` or a `read_log` row: both unpack to the
+    nine fields. A record whose text fields contain the payload separator is
+    bad too: moving a separator between adjacent fields would keep its digest.
     """
     sep = _FIELD_SEP.encode("utf-8")
     prev_hash = GENESIS_HASH
-    for i, rec in enumerate(records):
-        payload = _record_payload(_hashed_values(rec))
+    for i, (seq, request_id, requester, decision, mechanism, epsilon_spent, timestamp,
+            rec_prev_hash, rec_hash) in enumerate(records):
+        payload = _record_payload((seq, request_id, requester, decision, mechanism,
+                                   epsilon_spent, timestamp))
         # Seven fields, so six separators; more means a field held one.
-        if (rec.seq != i or payload.count(sep) != 6 or rec.prev_hash != prev_hash
-                or rec.hash != _record_hash(prev_hash, payload)):
+        if (seq != i or payload.count(sep) != 6 or rec_prev_hash != prev_hash
+                or rec_hash != _record_hash(prev_hash, payload)):
             return ChainReport(valid=False, first_bad_seq=i)
-        prev_hash = rec.hash
+        prev_hash = rec_hash
     return ChainReport(valid=True)
 
 
@@ -105,3 +118,32 @@ def audit_record_from_dict(data: dict) -> AuditRecord:
     a missing digest KeyError."""
     return AuditRecord(**{**data, "prev_hash": bytes.fromhex(data["prev_hash"]),
                           "hash": bytes.fromhex(data["hash"])})
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+_LINE_KEYS = frozenset(_FIELD_NAMES)
+
+
+def read_log(text: str) -> list[tuple]:
+    """Each non-blank line of a persisted log as its nine field values, digests as bytes.
+
+    A row equals `astuple(audit_record_from_dict(json.loads(line)))`. A line
+    that is not exactly one JSON object with the nine keys takes that path
+    itself, so it raises what those calls raise.
+    """
+    rows = []
+    fromhex = bytes.fromhex
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            data, end = _raw_decode(line)
+        except ValueError:
+            end = None
+        if end == len(line) and type(data) is dict and data.keys() == _LINE_KEYS:
+            rows.append((data["seq"], data["request_id"], data["requester"], data["decision"],
+                         data["mechanism"], data["epsilon_spent"], data["timestamp"],
+                         fromhex(data["prev_hash"]), fromhex(data["hash"])))
+        else:
+            rows.append(tuple(audit_record_from_dict(json.loads(line))))
+    return rows

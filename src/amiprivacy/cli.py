@@ -18,13 +18,15 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .audit import audit_record_from_dict, audit_record_to_json, verify_chain
+# audit_record_from_dict is not used here: it stays importable from cli.
+from .audit import audit_record_from_dict, audit_record_to_json, read_log, verify_chain
 
 if TYPE_CHECKING:  # annotations only; each command imports what it runs
     from . import gateway as gw
@@ -241,7 +243,8 @@ def smpc_sum_main(argv=None) -> int:
 
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
     inputs = []
-    for lineno, line in enumerate(Path(args.infile).read_text().splitlines(), start=1):
+    text = Path(args.infile).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         row = line.split(",")
@@ -256,7 +259,8 @@ def smpc_sum_main(argv=None) -> int:
         )
     result = smpc.secure_sum(inputs, args.min_participants, rng)
     lines = [f"{m.sender},{m.recipient},{m.value}" for m in result.transcript.messages]
-    Path(args.transcript).write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(args.transcript).write_text("\n".join(lines) + ("\n" if lines else ""),
+                                     encoding="utf-8")
     if result.aborted:
         print(f"abort={result.transcript.abort_reason}")
         return 1
@@ -338,7 +342,7 @@ def he_decrypt_main(argv=None) -> int:
 def _parse_policy_file(path: str) -> dict:
     """Minimal `key = value` config parser (toml-like, flat); a repeated key is refused."""
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -467,6 +471,34 @@ def gateway_main(argv=None) -> int:
     return 0
 
 
+# csv's default dialect quotes a field holding a comma, a quote, \r or \n.
+# Before Python 3.11 csv.writer refuses a field holding NUL, so such a row
+# takes csv.writer's path too and fails as it does there.
+_plain_text = re.compile(r'[^,"\r\n\x00]*').fullmatch
+
+
+def _audit_csv(rows: list[tuple]) -> str:
+    """audit-show's lines for `read_log` rows, exactly as csv.writer writes them, \n-ended.
+
+    Each line is seq, request_id, requester, decision, mechanism, epsilon_spent
+    and the hash's first 16 hex digits. A row of an int, four text fields that
+    need no quotes and hold no NUL, and a float is written directly; any other
+    goes through csv.writer, whose one write per row ends in \r\n, made \n.
+    """
+    lines = []
+    quoted = csv.writer(SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n")))
+    for seq, request_id, requester, decision, mechanism, epsilon_spent, _, _, digest in rows:
+        if (type(seq) is int and type(epsilon_spent) is float
+                and type(request_id) is type(requester) is type(decision) is type(mechanism) is str
+                and _plain_text(request_id + requester + decision + mechanism)):
+            lines.append(f"{seq},{request_id},{requester},{decision},{mechanism},"
+                         f"{epsilon_spent!r},{digest.hex()[:16]}\n")
+        else:
+            quoted.writerow((seq, request_id, requester, decision, mechanism, epsilon_spent,
+                             digest.hex()[:16]))
+    return "".join(lines)
+
+
 @_console_script
 def audit_show_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="audit-show", description="Inspect an audit log.")
@@ -474,18 +506,19 @@ def audit_show_main(argv=None) -> int:
     parser.add_argument("--verify", action="store_true")
     args = parser.parse_args(argv)
 
-    records = [
-        audit_record_from_dict(json.loads(line))
-        for line in Path(args.log).read_text().splitlines()
-        if line.strip()
-    ]
-    # csv's default dialect quotes a field holding a comma, a quote, \r or \n;
-    # it writes each row in one call, whose \r\n ending becomes \n.
-    rows = csv.writer(SimpleNamespace(write=lambda row: sys.stdout.write(row[:-2] + "\n")))
-    rows.writerows((rec.seq, rec.request_id, rec.requester, rec.decision, rec.mechanism,
-                    rec.epsilon_spent, rec.hash.hex()[:16]) for rec in records)
+    rows = read_log(Path(args.log).read_text(encoding="utf-8"))
+    text = _audit_csv(rows)
+    # After any text already printed, the rows go out in one write of UTF-8
+    # bytes, whatever the locale's encoding; a stdout with no byte buffer
+    # (an in-process io.StringIO) gets the text.
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        out.write(text.encode("utf-8"))
     if args.verify:
-        report = verify_chain(records)
+        report = verify_chain(rows)
         if report.valid:
             print("chain=valid")
         else:

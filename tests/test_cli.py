@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import fcntl
 import functools
@@ -1512,3 +1513,83 @@ def test_meter_csvs_are_utf8_under_an_ascii_locale(tmp_path):
     assert len(anon.meter_ids) == 2 and not set(anon.meter_ids) & set(ids)
     assert len(parse_csv((tmp_path / "synth.csv").read_text(encoding="utf-8"), 3600, CAP)
                .meter_ids) == 2
+
+
+def test_audit_show_verify_builds_no_audit_record(tmp_path, capsys, monkeypatch):
+    log = AuditLog()
+    for i in range(50):
+        log.append_audit(f"r{i}", "ops", "allowed", "laplace", 0.01)
+    lines = [audit_record_to_json(rec) for rec in log.records]
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    built = []
+    init = AuditRecord.__init__
+    monkeypatch.setattr(AuditRecord, "__init__",
+                        lambda self, *args, **kwargs: init(self, *args, **kwargs)
+                        or built.append(self))
+    assert cli.audit_show_main(["--log", str(path), "--verify"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 51 and out[-1] == "chain=valid"
+    assert built == []
+    cli.audit_record_from_dict(json.loads(lines[0]))  # the spy sees a record that is built
+    assert len(built) == 1
+
+
+def test_audit_show_writes_text_to_a_stdout_without_a_byte_buffer(tmp_path):
+    log = AuditLog()
+    log.append_audit("r1-ü", "ops", "allowed", "laplace", 0.5)
+    path = tmp_path / "audit.jsonl"
+    path.write_text(audit_record_to_json(log.records[0]) + "\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.audit_show_main(["--log", str(path), "--verify"]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("0,r1-ü,ops,allowed,laplace,0.5,") and lines[1] == "chain=valid"
+
+
+def _ascii_locale_main(main, args, utf8_mode=False, **kwargs):
+    """Run a console script's main in a fresh interpreter under the C locale; bytes out."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="1" if utf8_mode else "0",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = f"import sys; from amiprivacy.cli import {main}; sys.exit({main}())"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          timeout=60, **kwargs)
+
+
+def test_audit_show_prints_utf8_rows_under_an_ascii_locale(tmp_path):
+    log = AuditLog()
+    log.append_audit("r1-ü", 'ü"ops', "denied:ConsentRequired", "raw", 0.0)
+    log.append_audit("r2", "ops", "allowed", "laplace", 0.5)
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(audit_record_to_json(rec) + "\n" for rec in log.records))
+    args = ["--log", str(path), "--verify"]
+    ascii_run, utf8_run = (_ascii_locale_main("audit_show_main", args, utf8_mode)
+                           for utf8_mode in (False, True))
+    assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
+    assert ascii_run.stdout == utf8_run.stdout
+    lines = utf8_run.stdout.decode("utf-8").splitlines()
+    assert lines[0].startswith('0,r1-ü,"ü""ops",denied:ConsentRequired,raw,0.0,')
+    assert lines[-1] == "chain=valid"
+
+
+def test_smpc_sum_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("zürich,1.000\nbob,2.000\ncarol,3.000\n", encoding="utf-8")
+    transcript = tmp_path / "t.csv"
+    run = _ascii_locale_main("smpc_sum_main", ["--min-participants", "3", "--seed", "4",
+                                               "--transcript", str(transcript), str(inputs)])
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"sum_kwh=6.000\n", b"")
+    rows = transcript.read_text(encoding="utf-8").splitlines()
+    assert "zürich" in {row.split(",")[0] for row in rows}
+
+
+def test_gateway_serve_reads_a_utf8_policy_file_under_an_ascii_locale(tmp_path, readings_csv):
+    policy = tmp_path / "policy.conf"
+    policy.write_text("# Zürich feeder\nepsilon_cap = 1.0\n", encoding="utf-8")
+    request = _request("r1", {"kind": "dp_query", "op": "count", "epsilon": 0.5}) + "\n"
+    run = _ascii_locale_main("gateway_main", ["serve", "--policy", str(policy),
+                                              "--data", str(tmp_path)],
+                             input=request.encode())
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert json.loads(run.stdout)["allowed"] is True
