@@ -1,26 +1,29 @@
-"""The audit trail's record format, hash chain and JSONL codec.
+"""The audit trail: the one module that builds, encodes, persists, prints or
+verifies a record.
 
-Each record hashes its first seven fields, joined by `_FIELD_SEP`, after
-the previous record's hash (Schneier & Kelsey's hash chain); the first
-record follows GENESIS_HASH. `gateway.AuditLog` appends records,
-`verify_chain` recomputes them, and `audit-show --log FILE --verify` runs
-that check on a persisted log. A log line is `audit_record_to_json`, a direct
-encoder that writes exactly `json.dumps(audit_record_to_dict(rec))` without
-building the dict. `read_log` reads a log back in one pass, each line as a
-plain row of the nine field values, and `verify_chain` checks those rows as
-it checks `AuditRecord`s. This module needs only the standard library, so an
-auditor's verify loads nothing else of the package.
+Each record hashes its first seven fields, joined by `_FIELD_SEP`, after the
+previous record's hash (Schneier & Kelsey's hash chain); the first follows
+GENESIS_HASH. `AuditLog` appends records and hands each one's line to its
+writer: `audit_record_to_json`, which writes the bytes of
+`json.dumps(audit_record_to_dict(rec))` directly. audit-show reads a log with
+`read_log`, one row of the nine values per line, prints the rows with
+`csv_rows` and checks them with `verify_chain`. Only the standard library is
+needed, so an auditor's verify loads nothing else of the package.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
+import re
+import time
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Callable, Iterable
 
 GENESIS_HASH = bytes(32)
 
@@ -54,9 +57,6 @@ def _record_payload(values: tuple) -> bytes:
     return _FIELD_SEP.join((str(seq), *text, repr(epsilon_spent), repr(timestamp))).encode("utf-8")
 
 
-_hashed_values = attrgetter(*_FIELD_NAMES[:7])
-
-
 def _record_hash(prev_hash: bytes, payload: bytes) -> bytes:
     return hashlib.sha256(prev_hash + payload).digest()
 
@@ -73,13 +73,17 @@ def verify_chain(records: Iterable[Iterable]) -> ChainReport:
     Each record is an `AuditRecord` or a `read_log` row: both unpack to the
     nine fields. A record whose text fields contain the payload separator is
     bad too: moving a separator between adjacent fields would keep its digest.
+    So is one whose text UTF-8 cannot encode, which no appended record holds.
     """
     sep = _FIELD_SEP.encode("utf-8")
     prev_hash = GENESIS_HASH
     for i, (seq, request_id, requester, decision, mechanism, epsilon_spent, timestamp,
             rec_prev_hash, rec_hash) in enumerate(records):
-        payload = _record_payload((seq, request_id, requester, decision, mechanism,
-                                   epsilon_spent, timestamp))
+        try:
+            payload = _record_payload((seq, request_id, requester, decision, mechanism,
+                                       epsilon_spent, timestamp))
+        except UnicodeEncodeError:
+            return ChainReport(valid=False, first_bad_seq=i)
         # Seven fields, so six separators; more means a field held one.
         if (seq != i or payload.count(sep) != 6 or rec_prev_hash != prev_hash
                 or rec_hash != _record_hash(prev_hash, payload)):
@@ -147,3 +151,66 @@ def read_log(text: str) -> list[tuple]:
         else:
             rows.append(tuple(audit_record_from_dict(json.loads(line))))
     return rows
+
+
+# csv's default dialect quotes a field holding a comma, a quote, \r or \n.
+# Before Python 3.11 csv.writer refuses a field holding NUL, so such a row
+# takes csv.writer's path too and fails as it does there.
+_plain_text = re.compile(r'[^,"\r\n\x00]*').fullmatch
+
+
+def csv_rows(rows: list[tuple]) -> str:
+    """audit-show's lines for `read_log` rows, exactly as csv.writer writes them, \n-ended.
+
+    Each line is seq, request_id, requester, decision, mechanism, epsilon_spent
+    and the hash's first 16 hex digits. A row of an int, four text fields that
+    need no quotes and hold no NUL, and a float is written directly; any other
+    goes through csv.writer, whose one write per row ends in \r\n, made \n.
+    """
+    lines = []
+    quoted = csv.writer(SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n")))
+    for seq, request_id, requester, decision, mechanism, epsilon_spent, _, _, digest in rows:
+        if (type(seq) is int and type(epsilon_spent) is float
+                and type(request_id) is type(requester) is type(decision) is type(mechanism) is str
+                and _plain_text(request_id + requester + decision + mechanism)):
+            lines.append(f"{seq},{request_id},{requester},{decision},{mechanism},"
+                         f"{epsilon_spent!r},{digest.hex()[:16]}\n")
+        else:
+            quoted.writerow((seq, request_id, requester, decision, mechanism, epsilon_spent,
+                             digest.hex()[:16]))
+    return "".join(lines)
+
+
+class AuditWriteFailure(Exception):
+    """The audit record could not be persisted; the request was dropped."""
+
+
+class AuditLog:
+    """Append-only, hash-chained decision log.
+
+    An optional writer persists each record's line, `audit_record_to_json(rec)
+    + "\n"`, before the record is committed in memory; a writer exception
+    surfaces as AuditWriteFailure and leaves the log unchanged.
+    """
+
+    def __init__(self, writer: Callable[[str], object] | None = None):
+        self._records: list[AuditRecord] = []
+        self._writer = writer
+
+    @property
+    def records(self) -> tuple[AuditRecord, ...]:
+        return tuple(self._records)
+
+    def append_audit(self, request_id: str, requester: str, decision: str, mechanism: str,
+                     epsilon_spent: float) -> AuditRecord:
+        seq = len(self._records)
+        prev_hash = self._records[-1].hash if self._records else GENESIS_HASH
+        fields = (seq, request_id, requester, decision, mechanism, epsilon_spent, time.time())
+        record = AuditRecord(*fields, prev_hash, _record_hash(prev_hash, _record_payload(fields)))
+        if self._writer is not None:
+            try:
+                self._writer(audit_record_to_json(record) + "\n")
+            except Exception as exc:
+                raise AuditWriteFailure(f"audit storage failed: {exc}") from exc
+        self._records.append(record)
+        return record

@@ -4,29 +4,25 @@ Each console script maps to one subsystem: `anonymize`, `dp-query`,
 `synth-gen`, `synth-check`, `fed-train`, `smpc-sum`, `he-keygen`,
 `he-bill`, `he-decrypt`, `gateway serve`, and `audit-show`. The gateway
 speaks a line-delimited JSON protocol on stdin/stdout so end-to-end runs
-need no network stack. Its replies (`decision_to_json`) and audit lines
-(`audit.audit_record_to_json`) are direct encoders: each writes the bytes of
-`json.dumps` of its object without building the dict.
+need no network stack. Its replies (`decision_to_json`) are written directly, as
+the bytes of `json.dumps`. This module opens files and parses arguments only.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import fcntl
 import functools
 import json
 import math
 import os
-import re
 import sys
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-# audit_record_from_dict is not used here: it stays importable from cli.
-from .audit import audit_record_from_dict, audit_record_to_json, read_log, verify_chain
+from .audit import csv_rows, read_log, verify_chain
 
 if TYPE_CHECKING:  # annotations only; each command imports what it runs
     from . import gateway as gw
@@ -297,24 +293,35 @@ def he_keygen_main(argv=None) -> int:
 @_console_script
 def he_bill_main(argv=None) -> int:
     from . import dp, he
-    from .meterdata import EnergyQuantity
+    from .meterdata import EnergyQuantity, MalformedRow
     parser = argparse.ArgumentParser(
         prog="he-bill", description="Compute an encrypted bill from usage and rates."
     )
     parser.add_argument("--pub", required=True)
-    parser.add_argument("--rates", required=True, help="CSV of per-interval integer rates")
-    parser.add_argument("usage_csv", help="CSV of per-interval kWh decimals")
+    parser.add_argument("--rates", required=True,
+                        help="file of per-interval integer rates, one per line")
+    parser.add_argument("usage_csv", help="file of per-interval kWh decimals, one per line")
     args = parser.parse_args(argv)
+
+    def values(path: str, parse) -> list:  # one per non-blank line; a bad one is MalformedRow
+        parsed = []
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+            if line.strip():
+                try:
+                    parsed.append(parse(line))
+                except ValueError as exc:
+                    raise MalformedRow(lineno, str(exc)) from None
+        return parsed
+
+    def rate(line: str) -> int:  # int() alone would take "١٠" and "2_0"
+        if not (line.strip().isascii() and line.strip().isdigit()):
+            raise ValueError(f"not a rate of ASCII digits: {line!r}")
+        return int(line)
 
     data = json.loads(Path(args.pub).read_text())
     pub = he.PaillierPublicKey(n=int(data["n"]), g=int(data["g"]), key_id=data["key_id"])
-    rates = he.RateSchedule(tuple(
-        int(line) for line in Path(args.rates).read_text().split() if line.strip()
-    ))
-    usage_milli = [
-        EnergyQuantity.from_kwh_text(line).milli_kwh
-        for line in Path(args.usage_csv).read_text().split() if line.strip()
-    ]
+    rates = he.RateSchedule(tuple(values(args.rates, rate)))
+    usage_milli = [q.milli_kwh for q in values(args.usage_csv, EnergyQuantity.from_kwh_text)]
     print(format(he.bill(pub, usage_milli, rates, dp.default_rng()).value, "x"))
     return 0
 
@@ -432,25 +439,18 @@ def gateway_main(argv=None) -> int:
     policy = gw.PolicyConfig(**config, **k)
     dataset = _read_dataset(str(Path(args.data) / "readings.csv"), interval_s, str(delta_max))
     ledger = dp.BudgetLedger(epsilon_cap=policy.epsilon_cap)
-
-    # One line-buffered handle per session: each record reaches the file
-    # before its reply is printed.
-    log_file = open(args.audit_log, "a", buffering=1) if args.audit_log else None
-    writer = None
-    if log_file is not None:
-        def writer(rec: gw.AuditRecord) -> None:
-            log_file.write(audit_record_to_json(rec) + "\n")
-
-    audit_log = gw.AuditLog(writer=writer)
     rng = dp.seeded_rng(args.seed) if args.seed is not None else dp.default_rng()
-    engine = gw.Gateway(dataset, policy, ledger, audit_log, rng=rng)
 
     out = sys.stdout.buffer
     # The loop decodes outside the per-line try, so a strict decoder would end
     # the session on one bad byte; escaped, it fails that line's envelope check.
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-    try:
+    # One line-buffered handle per session: each record's line reaches the file
+    # before its reply is printed.
+    with open(args.audit_log, "a", buffering=1) if args.audit_log else nullcontext() as log_file:
+        audit_log = gw.AuditLog(writer=log_file.write if log_file else None)
+        engine = gw.Gateway(dataset, policy, ledger, audit_log, rng=rng)
         for line in sys.stdin:
             if not line.strip():
                 continue
@@ -465,38 +465,7 @@ def gateway_main(argv=None) -> int:
                                       "error": f"{type(exc).__name__}: {exc}"}) + "\n").encode()]
             out.writelines(reply)
             out.flush()
-    finally:
-        if log_file is not None:
-            log_file.close()
     return 0
-
-
-# csv's default dialect quotes a field holding a comma, a quote, \r or \n.
-# Before Python 3.11 csv.writer refuses a field holding NUL, so such a row
-# takes csv.writer's path too and fails as it does there.
-_plain_text = re.compile(r'[^,"\r\n\x00]*').fullmatch
-
-
-def _audit_csv(rows: list[tuple]) -> str:
-    """audit-show's lines for `read_log` rows, exactly as csv.writer writes them, \n-ended.
-
-    Each line is seq, request_id, requester, decision, mechanism, epsilon_spent
-    and the hash's first 16 hex digits. A row of an int, four text fields that
-    need no quotes and hold no NUL, and a float is written directly; any other
-    goes through csv.writer, whose one write per row ends in \r\n, made \n.
-    """
-    lines = []
-    quoted = csv.writer(SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n")))
-    for seq, request_id, requester, decision, mechanism, epsilon_spent, _, _, digest in rows:
-        if (type(seq) is int and type(epsilon_spent) is float
-                and type(request_id) is type(requester) is type(decision) is type(mechanism) is str
-                and _plain_text(request_id + requester + decision + mechanism)):
-            lines.append(f"{seq},{request_id},{requester},{decision},{mechanism},"
-                         f"{epsilon_spent!r},{digest.hex()[:16]}\n")
-        else:
-            quoted.writerow((seq, request_id, requester, decision, mechanism, epsilon_spent,
-                             digest.hex()[:16]))
-    return "".join(lines)
 
 
 @_console_script
@@ -507,16 +476,11 @@ def audit_show_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rows = read_log(Path(args.log).read_text(encoding="utf-8"))
-    text = _audit_csv(rows)
-    # After any text already printed, the rows go out in one write of UTF-8
-    # bytes, whatever the locale's encoding; a stdout with no byte buffer
-    # (an in-process io.StringIO) gets the text.
-    out = getattr(sys.stdout, "buffer", None)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        sys.stdout.flush()
-        out.write(text.encode("utf-8"))
+    # UTF-8 whatever the locale's encoding, as serve reads stdin; text UTF-8
+    # cannot encode (a lone surrogate, which fails the verify) prints escaped.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
+    sys.stdout.write(csv_rows(rows))
     if args.verify:
         report = verify_chain(rows)
         if report.valid:

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .meterdata import MILLI_PER_KWH, FeederDataset
+from .meterdata import MILLI_PER_KWH, FeederDataset, MalformedRow
 
 
 class DpError(Exception):
@@ -191,16 +191,22 @@ class BudgetLedger:
         """Inverse of to_lines; another recorded cap than epsilon_cap raises CapMismatch.
 
         A line with none, written before lines recorded it, adopts epsilon_cap.
+        A line that is not query_id and 3 or 4 numbers raises MalformedRow.
         """
         entries = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            fields = line.split(",")
-            if len(fields) == 5 and (recorded := float(fields.pop())) != epsilon_cap:
-                raise CapMismatch(f"ledger records epsilon cap {recorded!r}, not {epsilon_cap!r}")
-            qid, eps, delta, ts = fields
-            entries.append(LedgerEntry(qid, float(eps), float(delta), float(ts)))
+            qid, *numbers = line.split(",")
+            if len(numbers) not in (3, 4):
+                raise MalformedRow(lineno, f"expected 4 or 5 fields, got {len(numbers) + 1}")
+            try:
+                eps, delta, ts, *cap = map(float, numbers)
+            except ValueError as exc:
+                raise MalformedRow(lineno, str(exc)) from None
+            if cap and cap[0] != epsilon_cap:
+                raise CapMismatch(f"ledger records epsilon cap {cap[0]!r}, not {epsilon_cap!r}")
+            entries.append(LedgerEntry(qid, eps, delta, ts))
         return cls(epsilon_cap=epsilon_cap, entries=entries)
 
 

@@ -24,37 +24,27 @@ when the run raised anything but dp.BudgetExhausted,
 epsilon of the ledger entries the request appended. The gateway fails
 closed: if the record cannot be persisted, route raises AuditWriteFailure
 and releases nothing (a DP charge may already have landed, erring safe).
-The record format, its hash chain and verify_chain live in `audit`.
+The gateway only calls `append_audit`; `audit` owns the record and its chain.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
 from . import anonymize, dp, fedlearn, he, smpc, synthetic
-# ChainReport and verify_chain are not used here: they stay importable from gateway.
-from .audit import (_FIELD_SEP, GENESIS_HASH, AuditRecord, ChainReport, _record_hash,
-                    _record_payload, verify_chain)
+# AuditWriteFailure and verify_chain are not used here: they stay importable from gateway.
+from .audit import _FIELD_SEP, AuditLog, AuditWriteFailure, verify_chain
 from .meterdata import FeederDataset, serialize_csv
 
 
-class GatewayError(Exception):
+class DuplicateRequest(Exception):
     pass
 
 
-class DuplicateRequest(GatewayError):
-    pass
-
-
-class AuditWriteFailure(GatewayError):
-    """The audit record could not be persisted; the request was dropped."""
-
-
-class RequestFailed(GatewayError):
+class RequestFailed(Exception):
     """The operation raised; the request was audited as error:<ExceptionType>."""
 
 
@@ -166,38 +156,6 @@ class Decision:
     allowed: bool
     reason: DenialReason | None = None
     result: object | None = None
-
-
-class AuditLog:
-    """Append-only, hash-chained decision log.
-
-    An optional writer callback persists each record before it is
-    committed in memory; a writer exception surfaces as AuditWriteFailure
-    and leaves the log unchanged (the fault-injection point for the
-    fail-closed tests).
-    """
-
-    def __init__(self, writer: Callable[[AuditRecord], None] | None = None):
-        self._records: list[AuditRecord] = []
-        self._writer = writer
-
-    @property
-    def records(self) -> tuple[AuditRecord, ...]:
-        return tuple(self._records)
-
-    def append_audit(self, request_id: str, requester: str, decision: str, mechanism: str,
-                     epsilon_spent: float) -> AuditRecord:
-        seq = len(self._records)
-        prev_hash = self._records[-1].hash if self._records else GENESIS_HASH
-        fields = (seq, request_id, requester, decision, mechanism, epsilon_spent, time.time())
-        record = AuditRecord(*fields, prev_hash, _record_hash(prev_hash, _record_payload(fields)))
-        if self._writer is not None:
-            try:
-                self._writer(record)
-            except Exception as exc:
-                raise AuditWriteFailure(f"audit storage failed: {exc}") from exc
-        self._records.append(record)
-        return record
 
 
 class Gateway:

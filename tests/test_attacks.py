@@ -170,7 +170,7 @@ def test_a_rewritten_audit_log_does_not_verify():
     for i, rec in enumerate(_audit_log_of_50()):
         if i == 0:  # the one allowed charge becomes a denial that spent nothing
             rec = dataclasses.replace(rec, decision="denied:BudgetExhausted", epsilon_spent=0.0)
-        digest = audit._record_hash(prev_hash, audit._record_payload(audit._hashed_values(rec)))
+        digest = audit._record_hash(prev_hash, audit._record_payload(tuple(rec)[:7]))
         forged.append(dataclasses.replace(rec, prev_hash=prev_hash, hash=digest))
         prev_hash = digest
     assert not audit.verify_chain(forged).valid, (

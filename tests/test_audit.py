@@ -1,15 +1,13 @@
 import csv
 import io
 import json
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from amiprivacy import cli
-from amiprivacy.audit import (AuditRecord, audit_record_from_dict, audit_record_to_json,
-                              read_log, verify_chain)
-from amiprivacy.gateway import AuditLog
+from amiprivacy.audit import (AuditLog, AuditRecord, ChainReport, audit_record_from_dict,
+                              audit_record_to_json, csv_rows, read_log, verify_chain)
 
 _KEYS = ("seq", "request_id", "requester", "decision", "mechanism", "epsilon_spent",
          "timestamp", "prev_hash", "hash")
@@ -164,7 +162,7 @@ _ROW_TEXT = st.one_of(_TEXT, _JSON)
 def test_audit_rows_are_the_csv_writer_rows(rows):
     # Before Python 3.11 csv.writer raises on a field holding NUL: the rows
     # must then raise the same.
-    assert _outcome(cli._audit_csv, rows) == _outcome(_csv_reference, rows)
+    assert _outcome(csv_rows, rows) == _outcome(_csv_reference, rows)
 
 
 def test_verify_chain_reads_rows_and_records_alike():
@@ -178,3 +176,27 @@ def test_verify_chain_reads_rows_and_records_alike():
     assert verify_chain(rows).valid
     rows[3] = (*rows[3][:2], "mallory", *rows[3][3:])
     assert verify_chain(rows).first_bad_seq == 3
+
+
+def test_verify_chain_reports_a_lone_surrogate_as_a_bad_record():
+    log = AuditLog()
+    for i in range(3):
+        log.append_audit(f"r{i}", "ops", "allowed", "laplace", 0.1)
+    records = list(log.records)
+    lines = [audit_record_to_json(rec) for rec in records]
+    lines[1] = lines[1].replace('"request_id": "r1"', '"request_id": "x\\ud800"')
+    rows = read_log("".join(line + "\n" for line in lines))
+    assert rows[1][1] == "x\ud800"
+    records[1] = replace(records[1], request_id="x\ud800")
+    # UTF-8 cannot encode the payload, so no appended record can hold it.
+    assert verify_chain(rows) == verify_chain(records) == ChainReport(False, 1)
+
+
+def test_the_writer_receives_each_record_line_in_order():
+    lines = []
+    log = AuditLog(writer=lines.append)
+    log.append_audit("r0", "ops", "allowed", "laplace", 0.25)
+    log.append_audit("r1-\u00fc", 'o"ps', "denied:ConsentRequired", "raw", 0.0)
+    log.append_audit("r2", "ops", "error:ValueError", "laplace", 1e-300)
+    assert lines == [audit_record_to_json(rec) + "\n" for rec in log.records]
+    assert len(lines) == 3

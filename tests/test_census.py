@@ -48,3 +48,11 @@ def test_every_public_definition_is_reached_by_the_product():
         if name not in scripts | ALLOWLIST and not re.search(rf"\b{name}\b", acceptance)
     )
     assert orphans == []
+
+
+def test_only_audit_builds_an_audit_record():
+    """gateway routes and cli parses: neither names the chain's internals or builds a record."""
+    for module in ("gateway.py", "cli.py"):
+        text = (ROOT / "src" / "amiprivacy" / module).read_text()
+        assert re.findall(r"\b(?:GENESIS_HASH|_record_hash|_record_payload)\b|\bAuditRecord\(",
+                          text) == [], module

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from amiprivacy import cli, dp, he
-from amiprivacy.audit import AuditRecord, audit_record_to_dict, audit_record_to_json
+from amiprivacy.audit import (AuditRecord, audit_record_from_dict, audit_record_to_dict,
+                              audit_record_to_json)
 from amiprivacy.gateway import (
     OPERATIONS, AggregateReport, AuditLog, AuditWriteFailure, Decision, DenialReason, DpQuery,
     FedTrain, Gateway, HeBill, PolicyConfig, Purpose, RawExport, RequestEnvelope, SmpcSum,
@@ -309,7 +310,7 @@ def test_gateway_serve_and_audit_show(tmp_path, readings_csv, capsys, monkeypatc
 
     # Round-trip the persisted records through verify_chain directly too.
     records = [
-        cli.audit_record_from_dict(json.loads(line))
+        audit_record_from_dict(json.loads(line))
         for line in audit_path.read_text().splitlines()
     ]
     assert verify_chain(records).valid
@@ -420,6 +421,23 @@ def test_dp_query_records_its_cap_in_a_ledger_that_has_none(tmp_path, readings_c
     assert "error=CapMismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, lineno, detail", [
+    ("q0,0.5,0.0,0.0,1.0\nq1,0.1\n", 2, "expected 4 or 5 fields, got 2"),
+    ("q0,0.5,0.0,0.0,1.0\n\nq1,0.1,0.0,0.0,1.0,9\n", 3, "expected 4 or 5 fields, got 6"),
+    ("q0,x,0.0,0.0,1.0\n", 1, "could not convert string to float: 'x'"),
+    ("q0,0.5,0.0,0.0,one\n", 1, "could not convert string to float: 'one'"),
+])
+def test_dp_query_names_the_ledger_line_it_cannot_read(tmp_path, readings_csv, capsys, text,
+                                                        lineno, detail):
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(text)
+    assert cli.dp_query_main(["--op", "count", "--epsilon", "0.1", "--ledger", str(ledger),
+                              "--seed", "7", str(readings_csv)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error=MalformedRow detail=malformed row at line {lineno}: {detail}\n")
+    assert ledger.read_text() == text
+
+
 def test_dp_query_histogram_prints_one_line_per_bin(tmp_path, readings_csv, capsys):
     ledger = tmp_path / "ledger.csv"
     rc = cli.dp_query_main([
@@ -506,7 +524,7 @@ def test_protocol_parity_with_benchmark_workloads(tmp_path, capsys, monkeypatch)
         failures = [(req.request_id, why) for req, reply in zip(reqs, replies)
                     if (why := workloads.check_reply(req, reply)) is not None]
         assert failures == [], name
-        records = [cli.audit_record_from_dict(json.loads(line))
+        records = [audit_record_from_dict(json.loads(line))
                    for line in audit_path.read_text().splitlines()]
         assert [r.request_id for r in records] == [r.request_id for r in reqs]
         assert verify_chain(records).valid
@@ -653,6 +671,27 @@ def test_he_bill_refuses_a_bill_that_could_wrap(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error=BillingOverflow detail=")
+
+
+@pytest.mark.parametrize("rates, usage, lineno", [
+    ("\u0661\u0660\n20\n", "0.002\n0.003\n", 1),  # Arabic-Indic digits
+    ("10\n\n2_0\n", "0.002\n0.003\n", 3),
+    ("10,20\n", "0.002\n0.003\n", 1),
+    ("10\n-20\n", "0.002\n0.003\n", 2),
+    ("10\n20\n", "0.002\n0,003\n", 2),
+])
+def test_he_bill_reads_one_value_per_line_and_names_the_bad_one(tmp_path, capsys, rates, usage,
+                                                                lineno):
+    pub = tmp_path / "keypair.json"
+    assert cli.he_keygen_main(["--bits", "128", "--out", str(pub)]) == 0
+    (tmp_path / "rates.csv").write_text(rates, encoding="utf-8")
+    (tmp_path / "usage.csv").write_text(usage, encoding="utf-8")
+    assert cli.he_bill_main(["--pub", str(pub), "--rates", str(tmp_path / "rates.csv"),
+                             str(tmp_path / "usage.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error=MalformedRow detail=malformed row at line {lineno}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n_rates, error", [(3, "LengthMismatch"), (2, "BillingOverflow")])
@@ -876,9 +915,9 @@ def test_audit_codec_writes_the_explicit_field_dict_byte_for_byte():
     for rec in log.records:
         line = json.dumps(audit_record_to_dict(rec))
         assert line == json.dumps(_explicit_audit_dict(rec))
-        assert cli.audit_record_from_dict(json.loads(line)) == rec
+        assert audit_record_from_dict(json.loads(line)) == rec
     with pytest.raises(TypeError):
-        cli.audit_record_from_dict({**_explicit_audit_dict(rec), "note": "x"})
+        audit_record_from_dict({**_explicit_audit_dict(rec), "note": "x"})
 
 
 # Text that json must escape: quotes, backslashes, control characters, non-ASCII.
@@ -1531,7 +1570,7 @@ def test_audit_show_verify_builds_no_audit_record(tmp_path, capsys, monkeypatch)
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 51 and out[-1] == "chain=valid"
     assert built == []
-    cli.audit_record_from_dict(json.loads(lines[0]))  # the spy sees a record that is built
+    audit_record_from_dict(json.loads(lines[0]))  # the spy sees a record that is built
     assert len(built) == 1
 
 
@@ -1571,6 +1610,28 @@ def test_audit_show_prints_utf8_rows_under_an_ascii_locale(tmp_path):
     lines = utf8_run.stdout.decode("utf-8").splitlines()
     assert lines[0].startswith('0,r1-ü,"ü""ops",denied:ConsentRequired,raw,0.0,')
     assert lines[-1] == "chain=valid"
+
+
+def test_audit_show_gives_its_verdict_on_a_lone_surrogate(tmp_path, capsys):
+    log = AuditLog()
+    for i in range(3):
+        log.append_audit(f"r{i}", "ops", "allowed", "laplace", 0.1)
+    lines = [audit_record_to_json(rec) for rec in log.records]
+    lines[1] = lines[1].replace('"request_id": "r1"', '"request_id": "x\\ud800"')
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    args = ["--log", str(path), "--verify"]
+    # UTF-8 cannot encode the surrogate: the row prints it escaped, and the chain is invalid.
+    assert cli.audit_show_main(args) == 1
+    in_process = capsys.readouterr()
+    assert in_process.err == ""
+    for utf8_mode in (False, True):
+        run = _ascii_locale_main("audit_show_main", args, utf8_mode)
+        assert (run.returncode, run.stderr) == (1, b"")
+        assert run.stdout.decode("ascii") == in_process.out
+    out = in_process.out.splitlines()
+    assert len(out) == 4 and out[1].startswith("1,x\\ud800,ops,allowed,laplace,0.1,")
+    assert out[-1] == "chain=invalid first_bad_seq=1"
 
 
 def test_smpc_sum_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):

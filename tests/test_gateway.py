@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amiprivacy import dp, gateway, he
+from amiprivacy.audit import GENESIS_HASH, ChainReport, _record_payload
 from amiprivacy.gateway import (
     AggregateReport,
     AuditLog,
     AuditWriteFailure,
-    ChainReport,
     Decision,
     DenialReason,
     DpQuery,
     DuplicateRequest,
     FedTrain,
     Gateway,
-    GENESIS_HASH,
     HeBill,
     PolicyConfig,
     Purpose,
@@ -671,8 +670,8 @@ class TestAuditPayloadSeparator:
         rec = log.append_audit("r1|ops", "x", "allowed", "raw", 0.0)
         edited = dataclasses.replace(rec, request_id="r1", requester="ops|x")
         # The edit keeps the digest, so only the separator check can catch it.
-        assert (gateway._record_payload(dataclasses.astuple(edited)[:7])
-                == gateway._record_payload(dataclasses.astuple(rec)[:7]))
+        assert (_record_payload(dataclasses.astuple(edited)[:7])
+                == _record_payload(dataclasses.astuple(rec)[:7]))
         assert verify_chain([edited]) == verify_chain([rec]) == ChainReport(False, 0)
 
     @pytest.mark.parametrize("field", ["epsilon_spent", "timestamp"])
