@@ -13,7 +13,6 @@ needed, so an auditor's verify loads nothing else of the package.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -22,7 +21,6 @@ import time
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from types import SimpleNamespace
 from typing import Callable, Iterable
 
 GENESIS_HASH = bytes(32)
@@ -73,7 +71,8 @@ def verify_chain(records: Iterable[Iterable]) -> ChainReport:
     Each record is an `AuditRecord` or a `read_log` row: both unpack to the
     nine fields. A record whose text fields contain the payload separator is
     bad too: moving a separator between adjacent fields would keep its digest.
-    So is one whose text UTF-8 cannot encode, which no appended record holds.
+    So is one whose text field is not a string, or holds text UTF-8 cannot
+    encode: no appended record holds either.
     """
     sep = _FIELD_SEP.encode("utf-8")
     prev_hash = GENESIS_HASH
@@ -82,7 +81,7 @@ def verify_chain(records: Iterable[Iterable]) -> ChainReport:
         try:
             payload = _record_payload((seq, request_id, requester, decision, mechanism,
                                        epsilon_spent, timestamp))
-        except UnicodeEncodeError:
+        except (TypeError, UnicodeEncodeError):  # a text field that is not a str, or a surrogate
             return ChainReport(valid=False, first_bad_seq=i)
         # Seven fields, so six separators; more means a field held one.
         if (seq != i or payload.count(sep) != 6 or rec_prev_hash != prev_hash
@@ -154,21 +153,28 @@ def read_log(text: str) -> list[tuple]:
 
 
 # csv's default dialect quotes a field holding a comma, a quote, \r or \n.
-# Before Python 3.11 csv.writer refuses a field holding NUL, so such a row
-# takes csv.writer's path too and fails as it does there.
-_plain_text = re.compile(r'[^,"\r\n\x00]*').fullmatch
+_plain_text = re.compile(r'[^,"\r\n]*').fullmatch
+
+
+def _csv_field(value) -> str:
+    """One field as csv.writer's default dialect writes it on Python 3.11 and later.
+
+    None is empty, anything else its str; the text is quoted, its quotes
+    doubled, when it holds a comma, a quote, \r or \n. NUL is ordinary text,
+    which csv.writer refuses before Python 3.11.
+    """
+    text = "" if value is None else str(value)
+    return text if _plain_text(text) else '"' + text.replace('"', '""') + '"'
 
 
 def csv_rows(rows: list[tuple]) -> str:
-    """audit-show's lines for `read_log` rows, exactly as csv.writer writes them, \n-ended.
+    """audit-show's lines for `read_log` rows, as csv.writer writes them but \n-ended.
 
     Each line is seq, request_id, requester, decision, mechanism, epsilon_spent
     and the hash's first 16 hex digits. A row of an int, four text fields that
-    need no quotes and hold no NUL, and a float is written directly; any other
-    goes through csv.writer, whose one write per row ends in \r\n, made \n.
+    need no quotes and a float is written directly; any other field by field.
     """
     lines = []
-    quoted = csv.writer(SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n")))
     for seq, request_id, requester, decision, mechanism, epsilon_spent, _, _, digest in rows:
         if (type(seq) is int and type(epsilon_spent) is float
                 and type(request_id) is type(requester) is type(decision) is type(mechanism) is str
@@ -176,8 +182,8 @@ def csv_rows(rows: list[tuple]) -> str:
             lines.append(f"{seq},{request_id},{requester},{decision},{mechanism},"
                          f"{epsilon_spent!r},{digest.hex()[:16]}\n")
         else:
-            quoted.writerow((seq, request_id, requester, decision, mechanism, epsilon_spent,
-                             digest.hex()[:16]))
+            lines.append(",".join(map(_csv_field, (seq, request_id, requester, decision, mechanism,
+                                                   epsilon_spent, digest.hex()[:16]))) + "\n")
     return "".join(lines)
 
 

@@ -247,12 +247,11 @@ def smpc_sum_main(argv=None) -> int:
         if len(row) != 2:
             raise MalformedRow(lineno, f"expected party_id,kwh, got {len(row)} fields")
         party_id, kwh = row
-        inputs.append(
-            smpc.PartyInput(
-                party_id=party_id.strip(),
-                secret=EnergyQuantity.from_kwh_text(kwh).milli_kwh,
-            )
-        )
+        try:
+            secret = EnergyQuantity.from_kwh_text(kwh).milli_kwh
+            inputs.append(smpc.PartyInput(party_id=party_id.strip(), secret=secret))
+        except ValueError as exc:  # not a kWh decimal, or negative
+            raise MalformedRow(lineno, str(exc)) from None
     result = smpc.secure_sum(inputs, args.min_participants, rng)
     lines = [f"{m.sender},{m.recipient},{m.value}" for m in result.transcript.messages]
     Path(args.transcript).write_text("\n".join(lines) + ("\n" if lines else ""),

@@ -122,21 +122,24 @@ class FederationResult:
 
 
 def extract_examples(series_set: Iterable[ReadingSeries]) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and targets for the lag-1/lag-96/hour/bias model."""
-    feats: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for s in series_set:
-        if len(s) <= LAG_LONG:
-            continue
-        kwh = s.milli_kwh / MILLI_PER_KWH
-        hour = s.timestamp[LAG_LONG:] // 3600 % 24
-        feats.append(np.column_stack(
-            [kwh[LAG_LONG - 1:-1], kwh[:-LAG_LONG], hour / 23.0, np.ones(len(hour))]
-        ))
-        targets.append(kwh[LAG_LONG:])
-    if not feats:
-        return np.empty((0, N_FEATURES)), np.empty((0,))
-    return np.concatenate(feats), np.concatenate(targets)
+    """Feature matrix and targets for the lag-1/lag-96/hour/bias model.
+
+    One row per reading that has 96 readings before it in its series, in
+    series order and time order within a series; a series of 96 readings or
+    fewer gives none. The series' columns are concatenated once and the
+    rows picked by index: a reading's position in its series is its offset
+    from the series' first row.
+    """
+    series = list(series_set)
+    lengths = [len(s) for s in series]
+    milli = np.concatenate([s.milli_kwh for s in series] + [np.empty(0, np.int64)])
+    stamps = np.concatenate([s.timestamp for s in series] + [np.empty(0, np.int64)])
+    first_row = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows = np.flatnonzero(np.arange(len(milli)) - first_row >= LAG_LONG)
+    kwh = milli / MILLI_PER_KWH
+    hour = stamps[rows] // 3600 % 24
+    X = np.column_stack([kwh[rows - 1], kwh[rows - LAG_LONG], hour / 23.0, np.ones(len(rows))])
+    return X, kwh[rows]
 
 
 def _gradient_step(X: np.ndarray, y: np.ndarray, w: np.ndarray, lr: float) -> np.ndarray:

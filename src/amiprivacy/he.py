@@ -29,8 +29,15 @@ and S = product of r_i^k_i mod n:
   of (r_i^n)^k_i is S^n mod n^2.
 
 So `bill` returns the integer that encrypting each interval and folding
-with `encrypted_bill` gives, and draws the same randomizers in the same
-order; it just skips all but one of the exponentiations.
+with `encrypted_bill` gives, with one `randrange(1, n)` per interval drawn
+in interval order; it skips all but one of the exponentiations and all but
+one of the coprimality checks. That one is `encrypt`'s, on S, which is a
+unit iff every r_i at a nonzero rate is: such an r_i sharing a factor with n
+refuses the bill with BadRandomizer, where `draw_randomizer` would have
+redrawn it (at 512 bits, about 168 * 2^-255 per 168-interval bill), and an
+r_i at rate 0 never enters S and goes unchecked. Whenever no draw shares a
+factor with n, the draws and the integer are those of encrypting each
+interval with `draw_randomizer`.
 
 Every exponentiation with a secret or large base or exponent (encryption's
 r^n; decryption's c^(p-1) and c^(q-1); the Miller-Rabin and Miller's-method
@@ -485,14 +492,19 @@ def bill(pub: PaillierPublicKey, usage_milli: Sequence[int], rates: RateSchedule
     The integer is the same, made with one encryption: the product of
     encrypt(pub, m_i, r_i)^k_i is encrypt(pub, M, S) with M the sum of
     k_i * m_i and S the product of r_i^k_i mod n (see the module docstring).
-    Each r_i is drawn in interval order, and an m_i outside [0, n) is
-    refused right after its draw, as encrypting it would be.
+    Each r_i is one `rng.randrange(1, n)`, drawn in interval order, and an
+    m_i outside [0, n) is refused right after its draw, as encrypting it
+    would be. The one coprimality check is `encrypt`'s, on S: an r_i at a
+    nonzero rate that shares a factor with n refuses the bill with
+    BadRandomizer instead of being redrawn, and an r_i at rate 0 never
+    enters S and is never checked.
     """
     usage_cap = max(usage_milli, default=0)
     rates.check_bill(len(usage_milli), usage_cap, pub)  # before the first draw
+    n, draw = pub.n, rng.randrange
     total, randomizers = 0, []
     for m, k in zip(usage_milli, rates.rates):
-        randomizers.append(draw_randomizer(pub, rng))
+        randomizers.append(draw(1, n))
         _check_plaintext(m, pub)
         total += k * m
-    return encrypt(pub, total, _fold(randomizers, rates.rates, pub.n))
+    return encrypt(pub, total, _fold(randomizers, rates.rates, n))

@@ -6,8 +6,9 @@ to UTC epoch seconds at parse time; ISO-8601 (with mandatory ``Z``) is
 accepted on input only.
 
 A `FeederDataset` keeps its readings as read-only int64 columns (meter
-index, timestamp, milli-kWh) and caches its exact totals, so queries are
-numpy passes over arrays; `MeterReading` objects exist only on request.
+index, timestamp, milli-kWh) and keeps each exact total once it is first
+read, so queries are numpy passes over arrays; `MeterReading` objects exist
+only on request.
 Four views are memoized lazily on the dataset, built on first use and never
 again, since the columns never change: the CSV text of `serialize_csv`, its
 JSON string encoding (`serialize_csv_json`), so a repeated raw export pays
@@ -156,11 +157,13 @@ class FeederDataset:
     Columns: `meter_ids` names each meter once; `meter_idx`, `timestamp` (UTC
     epoch seconds) and `milli_kwh` are read-only int64 arrays with one entry
     per reading, grouped by meter in `meter_ids` order and strictly
-    increasing in time within a meter. Exact int64 totals are computed once:
-    `interval_milli` (timestamp -> total, ascending), `meter_milli`
-    (meter id -> total) and `total_milli`. Views derived from the columns
-    (CSV text, its JSON form, value index, `synthetic.fit`'s day profiles)
-    are computed on first use and kept.
+    increasing in time within a meter. Exact int64 totals are computed on
+    first read and kept, each on its own: `interval_milli` (timestamp ->
+    total, ascending), `meter_milli` (meter id -> total) and `total_milli`.
+    Views derived from the columns (CSV text, its JSON form, value index,
+    `synthetic.fit`'s day profiles) are computed on first use and kept.
+    Every check runs on construction, the bound that keeps the totals inside
+    int64 included.
 
     The cap ``delta_max`` is the sensitivity bound the DP mechanisms rely
     on; ingestion rejects readings above it rather than clipping.
@@ -216,20 +219,21 @@ class FeederDataset:
                 raise ValueError("reading exceeds delta_max")
             if int(milli.max()) * len(milli) >= 2**63:
                 raise ValueError("totals could overflow int64")
-        stamps, at_stamp = np.unique(timestamp, return_inverse=True)
-        per_stamp = np.zeros(len(stamps), dtype=np.int64)
-        np.add.at(per_stamp, at_stamp, milli)
-        per_meter = np.zeros(len(meter_ids), dtype=np.int64)
-        np.add.at(per_meter, meter_idx, milli)
         for name, value in (
             ("meter_ids", meter_ids), ("meter_idx", meter_idx), ("timestamp", timestamp),
             ("milli_kwh", milli), ("interval_s", interval_s), ("delta_max", delta_max),
-            ("interval_milli", MappingProxyType(dict(zip(stamps.tolist(), per_stamp.tolist())))),
-            ("meter_milli", MappingProxyType(dict(zip(meter_ids, per_meter.tolist())))),
-            ("total_milli", int(milli.sum())),
             ("_memo", {}),  # view name -> derived value, filled by _derived
         ):
             object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        """A total, computed on its first read and kept in its slot; read after
+        that, the slot answers and this is not called."""
+        if name not in _TOTALS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = _TOTALS[name](self)
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("FeederDataset is immutable")
@@ -273,6 +277,26 @@ class FeederDataset:
             ReadingSeries(m, self.interval_s, self.timestamp[a:b], self.milli_kwh[a:b])
             for m, a, b in zip(self.meter_ids, bounds, bounds[1:])
         )
+
+
+def _interval_milli(dataset: FeederDataset) -> MappingProxyType:
+    stamps, at_stamp = np.unique(dataset.timestamp, return_inverse=True)
+    per_stamp = np.zeros(len(stamps), dtype=np.int64)
+    np.add.at(per_stamp, at_stamp, dataset.milli_kwh)
+    return MappingProxyType(dict(zip(stamps.tolist(), per_stamp.tolist())))
+
+
+def _meter_milli(dataset: FeederDataset) -> MappingProxyType:
+    per_meter = np.zeros(len(dataset.meter_ids), dtype=np.int64)
+    np.add.at(per_meter, dataset.meter_idx, dataset.milli_kwh)
+    return MappingProxyType(dict(zip(dataset.meter_ids, per_meter.tolist())))
+
+
+_TOTALS = {
+    "interval_milli": _interval_milli,
+    "meter_milli": _meter_milli,
+    "total_milli": lambda dataset: int(dataset.milli_kwh.sum()),
+}
 
 
 def _value_index(dataset: FeederDataset) -> tuple[np.ndarray, np.ndarray]:

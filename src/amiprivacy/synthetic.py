@@ -173,7 +173,9 @@ def generate(model: GeneratorModel, n_households: int, n_days: int, seed: int) -
     repeatable. From it, the household takes one `random()`, whose place
     in the cumulative weights picks its cluster (as `Generator.choice` with
     `p` does for one draw), then `24 * n_days` standard normals z, and its
-    values are mean + std * z (as `Generator.normal` computes them).
+    values are mean + std * z (as `Generator.normal` computes them). The
+    picks and normals of all households are collected first, then the values
+    are formed in one array operation.
     """
     if n_households < 1 or n_days < 1:
         raise ValueError("n_households and n_days must be >= 1")
@@ -184,11 +186,13 @@ def generate(model: GeneratorModel, n_households: int, n_days: int, seed: int) -
     mean = np.tile([c.hourly_mean for c in model.clusters], n_days)
     std = np.tile([c.hourly_std for c in model.clusters], n_days)
 
-    values = np.empty((n_households, horizon))
+    u, z = np.empty(n_households), np.empty((n_households, horizon))
     for h in range(n_households):
         rng = np.random.default_rng([seed, h])
-        c = cdf.searchsorted(rng.random(), side="right")
-        values[h] = mean[c] + std[c] * rng.standard_normal(horizon)
+        u[h] = rng.random()
+        rng.standard_normal(out=z[h])
+    c = cdf.searchsorted(u, side="right")
+    values = mean[c] + std[c] * z
     milli = np.rint(np.maximum(0.0, values) * MILLI_PER_KWH).astype(np.int64).ravel()
     return FeederDataset.from_columns(
         meter_ids=[f"synth-{h:05d}" for h in range(n_households)],

@@ -864,8 +864,8 @@ def test_gateway_serve_repeats_raw_export_and_histogram(
 @pytest.mark.parametrize("rows, error", [
     ("alice,3.000\nbob,5.000\nalice,9.000\n", "DuplicateParty"),
     ("alice,3.000\nbob,5.000,extra\ncarol,9.000\n", "MalformedRow"),
-    ("alice,3.000\nbob,-5.000\ncarol,9.000\n", "ValueError"),
-    ("alice,3.0001\nbob,5.000\ncarol,9.000\n", "ValueError"),
+    ("alice,3.000\nbob,-5.000\ncarol,9.000\n", "MalformedRow"),
+    ("alice,3.0001\nbob,5.000\ncarol,9.000\n", "MalformedRow"),
     (f"alice,{2**62 // 1000}.000\nbob,5.000\ncarol,9.000\n", "SumOverflow"),
     (None, "FileNotFoundError"),
 ])
@@ -882,6 +882,21 @@ def test_smpc_sum_reports_bad_input_without_a_transcript(tmp_path, capsys, rows,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error={error} detail=")
+    assert not transcript.exists()
+
+
+@pytest.mark.parametrize("rows, line", [("alice,3.000\nbob,-5.000\ncarol,9.000\n", 2),
+                                        ("\nalice,3.0001\nbob,5.000\ncarol,9.000\n", 2),
+                                        ("alice,1.000\nbob,5.000\ncarol,x\n", 3)])
+def test_smpc_sum_names_the_line_of_a_bad_kwh_value(tmp_path, capsys, rows, line):
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text(rows)
+    transcript = tmp_path / "transcript.csv"
+    assert cli.smpc_sum_main(["--min-participants", "3", "--transcript", str(transcript),
+                              str(inputs)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error=MalformedRow detail=malformed row at line {line}: "), err
     assert not transcript.exists()
 
 
@@ -1632,6 +1647,39 @@ def test_audit_show_gives_its_verdict_on_a_lone_surrogate(tmp_path, capsys):
     out = in_process.out.splitlines()
     assert len(out) == 4 and out[1].startswith("1,x\\ud800,ops,allowed,laplace,0.1,")
     assert out[-1] == "chain=invalid first_bad_seq=1"
+
+
+@pytest.mark.parametrize("value", ["null", "7", '["r1"]'])
+def test_audit_show_gives_its_verdict_on_a_text_field_that_is_not_a_string(tmp_path, capsys,
+                                                                          value):
+    log = AuditLog()
+    for i in range(3):
+        log.append_audit(f"r{i}", "ops", "allowed", "laplace", 0.1)
+    lines = [audit_record_to_json(rec) for rec in log.records]
+    lines[1] = lines[1].replace('"request_id": "r1"', f'"request_id": {value}')
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert cli.audit_show_main(["--log", str(path), "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    shown = {"null": "", "7": "7", '["r1"]': "['r1']"}[value]
+    assert out.splitlines()[1].startswith(f"1,{shown},ops,allowed,laplace,0.1,")
+    assert out.splitlines()[-1] == "chain=invalid first_bad_seq=1"
+
+
+def test_audit_show_prints_a_row_holding_nul_and_gives_its_verdict(tmp_path, capsys):
+    log = AuditLog()
+    for i in range(3):
+        log.append_audit(f"r{i}", "ops", "allowed", "laplace", 0.1)
+    lines = [audit_record_to_json(rec) for rec in log.records]
+    lines[1] = lines[1].replace('"request_id": "r1"', '"request_id": "r1\\u0000"')
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert cli.audit_show_main(["--log", str(path), "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1].startswith("1,r1\x00,ops,allowed,laplace,0.1,")
+    assert out.splitlines()[-1] == "chain=invalid first_bad_seq=1"
 
 
 def test_smpc_sum_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import amiprivacy.fedlearn as fedlearn
 from amiprivacy.fedlearn import (
@@ -21,9 +22,12 @@ from amiprivacy.fedlearn import (
     fed_avg,
     local_train,
     masked_uploads,
+    LAG_LONG,
+    N_FEATURES,
     round_robin_shards,
     run_federation,
 )
+from amiprivacy.meterdata import MILLI_PER_KWH
 from conftest import build_series, make_uniform_dataset
 
 INTERVAL = 900  # 15-minute data so lag-96 is one day
@@ -400,3 +404,35 @@ def test_round_robin_shards_deal_meters_in_turn():
         ["m0000", "m0003", "m0006"], ["m0001", "m0004"], ["m0002", "m0005"],
     ]
     assert round_robin_shards(dataset, 10)[9] == ()
+
+
+def _examples_series_by_series(series_set):
+    """extract_examples as one column_stack per series, concatenated."""
+    feats, targets = [], []
+    for s in series_set:
+        if len(s) <= LAG_LONG:
+            continue
+        kwh = s.milli_kwh / MILLI_PER_KWH
+        hour = s.timestamp[LAG_LONG:] // 3600 % 24
+        feats.append(np.column_stack(
+            [kwh[LAG_LONG - 1:-1], kwh[:-LAG_LONG], hour / 23.0, np.ones(len(hour))]))
+        targets.append(kwh[LAG_LONG:])
+    if not feats:
+        return np.empty((0, N_FEATURES)), np.empty((0,))
+    return np.concatenate(feats), np.concatenate(targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 * LAG_LONG + 3), st.integers(0, 200),
+                          st.integers(0, 2**32 - 1)), max_size=5))
+@example(shapes=[])
+@example(shapes=[(LAG_LONG, 0, 1), (LAG_LONG + 1, 3, 2), (0, 0, 3), (LAG_LONG + 2, 7, 4)])
+def test_extract_examples_equals_the_series_by_series_stack(shapes):
+    series = [build_series(f"m{i}", np.random.default_rng(seed).integers(0, 5000, n).tolist(),
+                           interval_s=INTERVAL, start=start * INTERVAL)
+              for i, (n, start, seed) in enumerate(shapes)]
+    X, y = extract_examples(iter(series))
+    X_ref, y_ref = _examples_series_by_series(series)
+    for got, ref in ((X, X_ref), (y, y_ref)):
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (ref.dtype, ref.shape, True)
+        assert got.tobytes() == ref.tobytes()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -270,7 +271,13 @@ def test_bill_checks_then_encrypts_each_interval_in_order_then_folds(keypair, se
     rng = random.Random(seed)
     usage_cap = max(usage, default=0)
     rates.check_bill(len(usage), usage_cap, pub)
-    cts = [encrypt(pub, m, draw_randomizer(pub, rng)) for m in usage]
+    draws = [rng.randrange(1, pub.n) for _ in usage]
+    if any(k and math.gcd(r, pub.n) != 1 for r, k in zip(draws, rates.rates)):
+        with pytest.raises(BadRandomizer):  # n = 143: one draw in seven shares a factor
+            bill(pub, usage, rates, random.Random(seed))
+        return
+    # A rate-0 interval's ciphertext never enters the fold, so its draw is never checked.
+    cts = [encrypt(pub, m, r if k else 1) for m, r, k in zip(usage, draws, rates.rates)]
     expected = encrypted_bill(cts, rates, pub, usage_cap)
     assert bill(pub, usage, rates, random.Random(seed)) == expected
     assert decrypt(keypair, expected) == sum(m * k for m, k in zip(usage, rates.rates))
@@ -310,6 +317,40 @@ def test_bill_is_one_encryption_of_the_per_interval_fold(seed, intervals):
     expected = encrypted_bill(cts, rates, pub, max(usage, default=0))
     assert bill(pub, usage, rates, rng) == expected
     assert rng.getstate() == reference_rng.getstate()
+
+
+class ScriptedDraws:
+    """An rng whose randrange returns the given values in turn and records its calls."""
+
+    def __init__(self, values):
+        self.values, self.calls = list(values), []
+
+    def randrange(self, *args):
+        self.calls.append(args)
+        return self.values.pop(0)
+
+
+TINY_KEY = keygen(64, random.Random(30))
+
+
+@pytest.mark.parametrize("rates, factor_at, refused", [
+    ((3, 1, 2), 0, True), ((3, 1, 2), 2, True), ((3, 0, 2), 1, False), ((0,), 0, False),
+])
+def test_bill_checks_coprimality_once_on_the_folded_randomizer(rates, factor_at, refused):
+    keypair = TINY_KEY
+    pub = keypair.public
+    usage = [5, 7, 11][:len(rates)]
+    draws = [pub.n - 2, 3, 12345][:len(rates)]  # units: the primes of n are odd and 32-bit
+    draws[factor_at] = keypair.p * (factor_at + 1)
+    rng = ScriptedDraws(draws)
+    if refused:
+        with pytest.raises(BadRandomizer):
+            bill(pub, usage, RateSchedule(rates), rng)
+    else:
+        # The rate-0 draw never enters the ciphertext, so it is never checked.
+        assert decrypt(keypair, bill(pub, usage, RateSchedule(rates), rng)) == sum(
+            m * k for m, k in zip(usage, rates))
+    assert rng.calls == [(1, pub.n)] * len(rates) and rng.values == []
 
 
 @pytest.mark.parametrize("usage, rates, j", [

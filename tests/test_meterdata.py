@@ -299,6 +299,17 @@ def test_totals_exact_beyond_float_precision():
     assert float(sum(values)) != sum(values)
 
 
+def test_totals_read_first_are_kept_and_stay_immutable():
+    d = FeederDataset(series=(build_series("a", [1, 2]), build_series("b", [4])),
+                      interval_s=3600, delta_max=CAP)
+    assert d.meter_milli is d.meter_milli and d.interval_milli is d.interval_milli
+    assert (d.total_milli, dict(d.interval_milli)) == (7, {0: 5, 3600: 2})
+    for name in ("total_milli", "meter_milli", "interval_milli"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 0)
+    assert not hasattr(d, "total_kwh")
+
+
 def test_totals_that_could_overflow_int64_rejected():
     cap = EnergyQuantity(2**62)
     with pytest.raises(ValueError):

@@ -337,6 +337,30 @@ def test_generate_matches_the_household_loop_bit_for_bit(model, n_households, n_
     assert got.delta_max == want.delta_max
 
 
+_TOTALS = ("interval_milli", "meter_milli", "total_milli")
+
+
+def _totals_kept(dataset):
+    """The totals a dataset holds in their slots, that is, has computed."""
+    kept = set()
+    for name in _TOTALS:
+        try:
+            FeederDataset.__dict__[name].__get__(dataset, FeederDataset)
+            kept.add(name)
+        except AttributeError:
+            pass
+    return kept
+
+
+def test_generate_and_privacy_check_never_compute_the_synthetic_totals():
+    real = make_two_cluster_dataset(6, 3, seed=4)
+    synth = generate(fit(real, 2, seed=1), 5, 2, seed=3)
+    privacy_check(real, synth, threshold=0.01)
+    assert _totals_kept(synth) == set()
+    assert synth.total_milli == int(synth.milli_kwh.sum())  # a total is computed on first read
+    assert _totals_kept(synth) == {"total_milli"}
+
+
 def _loop_fit(real, n_clusters, seed):
     """fit with per-meter day lists and a fixed 25 Lloyd iterations, kept as the reference."""
     if n_clusters < 1:
