@@ -3,8 +3,8 @@ verifies a record.
 
 Each record hashes its first seven fields, joined by `_FIELD_SEP`, after the
 previous record's hash (Schneier & Kelsey's hash chain); the first follows
-GENESIS_HASH. `AuditLog` appends records and hands each one's line to its
-writer: `audit_record_to_json`, which writes the bytes of
+GENESIS_HASH. `AuditLog` keeps only the chain's head and hands each record's
+line to its writer: `audit_record_to_json`, which writes the bytes of
 `json.dumps(audit_record_to_dict(rec))` directly. audit-show reads a log with
 `read_log`, one row of the nine values per line, prints the rows with
 `csv_rows` and checks them with `verify_chain`. Only the standard library is
@@ -49,9 +49,16 @@ _field_values = attrgetter(*_FIELD_NAMES)
 _FIELD_SEP = "|"  # joins the audit payload's fields; no text field may contain it
 
 
+def check_text(what: str, *text: str) -> None:  # a moved separator would keep the digest
+    for t in text:
+        if _FIELD_SEP in t:
+            raise ValueError(f"{what} must not contain {_FIELD_SEP!r}")
+
+
 def _record_payload(values: tuple) -> bytes:
     """AuditRecord's first seven fields, joined; repr keeps the text "0.1" from hashing as 0.1."""
     seq, *text, epsilon_spent, timestamp = values
+    check_text("audit text fields", *text)
     return _FIELD_SEP.join((str(seq), *text, repr(epsilon_spent), repr(timestamp))).encode("utf-8")
 
 
@@ -69,23 +76,18 @@ def verify_chain(records: Iterable[Iterable]) -> ChainReport:
     """Recompute every digest and link; report the first mismatch.
 
     Each record is an `AuditRecord` or a `read_log` row: both unpack to the
-    nine fields. A record whose text fields contain the payload separator is
-    bad too: moving a separator between adjacent fields would keep its digest.
-    So is one whose text field is not a string, or holds text UTF-8 cannot
-    encode: no appended record holds either.
+    nine fields. A record `append_audit` refuses is bad too: one with a text
+    field that is not a string, holds `_FIELD_SEP` or holds text UTF-8 cannot encode.
     """
-    sep = _FIELD_SEP.encode("utf-8")
     prev_hash = GENESIS_HASH
     for i, (seq, request_id, requester, decision, mechanism, epsilon_spent, timestamp,
             rec_prev_hash, rec_hash) in enumerate(records):
         try:
             payload = _record_payload((seq, request_id, requester, decision, mechanism,
                                        epsilon_spent, timestamp))
-        except (TypeError, UnicodeEncodeError):  # a text field that is not a str, or a surrogate
+        except (TypeError, ValueError):  # not a str, a separator, or a surrogate
             return ChainReport(valid=False, first_bad_seq=i)
-        # Seven fields, so six separators; more means a field held one.
-        if (seq != i or payload.count(sep) != 6 or rec_prev_hash != prev_hash
-                or rec_hash != _record_hash(prev_hash, payload)):
+        if seq != i or rec_prev_hash != prev_hash or rec_hash != _record_hash(prev_hash, payload):
             return ChainReport(valid=False, first_bad_seq=i)
         prev_hash = rec_hash
     return ChainReport(valid=True)
@@ -192,31 +194,33 @@ class AuditWriteFailure(Exception):
 
 
 class AuditLog:
-    """Append-only, hash-chained decision log.
+    """Append-only, hash-chained decision log that keeps only the chain's head.
 
-    An optional writer persists each record's line, `audit_record_to_json(rec)
-    + "\n"`, before the record is committed in memory; a writer exception
-    surfaces as AuditWriteFailure and leaves the log unchanged.
+    Each record's line, `audit_record_to_json(rec) + "\n"`, goes to the writer
+    before the head moves; a writer that raises gives AuditWriteFailure, head
+    unchanged. A log made without a writer writes to its own list and `records`
+    reads it back; given one, `records` is () until a record, then TypeError.
     """
 
     def __init__(self, writer: Callable[[str], object] | None = None):
-        self._records: list[AuditRecord] = []
-        self._writer = writer
+        self._lines: list[str] | None = [] if writer is None else None
+        self._writer = writer if writer is not None else self._lines.append
+        self._seq, self._head = 0, GENESIS_HASH
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:
-        return tuple(self._records)
+        if self._lines is None and self._seq:
+            raise TypeError("a log given a writer keeps no records; read its file with read_log")
+        return tuple(AuditRecord(*row) for row in read_log("".join(self._lines or ())))
 
     def append_audit(self, request_id: str, requester: str, decision: str, mechanism: str,
                      epsilon_spent: float) -> AuditRecord:
-        seq = len(self._records)
-        prev_hash = self._records[-1].hash if self._records else GENESIS_HASH
+        seq, prev_hash = self._seq, self._head
         fields = (seq, request_id, requester, decision, mechanism, epsilon_spent, time.time())
         record = AuditRecord(*fields, prev_hash, _record_hash(prev_hash, _record_payload(fields)))
-        if self._writer is not None:
-            try:
-                self._writer(audit_record_to_json(record) + "\n")
-            except Exception as exc:
-                raise AuditWriteFailure(f"audit storage failed: {exc}") from exc
-        self._records.append(record)
+        try:
+            self._writer(audit_record_to_json(record) + "\n")
+        except Exception as exc:
+            raise AuditWriteFailure(f"audit storage failed: {exc}") from exc
+        self._seq, self._head = seq + 1, record.hash
         return record

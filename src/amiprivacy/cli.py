@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -445,11 +444,9 @@ def gateway_main(argv=None) -> int:
     # the session on one bad byte; escaped, it fails that line's envelope check.
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-    # One line-buffered handle per session: each record's line reaches the file
-    # before its reply is printed.
-    with open(args.audit_log, "a", buffering=1) if args.audit_log else nullcontext() as log_file:
-        audit_log = gw.AuditLog(writer=log_file.write if log_file else None)
-        engine = gw.Gateway(dataset, policy, ledger, audit_log, rng=rng)
+    # One line-buffered sink per session (devnull without --audit-log): record, then reply.
+    with open(args.audit_log or os.devnull, "a", buffering=1) as log_file:
+        engine = gw.Gateway(dataset, policy, ledger, gw.AuditLog(log_file.write), rng=rng)
         for line in sys.stdin:
             if not line.strip():
                 continue

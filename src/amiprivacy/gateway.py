@@ -18,13 +18,13 @@ Each operation class has one OPERATIONS entry: wire name, audit mechanism,
 run and summarize. Its JSON keys are the class's fields, read as their
 annotations say (OperationKind.parse). dp_query runs dp.release and
 he_bill runs he.bill, as the dp-query and he-bill commands do. Every route
-call appends exactly one audit record, "allowed", "denied:<Reason>" or,
-when the run raised anything but dp.BudgetExhausted,
-"error:<ExceptionType>" (route then raises RequestFailed), carrying the
-epsilon of the ledger entries the request appended. The gateway fails
-closed: if the record cannot be persisted, route raises AuditWriteFailure
-and releases nothing (a DP charge may already have landed, erring safe).
-The gateway only calls `append_audit`; `audit` owns the record and its chain.
+call appends exactly one audit record, "allowed", "denied:<Reason>" or, when
+the run raised anything but dp.BudgetExhausted, "error:<ExceptionType>"
+(route then raises RequestFailed), carrying the epsilon of the ledger entries
+the request appended. The gateway fails closed: if the record cannot be
+persisted, route raises AuditWriteFailure and releases nothing (a DP charge
+may already have landed, erring safe). The gateway only calls `append_audit`;
+the log keeps its chain's head, the gateway each request_id, the ledger each charge.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from __future__ import annotations
 import threading
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Annotated, Callable, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, Iterable, get_args, get_origin, get_type_hints
 
 from . import anonymize, dp, fedlearn, he, smpc, synthetic
 # AuditWriteFailure and verify_chain are not used here: they stay importable from gateway.
-from .audit import _FIELD_SEP, AuditLog, AuditWriteFailure, verify_chain
+from .audit import AuditLog, AuditWriteFailure, check_text, verify_chain
 from .meterdata import FeederDataset, serialize_csv
 
 
@@ -128,8 +128,7 @@ class RequestEnvelope:
     operation: Operation
 
     def __post_init__(self):
-        if _FIELD_SEP in self.request_id or _FIELD_SEP in self.requester:
-            raise ValueError(f"request_id and requester must not contain {_FIELD_SEP!r}")
+        check_text("request_id and requester", self.request_id, self.requester)
         (self.request_id + self.requester).encode("utf-8")  # fails here, not after a charge
 
 
@@ -356,14 +355,14 @@ class SpendReport:
     denied_counts: dict[str, int]
 
 
-def spend_report(ledger: dp.BudgetLedger, log: AuditLog) -> SpendReport:
-    """Budget summary: ledger total, per-requester partition, denial tallies."""
+def spend_report(ledger: dp.BudgetLedger, records: Iterable[Iterable]) -> SpendReport:
+    """Ledger total, per-requester epsilon and denial tallies over records or read_log rows."""
     per_requester: dict[str, float] = {}
     denied: dict[str, int] = {}
-    for rec in log.records:
-        if rec.epsilon_spent > 0:  # allowed, or an error after the charge landed
-            per_requester[rec.requester] = per_requester.get(rec.requester, 0.0) + rec.epsilon_spent
-        elif rec.decision.startswith("denied:"):
-            reason = rec.decision.split(":", 1)[1]
+    for _, _, requester, decision, _, epsilon_spent, _, _, _ in records:
+        if epsilon_spent > 0:  # allowed, or an error after the charge landed
+            per_requester[requester] = per_requester.get(requester, 0.0) + epsilon_spent
+        elif decision.startswith("denied:"):
+            reason = decision.split(":", 1)[1]
             denied[reason] = denied.get(reason, 0) + 1
     return SpendReport(dp.compose(ledger).epsilon_total, per_requester, denied)

@@ -221,8 +221,29 @@ def test_verify_chain_reports_a_text_field_that_is_not_a_string_as_a_bad_record(
 def test_the_writer_receives_each_record_line_in_order():
     lines = []
     log = AuditLog(writer=lines.append)
-    log.append_audit("r0", "ops", "allowed", "laplace", 0.25)
-    log.append_audit("r1-\u00fc", 'o"ps', "denied:ConsentRequired", "raw", 0.0)
-    log.append_audit("r2", "ops", "error:ValueError", "laplace", 1e-300)
-    assert lines == [audit_record_to_json(rec) + "\n" for rec in log.records]
+    records = [log.append_audit("r0", "ops", "allowed", "laplace", 0.25),
+               log.append_audit("r1-\u00fc", 'o"ps', "denied:ConsentRequired", "raw", 0.0),
+               log.append_audit("r2", "ops", "error:ValueError", "laplace", 1e-300)]
+    assert lines == [audit_record_to_json(rec) + "\n" for rec in records]
     assert len(lines) == 3
+    # A log given a writer keeps only its head: it has no records to show.
+    with pytest.raises(TypeError, match="keeps no records"):
+        log.records
+
+
+# Any text a record can hold: no lone surrogate, which UTF-8 cannot encode, and no separator.
+_RECORD_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="|"),
+                       max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(appends=st.lists(st.tuples(_RECORD_TEXT, _RECORD_TEXT, _RECORD_TEXT, _RECORD_TEXT,
+                                  st.floats(allow_nan=False, allow_infinity=False)),
+                        max_size=5))
+@example(appends=[("r0-ü\"\\", "o\r\nps", "\x00 ", "\U0001f600", -0.0),
+                  ("", "", "", "", 5e-324)])
+def test_an_in_memory_log_reads_back_the_records_it_appended(appends):
+    log = AuditLog()
+    appended = [log.append_audit(*fields) for fields in appends]
+    assert log.records == tuple(appended)
+    assert verify_chain(log.records).valid

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amiprivacy import dp, gateway, he
-from amiprivacy.audit import GENESIS_HASH, ChainReport, _record_payload
+from amiprivacy.audit import (GENESIS_HASH, AuditRecord, ChainReport, audit_record_to_json,
+                              read_log)
 from amiprivacy.gateway import (
     AggregateReport,
     AuditLog,
@@ -43,6 +44,19 @@ def _gateway(policy=None, cap=10.0, dataset=None, rng=None):
     )
     ledger = dp.BudgetLedger(epsilon_cap=cap)
     return Gateway(dataset, policy, ledger, AuditLog(), rng=rng or random.Random(0))
+
+
+def _fails_once_then_appends(lines):
+    """An audit writer whose disk is full on its first call and has recovered after."""
+    calls = []
+
+    def write(line):
+        calls.append(line)
+        if len(calls) == 1:
+            raise OSError("disk full")
+        lines.append(line)
+
+    return write
 
 
 def _req(request_id, operation, purpose=Purpose.PRIMARY, consent=False, requester="ops"):
@@ -243,19 +257,19 @@ class TestAuditLog:
         assert verify_chain(g.audit_log.records).valid
 
     def test_fail_closed_on_audit_failure(self):
-        def broken_writer(record):
-            raise IOError("disk full")
-
+        lines = []
         dataset = make_uniform_dataset(4, 1500, 4)
         ledger = dp.BudgetLedger(epsilon_cap=10.0)
         g = Gateway(dataset, PolicyConfig(min_aggregation_count=2), ledger,
-                    AuditLog(writer=broken_writer), rng=random.Random(0))
+                    AuditLog(writer=_fails_once_then_appends(lines)), rng=random.Random(0))
         with pytest.raises(AuditWriteFailure):
             g.route(_req("r1", RawExport(), Purpose.PRIMARY))
         assert len(g.audit_log.records) == 0
-        # The request id was not consumed either: a repaired log accepts it.
-        g.audit_log._writer = None
+        # Neither the head nor the request id moved: once the disk recovers,
+        # r1 is accepted and its record is the chain's first.
         assert g.route(_req("r1", RawExport(), Purpose.PRIMARY)).allowed
+        [rec] = read_log("".join(lines))
+        assert rec[0] == 0 and rec[7] == GENESIS_HASH
 
     def test_duplicate_request_id_rejected(self):
         g = _gateway()
@@ -267,7 +281,7 @@ class TestAuditLog:
 class TestSpendReport:
     def test_no_queries_zero_total(self):
         g = _gateway()
-        report = spend_report(g.ledger, g.audit_log)
+        report = spend_report(g.ledger, g.audit_log.records)
         assert report.epsilon_total == 0.0
         assert report.per_requester == {}
 
@@ -275,7 +289,7 @@ class TestSpendReport:
         g = _gateway(cap=100.0, rng=StubRng(uniforms=[0.5] * 24))
         for i in range(24):
             g.route(_req(f"r{i}", DpQuery(op="count", epsilon=0.5), requester="researcher"))
-        report = spend_report(g.ledger, g.audit_log)
+        report = spend_report(g.ledger, g.audit_log.records)
         assert report.epsilon_total == 12.0
         assert report.per_requester == {"researcher": 12.0}
 
@@ -283,7 +297,7 @@ class TestSpendReport:
         g = _gateway(cap=100.0, rng=StubRng(uniforms=[0.5] * 2))
         g.route(_req("r1", DpQuery(op="count", epsilon=0.3), requester="a"))
         g.route(_req("r2", DpQuery(op="count", epsilon=0.7), requester="b"))
-        report = spend_report(g.ledger, g.audit_log)
+        report = spend_report(g.ledger, g.audit_log.records)
         assert report.per_requester["a"] == pytest.approx(0.3)
         assert report.per_requester["b"] == pytest.approx(0.7)
         assert report.epsilon_total == pytest.approx(1.0)
@@ -295,8 +309,52 @@ class TestSpendReport:
         g = _gateway()
         g.route(_req("r1", RawExport(), Purpose.SECONDARY, consent=False))
         g.route(_req("r2", RawExport(), Purpose.SECONDARY, consent=False))
-        report = spend_report(g.ledger, g.audit_log)
+        report = spend_report(g.ledger, g.audit_log.records)
         assert report.denied_counts == {"ConsentRequired": 2}
+
+
+def test_spend_report_reads_a_persisted_log_as_it_reads_records():
+    lines = []
+    persisted = _gateway(cap=1.0, rng=StubRng(uniforms=[0.5] * 4))
+    persisted.audit_log = AuditLog(writer=lines.append)
+    in_memory = _gateway(cap=1.0, rng=StubRng(uniforms=[0.5] * 4))
+    for g in (persisted, in_memory):
+        g.route(_req("r1", DpQuery(op="count", epsilon=0.5), requester="a"))
+        g.route(_req("r2", RawExport(), Purpose.SECONDARY, consent=False, requester="b"))
+        g.route(_req("r3", DpQuery(op="count", epsilon=0.75), requester="a"))
+    report = spend_report(persisted.ledger, read_log("".join(lines)))
+    assert report == spend_report(in_memory.ledger, in_memory.audit_log.records)
+    assert report.per_requester == {"a": 0.5}
+    assert report.denied_counts == {"ConsentRequired": 1, "BudgetExhausted": 1}
+
+
+def test_a_gateway_on_a_persisted_log_keeps_no_record_per_request():
+    import gc
+    import os
+    import tracemalloc
+
+    from amiprivacy.cli import envelope_from_json
+
+    n = 5000
+    lines = [json.dumps({"request_id": f"q{i:05d}", "requester": "analyst",
+                         "purpose": "secondary", "consent": False,
+                         "operation": {"kind": "raw_export"}}) for i in range(n + 1)]
+    with open(os.devnull, "a", buffering=1) as sink:
+        g = _gateway()
+        g.audit_log = AuditLog(writer=sink.write)
+        g.route(envelope_from_json(lines.pop()))  # first-use allocations stay out of the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for line in lines:
+                assert g.route(envelope_from_json(line)).reason is DenialReason.CONSENT_REQUIRED
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    # What stays is the seen request_id: its set slot and its string.
+    assert retained / n < 256
 
 
 def _log(prefix, n):
@@ -565,7 +623,7 @@ class TestRouteFailures:
         [rec] = g.audit_log.records
         assert (rec.decision, rec.epsilon_spent) == ("error:RuntimeError", 0.75)
         assert g.ledger.epsilon_spent() == 0.75
-        assert spend_report(g.ledger, g.audit_log).per_requester == {"a": 0.75}
+        assert spend_report(g.ledger, g.audit_log.records).per_requester == {"a": 0.75}
         # The id counts as used, and the cap still holds for what follows.
         with pytest.raises(DuplicateRequest):
             g.route(_req("r1", RawExport()))
@@ -612,14 +670,16 @@ class TestRouteFailures:
         assert rec.decision == f"error:{cause.__name__}" and rec.epsilon_spent == 0.0
 
     def test_audit_log_raises_audit_write_failure_itself(self):
-        def broken_writer(record):
-            raise OSError("disk full")
-
-        log = AuditLog(writer=broken_writer)
+        lines = []
+        log = AuditLog(writer=_fails_once_then_appends(lines))
         with pytest.raises(AuditWriteFailure) as err:
             log.append_audit("r1", "ops", "allowed", "raw", 0.0)
         assert isinstance(err.value.__cause__, OSError)
         assert log.records == ()
+        # The head is unchanged: the next record is the chain's first.
+        rec = log.append_audit("r1", "ops", "allowed", "raw", 0.0)
+        assert (rec.seq, rec.prev_hash) == (0, GENESIS_HASH)
+        assert lines == [audit_record_to_json(rec) + "\n"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(
@@ -666,13 +726,30 @@ class TestAuditPayloadSeparator:
     def test_moving_a_separator_between_fields_is_detected(self):
         import dataclasses
 
-        log = AuditLog()
-        rec = log.append_audit("r1|ops", "x", "allowed", "raw", 0.0)
+        # append_audit refuses such a record, so it is built here over its joined fields.
+        payload = b"0|r1|ops|x|allowed|raw|0.0|0.0"
+        rec = AuditRecord(0, "r1|ops", "x", "allowed", "raw", 0.0, 0.0, GENESIS_HASH,
+                          hashlib.sha256(GENESIS_HASH + payload).digest())
         edited = dataclasses.replace(rec, request_id="r1", requester="ops|x")
-        # The edit keeps the digest, so only the separator check can catch it.
-        assert (_record_payload(dataclasses.astuple(edited)[:7])
-                == _record_payload(dataclasses.astuple(rec)[:7]))
+        # The edit keeps the joined fields and so the digest: only the separator check catches it.
+        for r in (rec, edited):
+            assert "|".join(map(str, dataclasses.astuple(r)[:7])).encode() == payload
         assert verify_chain([edited]) == verify_chain([rec]) == ChainReport(False, 0)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_append_audit_refuses_a_separator_before_the_writer(self, field):
+        lines = []
+        log = AuditLog(writer=lines.append)
+        first = log.append_audit("r0", "ops", "allowed", "raw", 0.0)
+        text = ["r1", "ops", "allowed", "raw"]
+        text[field] = "a|b"
+        with pytest.raises(ValueError, match="must not contain '\\|'"):
+            log.append_audit(*text, 0.0)
+        assert len(lines) == 1
+        # The head did not move: the next record follows the first.
+        rec = log.append_audit("r1", "ops", "allowed", "raw", 0.0)
+        assert (rec.seq, rec.prev_hash) == (1, first.hash)
+        assert verify_chain([first, rec]).valid
 
     @pytest.mark.parametrize("field", ["epsilon_spent", "timestamp"])
     def test_a_float_field_edited_to_its_text_is_detected(self, field):
