@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import re
 import time
 from dataclasses import dataclass, fields
@@ -215,6 +216,11 @@ class AuditLog:
 
     def append_audit(self, request_id: str, requester: str, decision: str, mechanism: str,
                      epsilon_spent: float) -> AuditRecord:
+        """Write one record; a bool or a non-number epsilon_spent raises TypeError first."""
+        if type(epsilon_spent) is not float:  # an int or a numpy float is written as a float
+            if isinstance(epsilon_spent, bool) or not isinstance(epsilon_spent, numbers.Real):
+                raise TypeError(f"epsilon_spent must be a real number, not {epsilon_spent!r}")
+            epsilon_spent = float(epsilon_spent)
         seq, prev_hash = self._seq, self._head
         fields = (seq, request_id, requester, decision, mechanism, epsilon_spent, time.time())
         record = AuditRecord(*fields, prev_hash, _record_hash(prev_hash, _record_payload(fields)))

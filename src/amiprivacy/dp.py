@@ -13,11 +13,12 @@ Mechanisms
 Budget accounting
     Basic (additive) composition only: the ledger is an append-only log
     of (query_id, eps, delta) charges, and an append that would push the
-    cumulative eps over the cap fails atomically. Only `_laplace_release`
-    appends: it refuses delta != 0 and a noise scale that overflows, then
-    charges once and noises the true values a dp_* query hands it. Post-
-    processing a released answer is free. `release` runs the query that a
-    request names (see OPS), for the gateway's dp_query and dp-query alike.
+    cumulative eps over the cap fails atomically. A query (see OPS) is
+    released in two steps: `prepare` makes every refusal and computes the
+    true values, and its `CheckedQuery.answer` only draws the noise. Between
+    them the caller charges the query's epsilon once: `release` does, for
+    dp-query, and the gateway's `route` does for its dp_query requests.
+    Post-processing a released answer is free.
 
 All randomness flows through an injectable generator with the
 ``random.Random`` interface; the production default is an OS-entropy
@@ -32,7 +33,7 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +75,8 @@ def seeded_rng(seed: int) -> random.Random:
 
 
 def _check_loss(epsilon: float, delta: float) -> None:
+    if type(epsilon) is bool or type(delta) is bool:  # True > 0, but it is not a loss
+        raise TypeError(f"epsilon and delta must be numbers, not {epsilon!r}, {delta!r}")
     if not (epsilon > 0 and 0.0 <= delta < 1.0):  # also refuses nan, which no cap bounds
         raise ValueError(f"epsilon must be > 0 and delta in [0, 1), not {epsilon}, {delta}")
 
@@ -126,7 +129,7 @@ class CompositionTotals:
 class BudgetLedger:
     """Append-only privacy-loss log with an enforced cumulative epsilon cap.
 
-    check-and-append is atomic: concurrent dp_* calls against one ledger
+    check-and-append is atomic: concurrent charges against one ledger
     observe a total order of appends, and a rejected append leaves the
     ledger unchanged.
     """
@@ -154,20 +157,13 @@ class BudgetLedger:
     def epsilon_spent(self) -> float:
         return self._spent
 
-    def entry_count(self) -> int:
-        return len(self._entries)
-
-    def epsilon_since(self, start: int) -> float:
-        """Sum of the epsilons of the entries after the first `start`.
-
-        One entry gives its epsilon exactly as charged; a difference of two
-        running totals can be off in the last bits.
-        """
-        return sum((e.epsilon for e in self._entries[start:]), 0.0)
-
     def charge(self, query_id: str, epsilon: float, delta: float) -> LedgerEntry:
-        """Atomically append a charge, or raise BudgetExhausted (or ValueError) untouched."""
+        """Atomically append a charge, or raise BudgetExhausted, ValueError or TypeError untouched.
+
+        The entry holds float(epsilon) and float(delta), so to_lines writes numbers.
+        """
         _check_loss(epsilon, delta)
+        epsilon, delta = float(epsilon), float(delta)
         with self._lock:
             if self._spent + epsilon > self.epsilon_cap + 1e-12:
                 raise BudgetExhausted(
@@ -267,80 +263,22 @@ def laplace_mechanism(
     )
 
 
-def _laplace_release(ledger: BudgetLedger, p: PrivacyParams, rng: random.Random,
-                     true_values: Sequence[float], delta_f: float) -> list[DpAnswer]:
-    """Charge p once, then release each true value + Laplace(0, delta_f/epsilon).
-
-    delta != 0 and a scale that is not positive and finite (1.0 / 1e-320 overflows
-    to inf) are refused before the charge.
-    """
-    if p.delta != 0.0:
-        raise DeltaNotZero("the Laplace mechanism requires delta = 0")
-    if not 0.0 < delta_f / p.epsilon < math.inf:
-        raise ValueError(f"noise scale {delta_f}/{p.epsilon} must be positive and finite")
-    query_id = _new_query_id()
-    ledger.charge(query_id, p.epsilon, 0.0)
-    sens, answers = Sensitivity(delta_f), []
-    for v in true_values:  # a comprehension would build a closure per call before Python 3.12
-        answers.append(laplace_mechanism(v, sens, p, rng, query_id=query_id))
-    return answers
+def dp_sum(d: FeederDataset, timestamp: int, p: PrivacyParams, ledger: BudgetLedger,
+           rng: random.Random) -> DpAnswer:
+    """Laplace-noised interval total at one timestamp; sensitivity = delta_max."""
+    return release(d, "sum", p.epsilon, p.delta, ledger, rng, timestamp)
 
 
-def dp_sum(
-    d: FeederDataset,
-    timestamp: int,
-    p: PrivacyParams,
-    ledger: BudgetLedger,
-    rng: random.Random,
-) -> DpAnswer:
-    """Laplace-noised interval total at one timestamp; sensitivity = delta_max.
+def _bin_counts(d: FeederDataset, edges: Sequence[float]) -> list[float]:
+    """Readings per bin [edges[i], edges[i+1]) over kWh values.
 
-    The true total is computed first and the budget charged before any
-    noise is drawn; on BudgetExhausted nothing is charged, drawn or released.
-    """
-    true_kwh = d.interval_milli.get(timestamp, 0) / MILLI_PER_KWH
-    return _laplace_release(ledger, p, rng, [true_kwh], d.delta_max.kwh)[0]
-
-
-def dp_count(
-    d: FeederDataset, p: PrivacyParams, ledger: BudgetLedger, rng: random.Random
-) -> DpAnswer:
-    """Laplace-noised count of readings; one record moves the count by 1."""
-    return _laplace_release(ledger, p, rng, [float(d.n_readings())], 1.0)[0]
-
-
-def dp_mean(
-    d: FeederDataset, p: PrivacyParams, ledger: BudgetLedger, rng: random.Random
-) -> DpAnswer:
-    """Noisy sum divided by the exact public record count.
-
-    The count is treated as a public denominator; only the sum is noised
-    (sensitivity = delta_max).
-    """
-    count = d.n_readings()
-    if count == 0:
-        raise EmptyDataset("cannot take the mean of an empty dataset")
-    true_sum = d.total_milli / MILLI_PER_KWH
-    noisy_sum = _laplace_release(ledger, p, rng, [true_sum], d.delta_max.kwh)[0]
-    return replace(noisy_sum, value=noisy_sum.value / count)
-
-
-def dp_histogram(
-    d: FeederDataset,
-    edges: Sequence[float],
-    p: PrivacyParams,
-    ledger: BudgetLedger,
-    rng: random.Random,
-) -> list[DpAnswer]:
-    """Independent Laplace noise per bin count, one epsilon for the release.
-
-    Bins are [edges[i], edges[i+1]) over kWh values: disjoint and covering
-    the declared range by construction, so parallel composition applies
-    and the whole histogram costs a single epsilon. A reading counts in
-    bin i iff edges[i] <= milli_kwh / 1000 < edges[i+1]; each edge becomes
-    the first milli-kWh value at or above it, so binning is integer-exact,
-    and each count is read off the dataset's value index: O(bins log
-    distinct values), not O(readings), once the index exists.
+    The bins are disjoint and cover the declared range by construction, so
+    parallel composition applies and the whole histogram costs a single
+    epsilon. A reading counts in bin i iff edges[i] <= milli_kwh / 1000 <
+    edges[i+1]; each edge becomes the first milli-kWh value at or above it,
+    so binning is integer-exact, and each count is read off the dataset's
+    value index: O(bins log distinct values), not O(readings), once the
+    index exists.
     """
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("edges must be strictly ascending with >= 2 entries")
@@ -348,8 +286,7 @@ def dp_histogram(
     firsts = np.array([_first_milli_at_or_above(e, cap) for e in edges], dtype=np.int64)
     values, below = d.value_index()
     # below[searchsorted(values, f)] readings lie under f; bin i is [firsts[i], firsts[i+1]).
-    counts = np.diff(below[np.searchsorted(values, firsts)])
-    return _laplace_release(ledger, p, rng, counts.astype(float).tolist(), 1.0)
+    return np.diff(below[np.searchsorted(values, firsts)]).astype(float).tolist()
 
 
 def _first_milli_at_or_above(edge: float, cap: int) -> int:
@@ -371,13 +308,36 @@ def _first_milli_at_or_above(edge: float, cap: int) -> int:
 OPS = ("sum", "count", "mean", "histogram")
 
 
-def release(d: FeederDataset, op: str, epsilon: float, delta: float, ledger: BudgetLedger,
-            rng: random.Random, timestamp: int | None = None,
-            edges: Sequence[float] | None = None) -> DpAnswer | list[DpAnswer]:
-    """Query op answered on d and charged to ledger: a DpAnswer, or a histogram's list.
+class CheckedQuery(NamedTuple):
+    """A query that prepare has checked: charge params.epsilon, then answer."""
 
-    An unknown op, bad privacy parameters, a sum without a timestamp and a
-    histogram without edges are refused, in that order, before any charge.
+    params: PrivacyParams
+    delta_f: float  # the sensitivity
+    true_values: list[float]
+    divisor: int | None  # a mean's exact public count; only the sum is noised
+    histogram: bool  # answer gives a list
+    query_id: str
+
+    def answer(self, rng: random.Random) -> DpAnswer | list[DpAnswer]:
+        """Each true value + Laplace(0, delta_f/epsilon), under one query_id; draws only."""
+        sens, answers = Sensitivity(self.delta_f), []
+        for v in self.true_values:  # a comprehension builds a closure per call before 3.12
+            answers.append(laplace_mechanism(v, sens, self.params, rng, query_id=self.query_id))
+        if self.divisor is not None:
+            answers[0] = replace(answers[0], value=answers[0].value / self.divisor)
+        return answers if self.histogram else answers[0]
+
+
+def prepare(d: FeederDataset, op: str, epsilon: float, delta: float,
+            timestamp: int | None = None, edges: Sequence[float] | None = None) -> CheckedQuery:
+    """Query op on d, checked and ready to charge: its true values, sensitivity and query_id.
+
+    Refused, in this order: an unknown op, bad privacy parameters, a sum
+    without a timestamp, a histogram without edges, a mean of an empty
+    dataset, bad edges, delta != 0 and a noise scale that is not positive
+    and finite (1.0 / 1e-320 overflows to inf). A sum has sensitivity
+    delta_max, a count and each bin 1; a mean noises the sum and divides by
+    the exact public record count.
     """
     if op not in OPS:
         raise ValueError(f"unknown dp op {op!r}")
@@ -386,8 +346,33 @@ def release(d: FeederDataset, op: str, epsilon: float, delta: float, ledger: Bud
         raise ValueError("sum query needs a timestamp")
     if op == "histogram" and edges is None:
         raise ValueError("histogram query needs bin edges")
+    divisor, delta_f = None, 1.0
     if op == "sum":
-        return dp_sum(d, timestamp, p, ledger, rng)
-    if op == "histogram":
-        return dp_histogram(d, edges, p, ledger, rng)
-    return dp_count(d, p, ledger, rng) if op == "count" else dp_mean(d, p, ledger, rng)
+        true_values, delta_f = [d.interval_milli.get(timestamp, 0) / MILLI_PER_KWH], d.delta_max.kwh
+    elif op == "count":
+        true_values = [float(d.n_readings())]
+    elif op == "mean":
+        divisor = d.n_readings()
+        if divisor == 0:
+            raise EmptyDataset("cannot take the mean of an empty dataset")
+        true_values, delta_f = [d.total_milli / MILLI_PER_KWH], d.delta_max.kwh
+    else:
+        true_values = _bin_counts(d, edges)
+    if p.delta != 0.0:
+        raise DeltaNotZero("the Laplace mechanism requires delta = 0")
+    if not 0.0 < delta_f / p.epsilon < math.inf:
+        raise ValueError(f"noise scale {delta_f}/{p.epsilon} must be positive and finite")
+    return CheckedQuery(p, delta_f, true_values, divisor, op == "histogram", _new_query_id())
+
+
+def release(d: FeederDataset, op: str, epsilon: float, delta: float, ledger: BudgetLedger,
+            rng: random.Random, timestamp: int | None = None,
+            edges: Sequence[float] | None = None) -> DpAnswer | list[DpAnswer]:
+    """Query op answered on d and charged to ledger: a DpAnswer, or a histogram's list.
+
+    prepare's refusals all come before the charge; on BudgetExhausted nothing
+    is charged, drawn or released.
+    """
+    query = prepare(d, op, epsilon, delta, timestamp, edges)
+    ledger.charge(query.query_id, query.params.epsilon, query.params.delta)
+    return query.answer(rng)

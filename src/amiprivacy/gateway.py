@@ -5,7 +5,7 @@ decision in a hash-chained audit log.
 Decision matrix
     RawExport        Primary: allowed iff allow_raw_primary.
                      Secondary: allowed iff consent, else ConsentRequired.
-    DpQuery (and any operation that charges the budget ledger)
+    DpQuery (and any operation whose kind declares a cost)
                      denied BudgetExhausted iff its charge would pass the cap.
     SynthGenerate    allowed once the memorization check passes.
     AggregateReport  allowed iff every group has at least
@@ -15,14 +15,15 @@ Decision matrix
                      (model parameters, protocol sums, a total bill) leave.
 
 Each operation class has one OPERATIONS entry: wire name, audit mechanism,
-run and summarize. Its JSON keys are the class's fields, read as their
-annotations say (OperationKind.parse). dp_query runs dp.release and
-he_bill runs he.bill, as the dp-query and he-bill commands do. Every route
-call appends exactly one audit record, "allowed", "denied:<Reason>" or, when
-the run raised anything but dp.BudgetExhausted, "error:<ExceptionType>"
-(route then raises RequestFailed), carrying the epsilon of the ledger entries
-the request appended. The gateway fails closed: if the record cannot be
-persisted, route raises AuditWriteFailure and releases nothing (a DP charge
+run, summarize and cost. Its JSON keys are the class's fields, read as their
+annotations say (OperationKind.parse). route charges a kind's cost, a checked
+query or None, before run; no other gateway code charges. dp_query's cost is
+dp.prepare and its run only draws noise, as dp.release does for dp-query;
+he_bill runs he.bill, as he-bill does. Every route call appends exactly one
+audit record, "allowed", "denied:<Reason>" or, when cost or run raised,
+"error:<ExceptionType>" (route then raises RequestFailed), carrying the
+epsilon route charged, or 0.0. The gateway fails closed: if the record cannot
+be persisted, route raises AuditWriteFailure and releases nothing (a DP charge
 may already have landed, erring safe). The gateway only calls `append_audit`;
 the log keeps its chain's head, the gateway each request_id, the ledger each charge.
 """
@@ -177,38 +178,37 @@ class Gateway:
         with self._lock:
             if req.request_id in self._seen_ids:
                 raise DuplicateRequest(f"request_id {req.request_id!r} already routed")
-            entries_before = self.ledger.entry_count()
-            failure = None
+            failure, spent = None, 0.0
             try:
-                decision = entry.run(self, req)
-            except dp.BudgetExhausted:  # whichever operation's ledger charge would pass the cap
+                query = entry.cost(self, req.operation)
+                if query is not None:
+                    self.ledger.charge(query.query_id, query.params.epsilon, query.params.delta)
+                    spent = query.params.epsilon
+                decision = entry.run(self, req, query)
+            except dp.BudgetExhausted:  # the charge would pass the cap
                 decision = Decision(allowed=False, reason=DenialReason.BUDGET_EXHAUSTED)
             except Exception as exc:
                 failure, outcome = exc, f"error:{type(exc).__name__}"
             if failure is None:
                 outcome = "allowed" if decision.allowed else f"denied:{decision.reason.value}"
             self.audit_log.append_audit(
-                req.request_id, req.requester, outcome, entry.mechanism,
-                self.ledger.epsilon_since(entries_before),
-            )
+                req.request_id, req.requester, outcome, entry.mechanism, spent)
             self._seen_ids.add(req.request_id)
             if failure is not None:
                 raise RequestFailed(f"{type(failure).__name__}: {failure}") from failure
             return decision
 
-    def _raw_export(self, req: RequestEnvelope) -> Decision:
+    def _raw_export(self, req: RequestEnvelope, query: None) -> Decision:
         if req.purpose is Purpose.PRIMARY and not self.policy.allow_raw_primary:
             return Decision(allowed=False, reason=DenialReason.POLICY_VIOLATION)
         if req.purpose is Purpose.SECONDARY and not req.consent:
             return Decision(allowed=False, reason=DenialReason.CONSENT_REQUIRED)
         return Decision(allowed=True, result=serialize_csv(self.dataset))
 
-    def _dp_query(self, req: RequestEnvelope) -> Decision:
-        q = req.operation
-        return Decision(allowed=True, result=dp.release(
-            self.dataset, q.op, q.epsilon, q.delta, self.ledger, self.rng, q.timestamp, q.edges))
+    def _dp_query(self, req: RequestEnvelope, query: dp.CheckedQuery) -> Decision:
+        return Decision(allowed=True, result=query.answer(self.rng))
 
-    def _synth_generate(self, req: RequestEnvelope) -> Decision:
+    def _synth_generate(self, req: RequestEnvelope, query: None) -> Decision:
         op = req.operation
         model = synthetic.fit(self.dataset, op.n_clusters, op.seed)
         synth = synthetic.generate(model, op.n_households, op.n_days, op.seed)
@@ -217,7 +217,7 @@ class Gateway:
             return Decision(allowed=False, reason=DenialReason.MEMORIZATION_DETECTED)
         return Decision(allowed=True, result=(synth, report))
 
-    def _fed_train(self, req: RequestEnvelope) -> Decision:
+    def _fed_train(self, req: RequestEnvelope, query: None) -> Decision:
         op = req.operation
         shards = fedlearn.round_robin_shards(self.dataset, op.n_clients)
         cfg = fedlearn.RoundConfig(
@@ -225,18 +225,18 @@ class Gateway:
         )
         return Decision(allowed=True, result=fedlearn.run_federation(shards, cfg, seed=0))
 
-    def _smpc_sum(self, req: RequestEnvelope) -> Decision:
+    def _smpc_sum(self, req: RequestEnvelope, query: None) -> Decision:
         op = req.operation
         inputs = [smpc.PartyInput(party_id=p, secret=v) for p, v in op.values]
         result = smpc.secure_sum(inputs, op.min_participants, self.rng)
         return Decision(allowed=True, result=result)
 
-    def _he_bill(self, req: RequestEnvelope) -> Decision:
+    def _he_bill(self, req: RequestEnvelope, query: None) -> Decision:
         op, keypair = req.operation, self._keypair()
         bill = he.bill(keypair.public, op.usage_milli, he.RateSchedule(op.rates), self.rng)
         return Decision(allowed=True, result=he.decrypt(keypair, bill))
 
-    def _aggregate_report(self, req: RequestEnvelope) -> Decision:
+    def _aggregate_report(self, req: RequestEnvelope, query: None) -> Decision:
         totals = self.dataset.meter_milli
         min_count = max(self.policy.min_aggregation_count, self.policy.k_anonymity_k)
         report = {}
@@ -303,8 +303,9 @@ class OperationKind:
     kind: str  # the "kind" field of the JSON protocol
     mechanism: str  # the audit record's mechanism
     cls: type  # the operation class, whose fields are the JSON object's other keys
-    run: Callable[[Gateway, RequestEnvelope], Decision]
+    run: Callable[[Gateway, RequestEnvelope, object], Decision]  # takes cost's charged query
     summarize: Callable[[object], object]  # an allowed result, to JSON
+    cost: Callable[[Gateway, Operation], dp.CheckedQuery | None] = lambda gateway, op: None
     _readers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):  # once per class, at import
@@ -325,7 +326,8 @@ OPERATIONS: dict[type, OperationKind] = {e.cls: e for e in (
         "dp_query", "laplace", DpQuery, Gateway._dp_query,
         lambda a: [b.value for b in a] if isinstance(a, list) else {
             "value": a.value, "mechanism": a.mechanism, "epsilon": a.params.epsilon,
-            "query_id": a.query_id}),
+            "query_id": a.query_id},
+        lambda g, q: dp.prepare(g.dataset, q.op, q.epsilon, q.delta, q.timestamp, q.edges)),
     OperationKind(
         "synth_generate", "synthetic", SynthGenerate, Gateway._synth_generate,
         lambda r: {"n_households": len(r[0].meter_ids),

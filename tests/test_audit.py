@@ -4,11 +4,13 @@ import json
 import sys
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from amiprivacy.audit import (AuditLog, AuditRecord, ChainReport, audit_record_from_dict,
-                              audit_record_to_json, csv_rows, read_log, verify_chain)
+from amiprivacy.audit import (GENESIS_HASH, AuditLog, AuditRecord, ChainReport,
+                              audit_record_from_dict, audit_record_to_dict, audit_record_to_json,
+                              csv_rows, read_log, verify_chain)
 
 _KEYS = ("seq", "request_id", "requester", "decision", "mechanism", "epsilon_spent",
          "timestamp", "prev_hash", "hash")
@@ -229,6 +231,28 @@ def test_the_writer_receives_each_record_line_in_order():
     # A log given a writer keeps only its head: it has no records to show.
     with pytest.raises(TypeError, match="keeps no records"):
         log.records
+
+
+@pytest.mark.parametrize("epsilon", [np.float64(0.5), np.float32(0.5), 1])
+def test_an_epsilon_that_is_not_a_plain_float_is_written_and_hashed_as_one(epsilon):
+    log = AuditLog()
+    rec = log.append_audit("r0", "ops", "allowed", "laplace", epsilon)
+    assert type(rec.epsilon_spent) is float and rec.epsilon_spent == epsilon
+    assert log.records == (rec,)
+    assert verify_chain(log.records).valid
+    assert audit_record_to_json(rec) == json.dumps(audit_record_to_dict(rec))
+
+
+@pytest.mark.parametrize("epsilon", [True, False, "0.5", None])
+def test_an_epsilon_that_is_not_a_number_is_refused_before_the_writer(epsilon):
+    lines = []
+    log = AuditLog(writer=lines.append)
+    with pytest.raises(TypeError, match="epsilon_spent must be a real number"):
+        log.append_audit("r0", "ops", "allowed", "laplace", epsilon)
+    assert lines == []
+    # The head is unchanged: the next record is the chain's first.
+    rec = log.append_audit("r0", "ops", "allowed", "laplace", 0.5)
+    assert (rec.seq, rec.prev_hash) == (0, GENESIS_HASH)
 
 
 # Any text a record can hold: no lone surrogate, which UTF-8 cannot encode, and no separator.

@@ -56,3 +56,24 @@ def test_only_audit_builds_an_audit_record():
         text = (ROOT / "src" / "amiprivacy" / module).read_text()
         assert re.findall(r"\b(?:GENESIS_HASH|_record_hash|_record_payload)\b|\bAuditRecord\(",
                           text) == [], module
+
+
+def test_only_route_and_release_charge_the_ledger():
+    """A technique that charged behind route's back would release what no record accounts for."""
+    charges = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "charge"):
+                charges.append(scope)
+            visit(child, scope)
+
+    texts = {p.stem: p.read_text() for p in (ROOT / "src" / "amiprivacy").glob("*.py")}
+    for module, text in texts.items():
+        visit(ast.parse(text), module)
+    assert sorted(charges) == ["dp.release", "gateway.Gateway.route"]
+    assert sum(text.count(".charge(") for text in texts.values()) == 2

@@ -2,6 +2,7 @@ import math
 import random
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
@@ -17,12 +18,10 @@ from amiprivacy.dp import (
     PrivacyParams,
     Sensitivity,
     compose,
-    dp_count,
-    dp_histogram,
-    dp_mean,
     dp_sum,
     laplace_mechanism,
     laplace_sample,
+    prepare,
     release,
     seeded_rng,
 )
@@ -144,7 +143,7 @@ class TestDpQueries:
 
     def test_count_zero_noise(self):
         d = make_uniform_dataset(42, 1000, 1)
-        answer = dp_count(d, EPS1, _ledger(), StubRng(uniforms=[0.5]))
+        answer = release(d, "count", 1.0, 0.0, _ledger(), StubRng(uniforms=[0.5]))
         assert answer.value == 42.0
         assert answer.sensitivity.delta_f == 1.0
 
@@ -155,19 +154,20 @@ class TestDpQueries:
             interval_s=3600,
             delta_max=EnergyQuantity(5000),
         )
-        answer = dp_mean(d, EPS1, _ledger(), StubRng(uniforms=[0.5]))
+        answer = release(d, "mean", 1.0, 0.0, _ledger(), StubRng(uniforms=[0.5]))
         assert answer.value == pytest.approx(10.0 / 3.0, abs=1e-12)
 
     def test_mean_empty_dataset(self):
         d = FeederDataset(series=(), interval_s=3600, delta_max=EnergyQuantity(5000))
         with pytest.raises(EmptyDataset):
-            dp_mean(d, EPS1, _ledger(), StubRng(uniforms=[0.5]))
+            release(d, "mean", 1.0, 0.0, _ledger(), StubRng(uniforms=[0.5]))
 
     def test_histogram_zero_noise_and_single_charge(self):
         series = tuple(build_series(f"m{i}", [500]) for i in range(10))
         d = FeederDataset(series=series, interval_s=3600, delta_max=EnergyQuantity(5000))
         ledger = _ledger()
-        answers = dp_histogram(d, [0.0, 1.0, 2.0], EPS1, ledger, StubRng(uniforms=[0.5, 0.5]))
+        answers = release(d, "histogram", 1.0, 0.0, ledger, StubRng(uniforms=[0.5, 0.5]),
+                          edges=[0.0, 1.0, 2.0])
         assert [a.value for a in answers] == [10.0, 0.0]
         assert len(ledger.entries) == 1  # one epsilon for the whole release
         assert len({a.query_id for a in answers}) == 1
@@ -175,7 +175,7 @@ class TestDpQueries:
     def test_histogram_edges_validated(self):
         d = make_uniform_dataset(1, 1000, 1)
         with pytest.raises(ValueError):
-            dp_histogram(d, [1.0, 1.0], EPS1, _ledger(), StubRng())
+            release(d, "histogram", 1.0, 0.0, _ledger(), StubRng(), edges=[1.0, 1.0])
 
 
 class TestLedger:
@@ -259,6 +259,26 @@ class TestLedger:
         assert ledger.entries == before
         assert ledger.epsilon_spent() == 0.25
 
+    def test_a_numpy_float_charge_round_trips_through_the_ledger_lines(self):
+        ledger = _ledger(cap=1.0)
+        ledger.charge("q", np.float64(0.5), np.float64(0.0))
+        [entry] = ledger.entries
+        assert (type(entry.epsilon), type(entry.delta)) == (float, float)
+        assert ledger.to_lines().startswith("q,0.5,0.0,")
+        assert BudgetLedger.from_lines(ledger.to_lines(), epsilon_cap=1.0).entries == (entry,)
+
+    @pytest.mark.parametrize("epsilon, delta", [(True, 0.0), (0.5, False)])
+    def test_a_bool_loss_is_refused_untouched(self, epsilon, delta):
+        ledger = _ledger(cap=1.0)
+        ledger.charge("q1", 0.25, 0.0)
+        before = ledger.entries
+        with pytest.raises(TypeError):
+            ledger.charge("q2", epsilon, delta)
+        with pytest.raises(TypeError):
+            PrivacyParams(epsilon, delta)
+        assert ledger.entries == before
+        assert ledger.epsilon_spent() == 0.25
+
     # Summed into the running total, a nan or negative epsilon lets every later charge pass.
     @pytest.mark.parametrize("line", ["a,nan,0.0,0\n", "a,-5.0,0.0,0\n", "a,0.5,1.0,0\n"])
     def test_from_lines_refuses_a_loss_no_cap_bounds(self, line):
@@ -293,20 +313,20 @@ def test_histogram_integer_edges_match_float_rule(milli, edges):
         delta_max=EnergyQuantity(5000),
     )
     rng = StubRng(uniforms=[0.5] * len(expected))
-    answers = dp_histogram(d, edges, EPS1, _ledger(), rng)
+    answers = release(d, "histogram", 1.0, 0.0, _ledger(), rng, edges=edges)
     assert [a.value for a in answers] == [float(c) for c in expected]
 
 
 def test_histogram_rejects_nan_edge():
     d = make_uniform_dataset(1, 1000, 1)
     with pytest.raises(ValueError):
-        dp_histogram(d, [0.0, math.nan, 2.0], EPS1, _ledger(), StubRng())
+        release(d, "histogram", 1.0, 0.0, _ledger(), StubRng(), edges=[0.0, math.nan, 2.0])
 
 
 def test_mean_takes_exact_integer_sum():
     # Ten float 0.1s add up to 0.9999999999999999; the milli-kWh sum is exact.
     d = make_uniform_dataset(10, 100, 1)
-    answer = dp_mean(d, EPS1, _ledger(), StubRng(uniforms=[0.5]))
+    answer = release(d, "mean", 1.0, 0.0, _ledger(), StubRng(uniforms=[0.5]))
     assert answer.value == 0.1
 
 
@@ -337,20 +357,6 @@ def test_ledger_running_total_equals_entry_sum(seeded, charges):
         assert ledger.epsilon_spent() <= 3.0 + 1e-12
 
 
-@pytest.mark.parametrize("query", [
-    lambda d, p, ledger, rng: dp_sum(d, 0, p, ledger, rng),
-    dp_count,
-    dp_mean,
-    lambda d, p, ledger, rng: dp_histogram(d, [0.0, 1.0, 2.0], p, ledger, rng),
-], ids=["sum", "count", "mean", "histogram"])
-def test_nonzero_delta_refused_before_any_charge(query):
-    ledger = _ledger(cap=1.0)
-    with pytest.raises(DeltaNotZero):
-        query(make_uniform_dataset(3, 1000, 2), PrivacyParams(0.5, 1e-6), ledger, StubRng())
-    assert ledger.entries == ()
-    assert ledger.epsilon_spent() == 0.0
-
-
 class TestRelease:
     @pytest.mark.parametrize("op, delta, timestamp, edges, error, match", [
         ("median", 0.0, 0, (0.0, 1.0), ValueError, "unknown dp op 'median'"),
@@ -374,18 +380,16 @@ class TestRelease:
             release(d, "sum", -1.0, 0.0, ledger, StubRng())
         assert ledger.entries == ()
 
-    @pytest.mark.parametrize("op, query, args", [
-        ("sum", dp_sum, (0,)), ("count", dp_count, ()), ("mean", dp_mean, ()),
-        ("histogram", dp_histogram, ((0.0, 1.0, 2.0),)),
-    ])
-    def test_release_is_the_named_query(self, op, query, args):
-        d = make_uniform_dataset(3, 1000, 2)
-        ledger, direct_ledger = _ledger(), _ledger()
+    @pytest.mark.parametrize("op", OPS)
+    def test_release_is_the_prepared_query_answered(self, op):
+        d, ledger = make_uniform_dataset(3, 1000, 2), _ledger()
         got = release(d, op, 0.5, 0.0, ledger, seeded_rng(5), 0, (0.0, 1.0, 2.0))
-        want = query(d, *args, PrivacyParams(0.5), direct_ledger, seeded_rng(5))
-        values = [a.value for a in (got if op == "histogram" else [got])]
-        assert values == [a.value for a in (want if op == "histogram" else [want])]
-        assert [e.epsilon for e in ledger.entries] == [0.5]
+        want = prepare(d, op, 0.5, 0.0, 0, (0.0, 1.0, 2.0)).answer(seeded_rng(5))
+        got, want = (x if op == "histogram" else [x] for x in (got, want))
+        assert [a.value for a in got] == [a.value for a in want]
+        [entry] = ledger.entries
+        assert (entry.query_id, entry.epsilon) == (got[0].query_id, 0.5)
+        assert {a.query_id for a in got} == {entry.query_id}
 
 
 _COLLAPSING_EDGES = [0.0001, 0.0002, 1.0001, 1.0002, 1.0009]  # pairs share a first milli-kWh
@@ -414,7 +418,7 @@ def test_histogram_from_value_index_matches_float_rule_cold_and_warm(milli, edge
     )
     for _ in range(2):  # the first call builds the value index, the second reads it
         rng = StubRng(uniforms=[0.5] * len(expected))
-        answers = dp_histogram(d, edges, EPS1, _ledger(), rng)
+        answers = release(d, "histogram", 1.0, 0.0, _ledger(), rng, edges=edges)
         assert [a.value for a in answers] == [float(c) for c in expected]
 
 

@@ -31,7 +31,7 @@ from amiprivacy.gateway import (
 )
 from amiprivacy import fedlearn
 from amiprivacy.anonymize import AggregationPolicy, Suppressed, aggregate_threshold
-from amiprivacy.meterdata import EnergyQuantity
+from amiprivacy.meterdata import EnergyQuantity, FeederDataset
 from amiprivacy.gateway import KINDS, OPERATIONS, RequestFailed
 from conftest import StubRng, make_two_cluster_dataset, make_uniform_dataset
 
@@ -488,6 +488,11 @@ _SYNTH_INTS = ("n_clusters", "n_households", "n_days", "seed")
 _FED = {"kind": "fed_train", "n_clients": 2, "rounds": 1, "local_steps": 1,
         "learning_rate": 0.1, "seed": 0}
 _FED_INTS = ("n_clients", "rounds", "local_steps")
+_ONE_OF_EACH = {type(op): op for op in (
+    RawExport(), DpQuery(op="count", epsilon=0.5), SynthGenerate(2, 3, 1),
+    FedTrain(n_clients=2, rounds=1, local_steps=1, learning_rate=0.1),
+    SmpcSum(values=(("p0", 1),), min_participants=1), HeBill(usage_milli=(1,), rates=(2,)),
+    AggregateReport(groups=(("g", ("m0",)),)))}
 
 
 _floats = st.floats(allow_nan=False)
@@ -632,42 +637,41 @@ class TestRouteFailures:
         assert len(g.audit_log.records) == 2
         assert verify_chain(g.audit_log.records).valid
 
-    # A charge past the cap alone, or after one that landed: the record carries what landed.
-    @pytest.mark.parametrize("charges, landed", [((1.5,), 0.0), ((0.6, 0.6), 0.6)],
-                             ids=["refused", "landed_then_refused"])
-    def test_a_charge_past_the_cap_by_any_operation_is_a_budget_denial(
-        self, monkeypatch, charges, landed
-    ):
-        g = _gateway(cap=1.0)
-
-        def run_federation(shards, cfg, seed):
-            for i, epsilon in enumerate(charges):
-                g.ledger.charge(f"fed{i}", epsilon, 0.0)
-
-        monkeypatch.setattr(fedlearn, "run_federation", run_federation)
-        op = FedTrain(n_clients=2, rounds=1, local_steps=1, learning_rate=0.1)
-        decision = g.route(_req("r1", op))
+    # route's charge is the only one: a cost past the cap is refused before any run.
+    @pytest.mark.parametrize("cls", list(OPERATIONS), ids=lambda cls: OPERATIONS[cls].kind)
+    def test_a_charge_past_the_cap_by_any_operation_is_a_budget_denial(self, monkeypatch, cls):
+        g, runs = _gateway(cap=1.0), []
+        kind = dataclasses.replace(
+            OPERATIONS[cls], cost=lambda gw, op: dp.prepare(gw.dataset, "count", 1.5, 0.0),
+            run=lambda gw, req, query: runs.append(req))
+        monkeypatch.setitem(OPERATIONS, cls, kind)
+        decision = g.route(_req("r1", _ONE_OF_EACH[cls]))
         assert decision == Decision(allowed=False, reason=DenialReason.BUDGET_EXHAUSTED)
         [rec] = g.audit_log.records
         assert (rec.decision, rec.mechanism, rec.epsilon_spent) == (
-            "denied:BudgetExhausted", "fedavg", landed)
+            "denied:BudgetExhausted", kind.mechanism, 0.0)
+        assert g.ledger.entries == () and runs == []
         assert verify_chain(g.audit_log.records).valid
 
-    @pytest.mark.parametrize("op, cause", [
-        (DpQuery(op="histogram", epsilon=0.5, edges=(1.0, 0.0)), ValueError),
-        (DpQuery(op="histogram", epsilon=0.5), ValueError),
-        (DpQuery(op="sum", epsilon=0.5), ValueError),
-        (DpQuery(op="median", epsilon=0.5), ValueError),
+    @pytest.mark.parametrize("op, cause, dataset", [
+        (DpQuery(op="histogram", epsilon=0.5, edges=(1.0, 0.0)), ValueError, None),
+        (DpQuery(op="histogram", epsilon=0.5), ValueError, None),
+        (DpQuery(op="sum", epsilon=0.5), ValueError, None),
+        (DpQuery(op="median", epsilon=0.5), ValueError, None),
         (FedTrain(n_clients=0, rounds=1, local_steps=1, learning_rate=0.1),
-         fedlearn.FedLearnError),
+         fedlearn.FedLearnError, None),
+        (DpQuery(op="mean", epsilon=0.5), dp.EmptyDataset,
+         FeederDataset(series=(), interval_s=3600, delta_max=EnergyQuantity(5000))),
+        (DpQuery(op="count", epsilon=1e-320), ValueError, None),  # the noise scale overflows
     ])
-    def test_malformed_operation_audited_as_error(self, op, cause):
-        g = _gateway()
+    def test_malformed_operation_audited_as_error(self, op, cause, dataset):
+        g = _gateway(dataset=dataset)
         with pytest.raises(RequestFailed) as err:
             g.route(_req("r1", op))
         assert type(err.value.__cause__) is cause
         [rec] = g.audit_log.records
         assert rec.decision == f"error:{cause.__name__}" and rec.epsilon_spent == 0.0
+        assert g.ledger.entries == ()
 
     def test_audit_log_raises_audit_write_failure_itself(self):
         lines = []
